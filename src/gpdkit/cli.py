@@ -45,7 +45,7 @@ from .localization import (
     compose_anafunctors,
     compose_generalized,
     normalize_two_cell,
-    two_cells_equal,
+    two_cell_difference,
     validate_two_cell,
 )
 from .morita import (
@@ -198,6 +198,10 @@ def _cmd_pullback(args) -> int:
     psi = bundle.functor(args.psi)
     phi = phi.functor if isinstance(phi, EquivariantFunctor) else phi
     psi = psi.functor if isinstance(psi, EquivariantFunctor) else psi
+    for name, functor in ((args.phi, phi), (args.psi, psi)):
+        rep = validate_functor(functor)
+        if not rep.ok:
+            raise PreconditionError(f"{name!r} is not a functor: {rep.violations[0]}")
     out = {
         "dom1": docs.groupoid_doc(phi.dom),
         "dom2": docs.groupoid_doc(psi.dom),
@@ -370,8 +374,6 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_cells_equal(args) -> int:
-    from .localization import normalize_two_cell as _normalize
-
     bundle = _load(args.file)
     d1 = bundle.diagram(args.first)
     d2 = bundle.diagram(args.second)
@@ -379,15 +381,13 @@ def _cmd_cells_equal(args) -> int:
         rep = validate_two_cell(d)
         if not rep.ok:
             raise PreconditionError(f"{label} diagram does not validate: {rep.violations[0]}")
-    equal = two_cells_equal(d1, d2)
+    difference = two_cell_difference(d1, d2)
     witness = None
-    if not equal:
-        c1 = _normalize(d1).transformation.component
-        c2 = _normalize(d2).transformation.component
-        at = next(o for o in c1 if c1[o] != c2[o])
-        witness = {"at": at, "first": c1[at], "second": c2[at]}
-    _emit({"kind": "two_cell_equality", "equal": equal, "witness": witness}, args.out)
-    return 0 if equal else 1
+    if difference is not None:
+        at, first, second = difference
+        witness = {"at": at, "first": first, "second": second}
+    _emit({"kind": "two_cell_equality", "equal": difference is None, "witness": witness}, args.out)
+    return 0 if difference is None else 1
 
 
 def _cmd_skeleton(args) -> int:
@@ -516,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", help="write the output document to this path")
-        p.add_argument("--format", choices=["json"], default="json")
         p.set_defaults(fn=fn)
         return p
 
@@ -581,7 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?")
 
     p = add("suite", _cmd_suite, help="run the law suite at a budget")
-    p.add_argument("--budget", help="e.g. group=8,carrier=4,objects=6")
+    p.add_argument(
+        "--budget",
+        help="e.g. group=8,carrier=4,objects=6 (the defaults). group and carrier bound the enumeration; "
+        "objects bounds no size and only selects the regime: any value above its default samples the "
+        "instances with the seed instead of enumerating them exhaustively",
+    )
     p.add_argument("--seed", type=int)
 
     p = add("demo-klein", _cmd_demo_klein, help="the reflection action on four compass points, end to end")

@@ -80,13 +80,6 @@ class FiniteGroupoid:
     unit: dict[str, str] = field(repr=False)
     inv: dict[str, str] = field(repr=False)
 
-    def hom(self, x: str, y: str) -> list[str]:
-        """Arrows from x to y, in declaration order."""
-        return [a for a in self.arrows if self.src[a] == x and self.tgt[a] == y]
-
-    def arrows_into(self, y: str) -> list[str]:
-        return [a for a in self.arrows if self.tgt[a] == y]
-
     def hom_index(self) -> dict[tuple[str, str], list[str]]:
         """(src, tgt) -> arrows, for enumeration-heavy callers."""
         idx: dict[tuple[str, str], list[str]] = {}

@@ -24,17 +24,12 @@ from .core import (
     compose_functors,
     identity_functor,
     identity_transformation,
-    inverse_transformation,
     render_id,
     validate_nat_trans,
-    vertical_compose_nat,
-    whisker,
 )
 from .morita import (
     StrictPullback,
     ff_inverse,
-    coff_factorize,
-    ff_factorize,
     strict_pullback,
     weak_equivalence_report,
     weak_pullback,
@@ -241,56 +236,50 @@ def validate_two_cell(d: TwoCellDiagram) -> ValidationReport:
 def normalize_two_cell(d: TwoCellDiagram) -> AnaTwoCell:
     """Canonical representative of a diagram between anafunctors.
 
-    Pulls the mediator back over the strict pullback of the left legs, factors
-    the left-foot data through the bottom left leg (fully faithful), then
-    factors the right-foot composite through the pullback projection
-    (surjective weak equivalence).  Every intermediate transformation is
-    re-validated rather than trusted.
+    Over the strict pullback of the left legs L1, L2, the component at
+    (y1, y2) is read off any mediator object w with an arrow k: α(w) -> y1
+    (one exists because α is essentially surjective).  With m: α'(w) -> y2
+    the unique arrow for which L2(m) = L1(k) ∘ ε_w⁻¹, it is
+    R2(m) ∘ δ_w ∘ R1(k)⁻¹.  Every choice of (w, k) is computed and must give
+    the same value.
     """
     rep = validate_two_cell(d)
     if not rep.ok:
         raise PreconditionError(f"normalize_two_cell: diagram does not validate: {rep.violations[0]}")
     top, bottom = as_anafunctor(d.top), as_anafunctor(d.bottom)
     pb = strict_pullback(top.left, bottom.left)
-    lifted = weak_pullback(pb.pr1, d.to_top)  # pr1 -> pullback apex, pr3 -> mediator
-
-    step1 = whisker(lifted.comparison, top.left, "left")
-    step2 = whisker(d.left_cell, lifted.pr3, "right")
-    for eta in (step1, step2):
-        chk = validate_nat_trans(eta)
-        if not chk.ok:
-            raise InternalCheckError(f"normalize_two_cell: intermediate failed validation: {chk.violations[0]}")
-    mid = ff_factorize(
-        bottom.left,
-        compose_functors(pb.pr2, lifted.pr1),
-        compose_functors(d.to_bottom, lifted.pr3),
-        vertical_compose_nat(step2, step1),
-    )
-
-    step3 = whisker(lifted.comparison, top.right, "left")
-    step4 = whisker(d.right_cell, lifted.pr3, "right")
-    step5 = whisker(inverse_transformation(mid), bottom.right, "left")
-    for eta in (step3, step4, step5):
-        chk = validate_nat_trans(eta)
-        if not chk.ok:
-            raise InternalCheckError(f"normalize_two_cell: intermediate failed validation: {chk.violations[0]}")
-    composite = vertical_compose_nat(step5, vertical_compose_nat(step4, step3))
-    nu = coff_factorize(
-        lifted.pr1,
-        compose_functors(top.right, pb.pr1),
-        compose_functors(bottom.right, pb.pr2),
-        composite,
-    )
+    upper = top.middle
+    left_foot, right_foot = top.left_foot, top.right_foot
+    # y1 -> every (w, k) with k: α(w) -> y1, mediator objects in order
+    anchors: dict[str, list[tuple[str, str]]] = {y: [] for y in upper.objects}
+    out_of = upper.arrows_from()
+    for w in d.mediator.objects:
+        for k in out_of[d.to_top.obj_map[w]]:
+            anchors[upper.tgt[k]].append((w, k))
+    lift = ff_inverse(bottom.left)
+    component = {}
+    for oid, (y1, y2) in pb.object_pairs.items():
+        values = set()
+        for w, k in anchors[y1]:
+            eps_inv = left_foot.inv[d.left_cell.component[w]]
+            m = lift[(d.to_bottom.obj_map[w], y2, left_foot.compose[(top.left.arr_map[k], eps_inv)])]
+            back = right_foot.compose[(d.right_cell.component[w], right_foot.inv[top.right.arr_map[k]])]
+            values.add(right_foot.compose[(bottom.right.arr_map[m], back)])
+        if len(values) != 1:
+            raise InternalCheckError(f"normalize_two_cell: {len(values)} candidate components at {oid!r}")
+        component[oid] = values.pop()
+    nu = NaturalTransformation(compose_functors(top.right, pb.pr1), compose_functors(bottom.right, pb.pr2), component)
     cell = AnaTwoCell(top, bottom, nu)
     _check_ana_cell(cell)
     return cell
 
 
-def two_cells_equal(d1: TwoCellDiagram, d2: TwoCellDiagram) -> bool:
-    """Decide 2-cell equality by comparing normal forms pointwise.
+def two_cell_difference(d1: TwoCellDiagram, d2: TwoCellDiagram) -> tuple[str, str, str] | None:
+    """First pullback object where the normal forms differ, with both components.
 
     Both diagrams must connect the same pair of anafunctors (as tables);
-    sound and complete because the normal form is unique.
+    ``None`` means they present the same 2-cell, which is sound and complete
+    because the normal form is unique.
     """
     same_pair = (
         as_anafunctor(d1.top) == as_anafunctor(d2.top)
@@ -298,102 +287,43 @@ def two_cells_equal(d1: TwoCellDiagram, d2: TwoCellDiagram) -> bool:
     )
     if not same_pair:
         raise MismatchError("two_cells_equal: diagrams do not connect the same pair of spans")
-    n1 = normalize_two_cell(d1)
-    n2 = normalize_two_cell(d2)
-    return n1.transformation == n2.transformation
+    c1 = normalize_two_cell(d1).transformation.component
+    c2 = normalize_two_cell(d2).transformation.component
+    return next(((o, c1[o], c2[o]) for o in c1 if c1[o] != c2[o]), None)
 
 
-@dataclass(frozen=True)
-class TriplePullback:
-    """Strict pullback of three functors into one groupoid, with pairwise projections."""
-
-    apex: FiniteGroupoid
-    to_first_pair: GroupoidFunctor
-    to_outer_pair: GroupoidFunctor
-    to_second_pair: GroupoidFunctor
-
-
-def _triple_pullback(
-    phi1: GroupoidFunctor,
-    phi2: GroupoidFunctor,
-    phi3: GroupoidFunctor,
-    pb12: StrictPullback,
-    pb13: StrictPullback,
-    pb23: StrictPullback,
-) -> TriplePullback:
-    g1, g2, g3 = phi1.dom, phi2.dom, phi3.dom
-    objects, obj_triples = [], {}
-    for x in g1.objects:
-        for y in g2.objects:
-            if phi1.obj_map[x] != phi2.obj_map[y]:
-                continue
-            for z in g3.objects:
-                if phi2.obj_map[y] == phi3.obj_map[z]:
-                    oid = render_id((x, y, z))
-                    objects.append(oid)
-                    obj_triples[oid] = (x, y, z)
-    arrows, arrow_triples = [], {}
-    src, tgt, inv = {}, {}, {}
-    for a in g1.arrows:
-        for b in g2.arrows:
-            if phi1.arr_map[a] != phi2.arr_map[b]:
-                continue
-            for c in g3.arrows:
-                if phi2.arr_map[b] == phi3.arr_map[c]:
-                    aid = render_id((a, b, c))
-                    arrows.append(aid)
-                    arrow_triples[aid] = (a, b, c)
-                    src[aid] = render_id((g1.src[a], g2.src[b], g3.src[c]))
-                    tgt[aid] = render_id((g1.tgt[a], g2.tgt[b], g3.tgt[c]))
-                    inv[aid] = render_id((g1.inv[a], g2.inv[b], g3.inv[c]))
-    unit = {oid: render_id((g1.unit[x], g2.unit[y], g3.unit[z])) for oid, (x, y, z) in obj_triples.items()}
-    by_src: dict[str, list[str]] = {}
-    for aid in arrows:
-        by_src.setdefault(src[aid], []).append(aid)
-    compose = {}
-    for a1 in arrows:
-        for a2 in by_src.get(tgt[a1], ()):
-            xa, ya, za = arrow_triples[a1]
-            xb, yb, zb = arrow_triples[a2]
-            compose[(a2, a1)] = render_id((g1.compose[(xb, xa)], g2.compose[(yb, ya)], g3.compose[(zb, za)]))
-    apex = FiniteGroupoid(tuple(objects), tuple(arrows), src, tgt, compose, unit, inv)
-
-    def project(pb: StrictPullback, keep: tuple[int, int]) -> GroupoidFunctor:
-        return GroupoidFunctor(
-            apex,
-            pb.apex,
-            {o: render_id((t[keep[0]], t[keep[1]])) for o, t in obj_triples.items()},
-            {a: render_id((t[keep[0]], t[keep[1]])) for a, t in arrow_triples.items()},
-        )
-
-    return TriplePullback(apex, project(pb12, (0, 1)), project(pb13, (0, 2)), project(pb23, (1, 2)))
+def two_cells_equal(d1: TwoCellDiagram, d2: TwoCellDiagram) -> bool:
+    """Decide 2-cell equality by comparing normal forms pointwise."""
+    return two_cell_difference(d1, d2) is None
 
 
 def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
     """Stack two normal-form 2-cells.
 
     The composite component at (y, y'') is c2 at (y', y'') after c1 at
-    (y, y'), for any middle object y' over the same left-foot object; the
-    factorisation through the outer projection re-verifies that the choice of
-    y' does not matter.
+    (y, y'), for any middle object y' over the same left-foot object (one
+    exists because the middle left leg is surjective on objects); every
+    choice of y' is computed and must give the same value.
     """
     if c1.bottom != c2.top:
         raise MismatchError("vertical_compose_ana: cells do not share a middle span")
     f, g, h = c1.top, c1.bottom, c2.bottom
-    pb12 = strict_pullback(f.left, g.left)
-    pb13 = strict_pullback(f.left, h.left)
-    pb23 = strict_pullback(g.left, h.left)
-    triple = _triple_pullback(f.left, g.left, h.left, pb12, pb13, pb23)
-    lifted = vertical_compose_nat(
-        whisker(c2.transformation, triple.to_second_pair, "right"),
-        whisker(c1.transformation, triple.to_first_pair, "right"),
-    )
-    lam = coff_factorize(
-        triple.to_outer_pair,
-        compose_functors(f.right, pb13.pr1),
-        compose_functors(h.right, pb13.pr2),
-        lifted,
-    )
+    pb = strict_pullback(f.left, h.left)
+    over: dict[str, list[str]] = {}
+    for y in g.middle.objects:
+        over.setdefault(g.left.obj_map[y], []).append(y)
+    first, second = c1.transformation.component, c2.transformation.component
+    cod = f.right_foot
+    component = {}
+    for oid, (y, y2) in pb.object_pairs.items():
+        values = {
+            cod.compose[(second[render_id((mid, y2))], first[render_id((y, mid))])]
+            for mid in over.get(f.left.obj_map[y], ())
+        }
+        if len(values) != 1:
+            raise InternalCheckError(f"vertical_compose_ana: {len(values)} candidate components at {oid!r}")
+        component[oid] = values.pop()
+    lam = NaturalTransformation(compose_functors(f.right, pb.pr1), compose_functors(h.right, pb.pr2), component)
     cell = AnaTwoCell(f, h, lam)
     _check_ana_cell(cell)
     return cell
@@ -402,7 +332,6 @@ def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
 def inverse_two_cell(cell: AnaTwoCell) -> AnaTwoCell:
     """Pointwise inverse, living over the swapped pullback."""
     pb = left_leg_pullback(cell.bottom, cell.top)
-    fwd = left_leg_pullback(cell.top, cell.bottom)
     cod = cell.top.right_foot
     component = {}
     for oid, (y2, y1) in pb.object_pairs.items():

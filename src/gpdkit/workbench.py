@@ -88,6 +88,15 @@ SAMPLE_CAPS = {
 
 @dataclass(frozen=True)
 class InstanceBudget:
+    """Size limits for the law suite's instance population.
+
+    ``max_group_order`` and ``max_carrier_size`` bound the enumerated catalog
+    groups and carriers.  ``max_objects`` bounds no groupoid size: it only
+    takes part in the regime switch.  While every field is at most its
+    default the run is exhaustive; above any default it subsamples each
+    instance category to ``SAMPLE_CAPS`` with ``sample_seed``.
+    """
+
     max_group_order: int = DEFAULT_GROUP_ORDER
     max_carrier_size: int = DEFAULT_CARRIER_SIZE
     max_objects: int = DEFAULT_OBJECTS
@@ -190,7 +199,7 @@ def enumerate_actions(budget: InstanceBudget):
 @dataclass(frozen=True)
 class GeneratedWeakEquivalence:
     functor: EquivariantFunctor
-    kind: str  # identity | projection | inclusion | composite | composite-mixed
+    kind: str  # identity | projection | inclusion | composite
     stages: tuple = ()  # (projection, inclusion) when built in that order
 
 
@@ -261,8 +270,9 @@ def _left_pullback_arrows(span: GeneralizedMorphism) -> int:
     return sum(n * n for n in fibers.values())
 
 
-# 2-cell laws build pullbacks over pullback apexes; their instances are gated
-# by the size of the left-leg self-pullback to keep that quadratic blowup flat
+# the 2-cell laws only take spans whose left-leg self-pullback has at most
+# this many arrows; normal forms are computed per object, so the gate does not
+# bound their cost: it fixes which spans the laws check, and so the report
 MAX_CELL_PULLBACK_ARROWS = 40
 
 
@@ -334,7 +344,7 @@ def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInst
         reverse = GeneralizedMorphism(span.right, span.left)
         spans.append((compose_generalized(span, reverse), left_action, left_action))
         composed += 1
-    # keep span middles small: the 2-cell laws build pullbacks over pullbacks
+    # smallest spans first; the cut below fixes the span population
     spans.sort(key=lambda s: _span_size(s[0]))
     spans = spans[: 3 * SAMPLE_CAPS["spans"]]
     spans = spans[: SAMPLE_CAPS["spans"]] if budget.exhaustive else maybe_sample(spans, "spans")

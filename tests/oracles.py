@@ -111,3 +111,43 @@ def oracle_natural(source, target, component) -> bool:
         if left is None or left != right:
             return False
     return True
+
+
+def oracle_normalize_two_cell(d):
+    """Normal-form transformation of a 2-cell diagram, built through pullbacks.
+
+    The reference construction the library's per-object formula replaced:
+    pull the mediator back over the strict pullback of the left legs (weak
+    pullback), factor the left-foot data through the fully faithful bottom
+    left leg, then factor the right-foot composite through the surjective
+    projection of the weak pullback.
+    """
+    from gpdkit.core import compose_functors, inverse_transformation, vertical_compose_nat, whisker
+    from gpdkit.localization import as_anafunctor
+    from gpdkit.morita import coff_factorize, ff_factorize, strict_pullback, weak_pullback
+
+    top, bottom = as_anafunctor(d.top), as_anafunctor(d.bottom)
+    pb = strict_pullback(top.left, bottom.left)
+    lifted = weak_pullback(pb.pr1, d.to_top)  # pr1 -> pullback apex, pr3 -> mediator
+    mid = ff_factorize(
+        bottom.left,
+        compose_functors(pb.pr2, lifted.pr1),
+        compose_functors(d.to_bottom, lifted.pr3),
+        vertical_compose_nat(
+            whisker(d.left_cell, lifted.pr3, "right"),
+            whisker(lifted.comparison, top.left, "left"),
+        ),
+    )
+    composite = vertical_compose_nat(
+        whisker(inverse_transformation(mid), bottom.right, "left"),
+        vertical_compose_nat(
+            whisker(d.right_cell, lifted.pr3, "right"),
+            whisker(lifted.comparison, top.right, "left"),
+        ),
+    )
+    return coff_factorize(
+        lifted.pr1,
+        compose_functors(top.right, pb.pr1),
+        compose_functors(bottom.right, pb.pr2),
+        composite,
+    )

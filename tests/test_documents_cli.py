@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +248,27 @@ class TestCli:
         assert main(["validate", str(out), "--out", str(tmp_path / "v.json")]) == 0
         emitted = json.loads(out.read_text())
         assert len(emitted["documents"]["product"]["set"]) == 8
+
+    def test_pullback_rejects_a_non_functor_in_both_modes(self, tmp_path, swap_action):
+        # declared maps are total, but every arrow goes to its inverse, which
+        # breaks endpoint preservation on the two non-unit arrows
+        g = swap_action.induced
+        inverting = GroupoidFunctor(g, g, {x: x for x in g.objects}, {a: g.inv[a] for a in g.arrows})
+        bundle = {
+            "kind": "bundle",
+            "documents": {"swap": docs.groupoid_doc(g), "phi": docs.functor_doc(inverting, "swap", "swap")},
+        }
+        path = write(tmp_path, "bundle.json", bundle)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for mode in ("strict", "weak"):
+            run = subprocess.run(
+                [sys.executable, "-m", "gpdkit.cli", "pullback", "--mode", mode, path, "phi", "phi"],
+                capture_output=True, text=True, env={"PYTHONPATH": src},
+            )
+            assert run.returncode == 2, (mode, run.stderr)
+            assert "Traceback" not in run.stderr
+            assert "endpoint preservation" in run.stderr
+            assert run.stdout == ""
 
     def test_unknown_file_is_input_error(self):
         assert main(["validate", "/does/not/exist.json"]) == 2

@@ -32,7 +32,14 @@ from gpdkit.localization import (
     vertical_compose_ana,
 )
 from gpdkit.morita import morita_oracle, skeleton_invariant, weak_equivalence_report, weak_pullback
-from gpdkit.workbench import _perturb_diagram
+from gpdkit.workbench import (
+    MAX_CELL_PULLBACK_ARROWS,
+    InstanceBudget,
+    _left_pullback_arrows,
+    _perturb_diagram,
+    build_instances,
+)
+from oracles import oracle_normalize_two_cell
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +252,18 @@ class TestNormalization:
             normalize_two_cell(broken)
 
 
+@pytest.fixture(scope="module")
+def swap_functor(swap_action):
+    """The automorphism of the swap groupoid exchanging its two objects."""
+    g = swap_action.induced
+    flip_obj = {"0": "1", "1": "0"}
+    return GroupoidFunctor(
+        g, g, flip_obj,
+        {a: swap_action.arrow_id(swap_action.arrow_pairs[a][0], flip_obj[swap_action.arrow_pairs[a][1]])
+         for a in g.arrows},
+    )
+
+
 class TestNontrivialMediator:
     """A diagram whose two mediator functors differ: id against the carrier swap.
 
@@ -252,16 +271,6 @@ class TestNontrivialMediator:
     propagates to every pair, and the hand computation shows the canonical
     representative must be the loop-shifted cell, not the unit cell.
     """
-
-    @pytest.fixture()
-    def swap_functor(self, swap_action):
-        g = swap_action.induced
-        flip_obj = {"0": "1", "1": "0"}
-        return GroupoidFunctor(
-            g, g, flip_obj,
-            {a: swap_action.arrow_id(swap_action.arrow_pairs[a][0], flip_obj[swap_action.arrow_pairs[a][1]])
-             for a in g.arrows},
-        )
 
     def test_normalizes_to_the_loop_shifted_cell(self, loop_span, swap_action, swap_functor):
         k = loop_span.middle
@@ -395,3 +404,62 @@ class TestAnafunctorify:
         assert two_cells_equal(out.witness, as_diagram(n))
         perturbed = _perturb_diagram(out.witness)
         assert two_cells_equal(out.witness, perturbed)
+
+
+def _oracle_diagrams(span):
+    """Identity, perturbed and replacement-witness diagrams on an anafunctor span."""
+    d = as_diagram(identity_two_cell(Anafunctor(span.left, span.right)))
+    return [d, _perturb_diagram(d), anafunctorify(span).witness]
+
+
+class TestNormalFormOracle:
+    """The per-object normal form equals the pullback-based reference construction."""
+
+    def test_conftest_spans(self, morita_span, loop_span, collapse_swap, swap_action, swap_functor,
+                            point_action, loop_action, klein_action, terminal):
+        spans = [
+            morita_span,
+            loop_span,
+            Anafunctor(collapse_swap, identity_functor(swap_action.induced)),
+            *(identity_anafunctor(g) for g in (
+                terminal, swap_action.induced, point_action.induced, loop_action.induced, klein_action.induced,
+            )),
+        ]
+        diagrams = [d for span in spans for d in _oracle_diagrams(span)]
+        flipped = _flip_cell(loop_span, identity_two_cell(loop_span))
+        diagrams += [as_diagram(flipped), _perturb_diagram(as_diagram(flipped))]
+        # nontrivial filling cells: on the compass points, the reflection
+        # fixing each orbit pointwise is a natural loop of the identity functor
+        g = klein_action.induced
+        ident = identity_functor(g)
+        units = identity_transformation(ident)
+        loops = NaturalTransformation(ident, ident, {
+            x: klein_action.arrow_id("(e,t)" if x in ("N", "S") else "(t,e)", x) for x in g.objects
+        })
+        f = identity_anafunctor(g)
+        cells = [TwoCellDiagram(f, f, ident, ident, left, right)
+                 for left, right in ((loops, units), (units, loops), (loops, loops))]
+        # filling cells that are not loops: the mediator maps to the swap
+        # groupoid by the identity on top and by the flip below
+        s = identity_anafunctor(swap_action.induced)
+        crossing = NaturalTransformation(
+            identity_functor(s.middle), swap_functor,
+            {x: swap_action.arrow_id("r1", x) for x in s.middle.objects},
+        )
+        cells.append(TwoCellDiagram(s, s, identity_functor(s.middle), swap_functor, crossing, crossing))
+        for d in cells:
+            assert validate_two_cell(d).ok
+            diagrams += [d, _perturb_diagram(d)]
+        for d in diagrams:
+            assert normalize_two_cell(d).transformation == oracle_normalize_two_cell(d)
+
+    def test_first_gated_default_budget_spans(self):
+        # the spans the default-budget 2-cell laws admit, smallest first
+        gated = [
+            span for span, _, _ in build_instances(InstanceBudget()).spans
+            if weak_equivalence_report(span.left).is_ssw and _left_pullback_arrows(span) <= MAX_CELL_PULLBACK_ARROWS
+        ][:20]
+        assert len(gated) == 20
+        for span in gated:
+            for d in _oracle_diagrams(span):
+                assert normalize_two_cell(d).transformation == oracle_normalize_two_cell(d)

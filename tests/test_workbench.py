@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from gpdkit.catalog import cyclic_group, klein_four_group
+from gpdkit.cli import main
 from gpdkit.core import FiniteGroupoid, groupoid_iso_search, trivial_group, validate_groupoid
 from gpdkit.morita import weak_equivalence_report
 from gpdkit.workbench import (
@@ -134,3 +137,10 @@ class TestLawSuite:
     def test_exhaustive_flag(self):
         assert InstanceBudget().exhaustive
         assert not InstanceBudget(max_objects=7).exhaustive
+
+    def test_sampled_report_matches_its_golden_bytes(self, tmp_path):
+        # report bytes of `gpdkit suite --budget group=4,carrier=3,objects=7 --seed 1`
+        golden = Path(__file__).parent / "golden" / "suite_group4_carrier3_objects7_seed1.json"
+        out = tmp_path / "suite.json"
+        assert main(["suite", "--budget", "group=4,carrier=3,objects=7", "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == golden.read_bytes()
