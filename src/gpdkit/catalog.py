@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import FiniteGroup, render_id
+from .core import FiniteGroup, direct_product
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -25,14 +25,9 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def klein_four_group() -> FiniteGroup:
     """Z/2 x Z/2 with elements (e,e), (e,t), (t,e), (t,t)."""
-    bits = ("e", "t")
     flip = {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"}
-    els = tuple(render_id((a, b)) for a in bits for b in bits)
-    mul = {}
-    for a1, b1 in itertools.product(bits, repeat=2):
-        for a2, b2 in itertools.product(bits, repeat=2):
-            mul[(render_id((a1, b1)), render_id((a2, b2)))] = render_id((flip[(a1, a2)], flip[(b1, b2)]))
-    return FiniteGroup(els, mul, render_id(("e", "e")), {e: e for e in els})
+    z2 = FiniteGroup(("e", "t"), flip, "e", {"e": "e", "t": "t"})
+    return direct_product(z2, z2)
 
 
 def _perm_group(points: str, generators: list[str]) -> FiniteGroup:

@@ -158,6 +158,7 @@ def _cmd_check_we(args) -> int:
     functor = bundle.functor(name)
     if isinstance(functor, EquivariantFunctor):
         functor = functor.functor
+    docs.require_functor(functor, repr(name))
     rep = weak_equivalence_report(functor)
     _emit(
         {
@@ -199,9 +200,7 @@ def _cmd_pullback(args) -> int:
     phi = phi.functor if isinstance(phi, EquivariantFunctor) else phi
     psi = psi.functor if isinstance(psi, EquivariantFunctor) else psi
     for name, functor in ((args.phi, phi), (args.psi, psi)):
-        rep = validate_functor(functor)
-        if not rep.ok:
-            raise PreconditionError(f"{name!r} is not a functor: {rep.violations[0]}")
+        docs.require_functor(functor, repr(name))
     out = {
         "dom1": docs.groupoid_doc(phi.dom),
         "dom2": docs.groupoid_doc(psi.dom),

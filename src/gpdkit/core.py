@@ -2,8 +2,10 @@
 
 Everything is a plain table over opaque string ids.  Constructed objects use
 deterministic structured ids (tuples rendered as ``(a,b,c)``) so re-running a
-construction yields bit-identical tables.  Values are frozen after
-construction and every operation is a pure function.
+construction yields bit-identical tables.  Product-shaped tables (action
+groupoids and the strict and weak pullbacks) are all made by
+:func:`tuple_groupoid`, which renders each of their arrow ids once.  Values
+are frozen after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -168,6 +170,42 @@ def validate_groupoid(candidate: FiniteGroupoid) -> ValidationReport:
 
 def empty_groupoid() -> FiniteGroupoid:
     return FiniteGroupoid((), (), {}, {}, {}, {}, {})
+
+
+def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple[FiniteGroupoid, dict]:
+    """The groupoid on keyed objects and tuple-keyed arrows, each arrow id rendered once.
+
+    ``objects`` maps object keys to ids in declaration order; ``arrows`` lists
+    arrow keys (tuples, rendered with :func:`render_id`) in declaration order.
+    ``src``, ``tgt``, ``unit``, ``inv`` and ``compose(after, first)`` are
+    functions on keys.  ``compose`` is filled for each first arrow in order,
+    then each composable after arrow in order.  Returns the groupoid and the
+    table arrow key -> id.
+    """
+    ids = {a: render_id(a) for a in arrows}
+    try:
+        ends = {a: (src(a), tgt(a)) for a in arrows}
+        by_src: dict = {}
+        for a, (x, _) in ends.items():
+            by_src.setdefault(x, []).append(a)
+        table = {}
+        for a1, (_, y) in ends.items():
+            for a2 in by_src.get(y, ()):
+                table[(ids[a2], ids[a1])] = ids[compose(a2, a1)]
+        g = FiniteGroupoid(
+            objects=tuple(objects.values()),
+            arrows=tuple(ids.values()),
+            src={ids[a]: objects[x] for a, (x, _) in ends.items()},
+            tgt={ids[a]: objects[y] for a, (_, y) in ends.items()},
+            compose=table,
+            unit={x: ids[unit(k)] for k, x in objects.items()},
+            inv={ids[a]: ids[inv(a)] for a in arrows},
+        )
+    except KeyError as exc:
+        raise PreconditionError(
+            f"tuple_groupoid: no entry for {exc.args[0]!r}; endpoints, units, inverses and composites must be declared"
+        ) from None
+    return g, ids
 
 
 def terminal_groupoid() -> FiniteGroupoid:
@@ -400,8 +438,9 @@ def subgroup(g: FiniteGroup, elements) -> FiniteGroup:
     members = set(elements)
     if g.unit not in members:
         raise PreconditionError("subgroup: unit element missing")
+    ambient = set(g.elements)
     for a in members:
-        if a not in set(g.elements):
+        if a not in ambient:
             raise PreconditionError(f"subgroup: {a!r} is not an element of the ambient group")
         if g.inv[a] not in members:
             raise PreconditionError(f"subgroup: not closed under inverse at {a!r}")
@@ -447,17 +486,16 @@ def all_subgroups(g: FiniteGroup) -> list[tuple[str, ...]]:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    elements = tuple(render_id((a, b)) for a in g.elements for b in h.elements)
-    eid = lambda a, b: render_id((a, b))
-    mul = {}
-    for a1, b1 in itertools.product(g.elements, h.elements):
-        for a2, b2 in itertools.product(g.elements, h.elements):
-            mul[(eid(a1, b1), eid(a2, b2))] = eid(g.mul[(a1, a2)], h.mul[(b1, b2)])
+    eid = {(a, b): render_id((a, b)) for a in g.elements for b in h.elements}
     return FiniteGroup(
-        elements=elements,
-        mul=mul,
-        unit=eid(g.unit, h.unit),
-        inv={eid(a, b): eid(g.inv[a], h.inv[b]) for a in g.elements for b in h.elements},
+        elements=tuple(eid.values()),
+        mul={
+            (eid[p], eid[q]): eid[(g.mul[(p[0], q[0])], h.mul[(p[1], q[1])])]
+            for p in eid
+            for q in eid
+        },
+        unit=eid[(g.unit, h.unit)],
+        inv={e: eid[(g.inv[a], h.inv[b])] for (a, b), e in eid.items()},
     )
 
 
@@ -548,9 +586,10 @@ class ActionGroupoid:
     act: dict[tuple[str, str], str] = field(repr=False)
     induced: FiniteGroupoid = field(repr=False)
     arrow_pairs: dict[str, tuple[str, str]] = field(repr=False)
+    arrow_ids: dict[tuple[str, str], str] = field(repr=False, compare=False)
 
     def arrow_id(self, g: str, x: str) -> str:
-        return render_id((g, x))
+        return self.arrow_ids[(g, x)]
 
 
 def action_groupoid(group: FiniteGroup, carrier, act: dict[tuple[str, str], str]) -> ActionGroupoid:
@@ -571,24 +610,17 @@ def action_groupoid(group: FiniteGroup, carrier, act: dict[tuple[str, str], str]
         if act[(g1, act[(g2, x)])] != act[(group.mul[(g1, g2)], x)]:
             raise ActionAxiomError(f"action not compatible with multiplication at ({g1!r}, {g2!r}, {x!r})")
 
-    aid = lambda g, x: render_id((g, x))
-    arrows = tuple(aid(g, x) for g in group.elements for x in carrier)
-    arrow_pairs = {aid(g, x): (g, x) for g in group.elements for x in carrier}
-    src = {aid(g, x): x for g in group.elements for x in carrier}
-    tgt = {aid(g, x): act[(g, x)] for g in group.elements for x in carrier}
-    compose = {}
-    for g1, g2, x in itertools.product(group.elements, group.elements, carrier):
-        compose[(aid(g1, act[(g2, x)]), aid(g2, x))] = aid(group.mul[(g1, g2)], x)
-    induced = FiniteGroupoid(
-        objects=carrier,
-        arrows=arrows,
-        src=src,
-        tgt=tgt,
-        compose=compose,
-        unit={x: aid(group.unit, x) for x in carrier},
-        inv={aid(g, x): aid(group.inv[g], act[(g, x)]) for g in group.elements for x in carrier},
+    induced, ids = tuple_groupoid(
+        {x: x for x in carrier},
+        [(g, x) for g in group.elements for x in carrier],
+        src=lambda a: a[1],
+        tgt=lambda a: act[a],
+        unit=lambda x: (group.unit, x),
+        inv=lambda a: (group.inv[a[0]], act[a]),
+        compose=lambda a2, a1: (group.mul[(a2[0], a1[0])], a1[1]),
     )
-    return ActionGroupoid(group, carrier, act, induced, arrow_pairs)
+    arrow_pairs = {i: a for a, i in ids.items()}
+    return ActionGroupoid(group, carrier, act, induced, arrow_pairs, ids)
 
 
 def orbit(a: ActionGroupoid, x: str) -> tuple[str, ...]:

@@ -20,9 +20,11 @@ from .core import (
     FiniteGroupoid,
     GroupoidFunctor,
     NaturalTransformation,
+    PreconditionError,
     action_groupoid,
     check_functor_declarations,
     compose_functors,
+    validate_functor,
 )
 from .equivariant import EquivariantFunctor, equivariant_functor
 from .localization import GeneralizedMorphism, TwoCellDiagram
@@ -297,7 +299,16 @@ class RawSpan:
     right: GroupoidFunctor
 
     def build(self) -> GeneralizedMorphism:
+        require_functor(self.left, "span left leg")
+        require_functor(self.right, "span right leg")
         return GeneralizedMorphism(self.left, self.right)
+
+
+def require_functor(functor: GroupoidFunctor, what: str) -> None:
+    """Raise :class:`PreconditionError` naming the first violation unless ``functor`` is a functor."""
+    rep = validate_functor(functor)
+    if not rep.ok:
+        raise PreconditionError(f"{what} is not a functor: {rep.violations[0]}")
 
 
 def _parse_span(bundle: Bundle, obj: dict, where: str) -> RawSpan:

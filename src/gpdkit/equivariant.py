@@ -474,24 +474,11 @@ def equivariant_strict_pullback(phi: EquivariantFunctor, psi: EquivariantFunctor
     if not weak_equivalence_report(phi.functor).is_ssw:
         raise PreconditionError("equivariant_strict_pullback: first functor is not a surjective weak equivalence")
     g, h = phi.dom_action.group, psi.dom_action.group
-    pair_elements = []
-    pair_decode = {}
-    for a in g.elements:
-        for b in h.elements:
-            if phi.group_hom[a] == psi.group_hom[b]:
-                pid = render_id((a, b))
-                pair_elements.append(pid)
-                pair_decode[pid] = (a, b)
-    pair_group = FiniteGroup(
-        elements=tuple(pair_elements),
-        mul={
-            (p, q): render_id((g.mul[(pair_decode[p][0], pair_decode[q][0])], h.mul[(pair_decode[p][1], pair_decode[q][1])]))
-            for p in pair_elements
-            for q in pair_elements
-        },
-        unit=render_id((g.unit, h.unit)),
-        inv={p: render_id((g.inv[pair_decode[p][0]], h.inv[pair_decode[p][1]])) for p in pair_elements},
-    )
+    pair_decode = {
+        render_id((a, b)): (a, b) for a in g.elements for b in h.elements if phi.group_hom[a] == psi.group_hom[b]
+    }
+    pair_elements = tuple(pair_decode)
+    pair_group = subgroup(direct_product(g, h), pair_elements)
     carrier = []
     carrier_decode = {}
     for x in phi.dom_action.carrier:

@@ -114,14 +114,10 @@ class AnaTwoCell:
     transformation: NaturalTransformation  # top.right∘pr1 ⇒ bottom.right∘pr2
 
 
-def left_leg_pullback(c_top: GeneralizedMorphism, c_bottom: GeneralizedMorphism) -> StrictPullback:
-    return strict_pullback(c_top.left, c_bottom.left)
-
-
-def _check_ana_cell(cell: AnaTwoCell):
+def _check_ana_cell(cell: AnaTwoCell, pb: StrictPullback):
+    """Check a normal-form cell built over ``pb``, the strict pullback of its left legs."""
     if cell.top.left_foot != cell.bottom.left_foot or cell.top.right_foot != cell.bottom.right_foot:
         raise MismatchError("2-cell endpoints are not parallel spans")
-    pb = left_leg_pullback(cell.top, cell.bottom)
     if cell.transformation.source != compose_functors(cell.top.right, pb.pr1):
         raise MismatchError("2-cell transformation source is not top.right over the pullback")
     if cell.transformation.target != compose_functors(cell.bottom.right, pb.pr2):
@@ -179,13 +175,13 @@ def identity_two_cell(f: Anafunctor) -> AnaTwoCell:
             component,
         ),
     )
-    _check_ana_cell(cell)
+    _check_ana_cell(cell, pb)
     return cell
 
 
 def as_diagram(cell: AnaTwoCell) -> TwoCellDiagram:
     """Render a normal-form 2-cell as a mediating diagram with a trivial left cell."""
-    pb = left_leg_pullback(cell.top, cell.bottom)
+    pb = strict_pullback(cell.top.left, cell.bottom.left)
     return TwoCellDiagram(
         top=cell.top,
         bottom=cell.bottom,
@@ -270,7 +266,7 @@ def normalize_two_cell(d: TwoCellDiagram) -> AnaTwoCell:
         component[oid] = values.pop()
     nu = NaturalTransformation(compose_functors(top.right, pb.pr1), compose_functors(bottom.right, pb.pr2), component)
     cell = AnaTwoCell(top, bottom, nu)
-    _check_ana_cell(cell)
+    _check_ana_cell(cell, pb)
     return cell
 
 
@@ -325,13 +321,13 @@ def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
         component[oid] = values.pop()
     lam = NaturalTransformation(compose_functors(f.right, pb.pr1), compose_functors(h.right, pb.pr2), component)
     cell = AnaTwoCell(f, h, lam)
-    _check_ana_cell(cell)
+    _check_ana_cell(cell, pb)
     return cell
 
 
 def inverse_two_cell(cell: AnaTwoCell) -> AnaTwoCell:
     """Pointwise inverse, living over the swapped pullback."""
-    pb = left_leg_pullback(cell.bottom, cell.top)
+    pb = strict_pullback(cell.bottom.left, cell.top.left)
     cod = cell.top.right_foot
     component = {}
     for oid, (y2, y1) in pb.object_pairs.items():
@@ -345,7 +341,7 @@ def inverse_two_cell(cell: AnaTwoCell) -> AnaTwoCell:
             component,
         ),
     )
-    _check_ana_cell(out)
+    _check_ana_cell(out, pb)
     return out
 
 

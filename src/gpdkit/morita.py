@@ -22,6 +22,7 @@ from .core import (
     group_isomorphic,
     identity_functor,
     render_id,
+    tuple_groupoid,
     validate_nat_trans,
     whisker,
 )
@@ -112,36 +113,18 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
     if phi.cod != psi.cod:
         raise MismatchError("strict_pullback: functors have different codomains")
     g, h = phi.dom, psi.dom
-    objects, object_pairs = [], {}
-    for x in g.objects:
-        for y in h.objects:
-            if phi.obj_map[x] == psi.obj_map[y]:
-                oid = render_id((x, y))
-                objects.append(oid)
-                object_pairs[oid] = (x, y)
-    arrows, arrow_pairs = [], {}
-    src, tgt, unit, inv = {}, {}, {}, {}
-    for a in g.arrows:
-        for b in h.arrows:
-            if phi.arr_map[a] == psi.arr_map[b]:
-                aid = render_id((a, b))
-                arrows.append(aid)
-                arrow_pairs[aid] = (a, b)
-                src[aid] = render_id((g.src[a], h.src[b]))
-                tgt[aid] = render_id((g.tgt[a], h.tgt[b]))
-                inv[aid] = render_id((g.inv[a], h.inv[b]))
-    for oid, (x, y) in object_pairs.items():
-        unit[oid] = render_id((g.unit[x], h.unit[y]))
-    by_src: dict[str, list[str]] = {}
-    for aid in arrows:
-        by_src.setdefault(src[aid], []).append(aid)
-    compose = {}
-    for a1 in arrows:
-        for a2 in by_src.get(tgt[a1], ()):
-            ga, ha = arrow_pairs[a1]
-            gb, hb = arrow_pairs[a2]
-            compose[(a2, a1)] = render_id((g.compose[(gb, ga)], h.compose[(hb, ha)]))
-    apex = FiniteGroupoid(tuple(objects), tuple(arrows), src, tgt, compose, unit, inv)
+    objects = {(x, y): render_id((x, y)) for x in g.objects for y in h.objects if phi.obj_map[x] == psi.obj_map[y]}
+    apex, ids = tuple_groupoid(
+        objects,
+        [(a, b) for a in g.arrows for b in h.arrows if phi.arr_map[a] == psi.arr_map[b]],
+        src=lambda p: (g.src[p[0]], h.src[p[1]]),
+        tgt=lambda p: (g.tgt[p[0]], h.tgt[p[1]]),
+        unit=lambda o: (g.unit[o[0]], h.unit[o[1]]),
+        inv=lambda p: (g.inv[p[0]], h.inv[p[1]]),
+        compose=lambda q, p: (g.compose[(q[0], p[0])], h.compose[(q[1], p[1])]),
+    )
+    object_pairs = {o: p for p, o in objects.items()}
+    arrow_pairs = {a: p for p, a in ids.items()}
     pr1 = GroupoidFunctor(apex, g, {o: p[0] for o, p in object_pairs.items()}, {a: p[0] for a, p in arrow_pairs.items()})
     pr2 = GroupoidFunctor(apex, h, {o: p[1] for o, p in object_pairs.items()}, {a: p[1] for a, p in arrow_pairs.items()})
     out = StrictPullback(apex, pr1, pr2, object_pairs, arrow_pairs)
@@ -173,38 +156,30 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
         raise MismatchError("weak_pullback: functors have different codomains")
     g, h, k = phi.dom, psi.dom, phi.cod
     hom = k.hom_index()
-    objects, object_triples = [], {}
-    for x in g.objects:
-        for y in h.objects:
-            for c in hom.get((phi.obj_map[x], psi.obj_map[y]), ()):
-                oid = render_id((x, c, y))
-                objects.append(oid)
-                object_triples[oid] = (x, c, y)
-    arrows, arrow_triples = [], {}
-    src, tgt, unit, inv = {}, {}, {}, {}
-    for a in g.arrows:
-        for b in h.arrows:
-            for c in hom.get((phi.obj_map[g.src[a]], psi.obj_map[h.src[b]]), ()):
-                aid = render_id((a, c, b))
-                arrows.append(aid)
-                arrow_triples[aid] = (a, c, b)
-                src[aid] = render_id((g.src[a], c, h.src[b]))
-                # transported anchor: psi(b) ∘ c ∘ phi(a)^(-1)
-                c2 = k.compose[(psi.arr_map[b], k.compose[(c, k.inv[phi.arr_map[a]])])]
-                tgt[aid] = render_id((g.tgt[a], c2, h.tgt[b]))
-                inv[aid] = render_id((g.inv[a], c2, h.inv[b]))
-    for oid, (x, c, y) in object_triples.items():
-        unit[oid] = render_id((g.unit[x], c, h.unit[y]))
-    by_src: dict[str, list[str]] = {}
-    for aid in arrows:
-        by_src.setdefault(src[aid], []).append(aid)
-    compose = {}
-    for a1 in arrows:
-        for a2 in by_src.get(tgt[a1], ()):
-            ga, ca, ha = arrow_triples[a1]
-            gb, _, hb = arrow_triples[a2]
-            compose[(a2, a1)] = render_id((g.compose[(gb, ga)], ca, h.compose[(hb, ha)]))
-    apex = FiniteGroupoid(tuple(objects), tuple(arrows), src, tgt, compose, unit, inv)
+    objects = {
+        (x, c, y): render_id((x, c, y))
+        for x in g.objects
+        for y in h.objects
+        for c in hom.get((phi.obj_map[x], psi.obj_map[y]), ())
+    }
+    # transported anchor of (a, c, b): psi(b) ∘ c ∘ phi(a)^(-1)
+    moved = {
+        (a, c, b): k.compose[(psi.arr_map[b], k.compose[(c, k.inv[phi.arr_map[a]])])]
+        for a in g.arrows
+        for b in h.arrows
+        for c in hom.get((phi.obj_map[g.src[a]], psi.obj_map[h.src[b]]), ())
+    }
+    apex, ids = tuple_groupoid(
+        objects,
+        moved,
+        src=lambda t: (g.src[t[0]], t[1], h.src[t[2]]),
+        tgt=lambda t: (g.tgt[t[0]], moved[t], h.tgt[t[2]]),
+        unit=lambda o: (g.unit[o[0]], o[1], h.unit[o[2]]),
+        inv=lambda t: (g.inv[t[0]], moved[t], h.inv[t[2]]),
+        compose=lambda u, t: (g.compose[(u[0], t[0])], t[1], h.compose[(u[2], t[2])]),
+    )
+    object_triples = {o: t for t, o in objects.items()}
+    arrow_triples = {a: t for t, a in ids.items()}
     pr1 = GroupoidFunctor(apex, g, {o: t[0] for o, t in object_triples.items()}, {a: t[0] for a, t in arrow_triples.items()})
     pr3 = GroupoidFunctor(apex, h, {o: t[2] for o, t in object_triples.items()}, {a: t[2] for a, t in arrow_triples.items()})
     comparison = NaturalTransformation(

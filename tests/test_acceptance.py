@@ -7,6 +7,7 @@ are asserted where stated.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -152,5 +153,6 @@ def test_criterion_7_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     code_a = main(["suite", "--budget", "group=8,carrier=4,objects=6", "--seed", "0", "--out", str(a)])
     code_b = main(["suite", "--budget", "group=8,carrier=4,objects=6", "--seed", "0", "--out", str(b)])
-    ok = code_a == 0 and code_b == 0 and a.read_bytes() == b.read_bytes()
+    golden = Path(__file__).parent / "golden" / "suite_group8_carrier4_objects6_seed0.json"
+    ok = code_a == 0 and code_b == 0 and a.read_bytes() == b.read_bytes() == golden.read_bytes()
     assert _announce(7, "suite determinism", ok)

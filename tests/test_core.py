@@ -17,6 +17,7 @@ from gpdkit.core import (
     GroupoidFunctor,
     MismatchError,
     NaturalTransformation,
+    PreconditionError,
     action_groupoid,
     all_subgroups,
     compose_functors,
@@ -31,6 +32,7 @@ from gpdkit.core import (
     orbits,
     stabilizer,
     subgroup,
+    tuple_groupoid,
     validate_functor,
     validate_group,
     validate_groupoid,
@@ -145,6 +147,37 @@ class TestActionGroupoid:
             assert frozenset(orbit_elems(klein_action, x)) == oracle_orbit(klein_action, x)
             assert frozenset(stabilizer(klein_action, x)) == oracle_stabilizer(klein_action, x)
         assert [o for o in orbits(klein_action)] == [("N", "S"), ("E", "W")]
+
+
+class TestTupleGroupoid:
+    @staticmethod
+    def _square(g, h, src=None):
+        # the product g × h, keyed by pairs of objects and pairs of arrows
+        return tuple_groupoid(
+            {(x, y): f"{x}{y}" for x in g.objects for y in h.objects},
+            [(a, b) for a in g.arrows for b in h.arrows],
+            src=src or (lambda p: (g.src[p[0]], h.src[p[1]])),
+            tgt=lambda p: (g.tgt[p[0]], h.tgt[p[1]]),
+            unit=lambda o: (g.unit[o[0]], h.unit[o[1]]),
+            inv=lambda p: (g.inv[p[0]], h.inv[p[1]]),
+            compose=lambda q, p: (g.compose[(q[0], p[0])], h.compose[(q[1], p[1])]),
+        )
+
+    def test_product_is_a_groupoid_with_rendered_ids(self, swap_action, loop_action):
+        g, h = swap_action.induced, loop_action.induced
+        product, ids = self._square(g, h)
+        assert validate_groupoid(product).ok
+        assert product.objects == ("0p", "1p")
+        assert product.arrows == tuple(f"({a},{b})" for a in g.arrows for b in h.arrows)
+        assert ids == {(a, b): f"({a},{b})" for a in g.arrows for b in h.arrows}
+        # first arrow outer, composable after arrows inner, both in declaration order
+        firsts = [a1 for (_, a1) in product.compose]
+        assert firsts == sorted(firsts, key=product.arrows.index)
+
+    def test_undeclared_endpoint_is_a_precondition_error(self, swap_action):
+        g = swap_action.induced
+        with pytest.raises(PreconditionError, match="no entry"):
+            self._square(g, g, src=lambda p: ("nowhere", g.src[p[1]]))
 
 
 def orbit_elems(action, x):

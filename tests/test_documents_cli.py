@@ -270,5 +270,31 @@ class TestCli:
             assert "endpoint preservation" in run.stderr
             assert run.stdout == ""
 
+    def test_span_and_check_we_reject_a_non_functor(self, tmp_path, swap_action):
+        # a span whose right leg sends every arrow to its inverse, and check-we
+        # on that leg: input errors naming the violation, not verdicts or crashes
+        g = swap_action.induced
+        inverting = GroupoidFunctor(g, g, {x: x for x in g.objects}, {a: g.inv[a] for a in g.arrows})
+        bundle = {
+            "kind": "bundle",
+            "documents": {
+                "swap": docs.groupoid_doc(g),
+                "id": docs.functor_doc(identity_functor(g), "swap", "swap"),
+                "phi": docs.functor_doc(inverting, "swap", "swap"),
+                "span": {"kind": "span", "left": "id", "right": "phi"},
+            },
+        }
+        path = write(tmp_path, "bundle.json", bundle)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for command in (["compose-gen", path, "span", "span"], ["anafunctorify", path, "span"], ["check-we", path, "phi"]):
+            run = subprocess.run(
+                [sys.executable, "-m", "gpdkit.cli", *command],
+                capture_output=True, text=True, env={"PYTHONPATH": src},
+            )
+            assert run.returncode == 2, (command, run.stderr)
+            assert "Traceback" not in run.stderr
+            assert "endpoint preservation" in run.stderr
+            assert run.stdout == ""
+
     def test_unknown_file_is_input_error(self):
         assert main(["validate", "/does/not/exist.json"]) == 2

@@ -1,0 +1,38 @@
+"""Constructed ids and tables, byte for byte, on one fixed bundle.
+
+Each golden file under ``tests/golden/constructions`` is the standard output
+of ``gpdkit <command>`` run from that directory, with the arguments listed
+below.  A change to how tables or ids are built must leave these bytes alone.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from gpdkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "constructions"
+
+COMMANDS = {
+    "demo-klein": ["demo-klein"],
+    "pullback-strict": ["pullback", "--mode", "strict", "bundle.json", "to_loop", "to_loop"],
+    "pullback-weak": ["pullback", "--mode", "weak", "bundle.json", "to_loop", "to_loop"],
+    "compose-ana": ["compose-ana", "bundle.json", "span", "loop_span"],
+    "compose-gen": ["compose-gen", "bundle.json", "span", "loop_span"],
+    "anafunctorify": ["anafunctorify", "bundle.json", "span"],
+    "anafunctorify-equivariant": ["anafunctorify", "bundle.json", "span", "--equivariant"],
+    "decompose": ["decompose", "bundle.json", "proj"],
+    "balanced-product": ["balanced-product", "bundle.json", "klein", "inner"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_construction_matches_its_golden_bytes(name, tmp_path):
+    out = tmp_path / "out.json"
+    argv = [str(GOLDEN / a) if a == "bundle.json" else a for a in COMMANDS[name]]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted([*COMMANDS, "bundle"])
