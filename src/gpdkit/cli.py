@@ -1,13 +1,15 @@
 """Command-line interface: file ingestion, dispatch, and certificate emission.
 
 Exit codes: 0 when the property holds or the construction succeeded, 1 for a
-definite negative (always with a witness), 2 for input errors.  All output is
-canonical JSON so identical inputs give byte-identical outputs.
+definite negative (always with a witness), 2 for input errors, 3 for an
+internal error (a failed postcondition or any other unexpected exception).
+All output is canonical JSON so identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import documents as docs
@@ -508,7 +510,9 @@ def _cmd_demo_klein(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="gpdkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -599,6 +603,9 @@ def main(argv=None) -> int:
     except (docs.SchemaError, DanglingIdError, MismatchError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash is never a verdict: exit 3, never 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

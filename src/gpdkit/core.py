@@ -11,6 +11,7 @@ are frozen after construction and every operation is a pure function.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -137,14 +138,14 @@ def validate_groupoid(candidate: FiniteGroupoid) -> ValidationReport:
     for (a2, a1) in g.compose:
         if g.src[a2] != g.tgt[a1]:
             violations.append(Violation("composability", (a2, a1)))
+    by_src = g.arrows_from()
     for a1 in g.arrows:
-        for a2 in g.arrows:
-            if g.src[a2] == g.tgt[a1] and (a2, a1) not in g.compose:
+        for a2 in by_src[g.tgt[a1]]:
+            if (a2, a1) not in g.compose:
                 violations.append(Violation("totality", (a2, a1)))
     for (a2, a1), a3 in g.compose.items():
         if g.src[a3] != g.src[a1] or g.tgt[a3] != g.tgt[a2]:
             violations.append(Violation("composite-endpoints", (a2, a1, a3)))
-    by_src = g.arrows_from()
     for a1 in g.arrows:
         for a2 in by_src.get(g.tgt[a1], ()):
             b = g.compose.get((a2, a1))
@@ -180,9 +181,14 @@ def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple
     ``src``, ``tgt``, ``unit``, ``inv`` and ``compose(after, first)`` are
     functions on keys.  ``compose`` is filled for each first arrow in order,
     then each composable after arrow in order.  Returns the groupoid and the
-    table arrow key -> id.
+    table arrow key -> id.  Raises :class:`PreconditionError` when two
+    distinct object keys, or two distinct arrow keys, have the same id.
     """
     ids = {a: render_id(a) for a in arrows}
+    for table, what in ((objects, "object"), (ids, "arrow")):
+        if len(set(table.values())) != len(table):
+            clash = next(i for i, n in Counter(table.values()).items() if n > 1)
+            raise PreconditionError(f"tuple_groupoid: two distinct {what} keys have the id {clash!r}")
     try:
         ends = {a: (src(a), tgt(a)) for a in arrows}
         by_src: dict = {}

@@ -151,3 +151,8 @@ def oracle_normalize_two_cell(d):
         compose_functors(bottom.right, pb.pr2),
         composite,
     )
+
+
+def oracle_compose_rows(g) -> list[list[str]]:
+    """The ``compose`` rows of a groupoid document: every ordered pair of declared arrows, tested."""
+    return [[a2, a1, g.compose[(a2, a1)]] for a2 in g.arrows for a1 in g.arrows if (a2, a1) in g.compose]

@@ -179,6 +179,19 @@ class TestTupleGroupoid:
         with pytest.raises(PreconditionError, match="no entry"):
             self._square(g, g, src=lambda p: ("nowhere", g.src[p[1]]))
 
+    def test_colliding_ids_are_a_precondition_error(self):
+        def build(objects, arrows):
+            return tuple_groupoid(
+                objects, arrows, src=lambda a: a[0], tgt=lambda a: a[0],
+                unit=lambda x: (x, "u"), inv=lambda a: a, compose=lambda b, a: a,
+            )
+
+        build({"p,q": "p,q", "p": "p"}, [("p,q", "u"), ("p", "u")])  # distinct ids build
+        with pytest.raises(PreconditionError, match="object keys"):
+            build({"a": "x", "b": "x"}, [("a", "u"), ("b", "u")])
+        with pytest.raises(PreconditionError, match="arrow keys.*'\\(p,q,u\\)'"):
+            build({"p,q": "1", "p": "2"}, [("p,q", "u"), ("p", "q,u")])
+
 
 def orbit_elems(action, x):
     from gpdkit.core import orbit

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpdkit import cli
 from gpdkit import documents as docs
 from gpdkit.cli import build_klein_example, main
-from gpdkit.core import GroupoidFunctor, identity_functor
+from gpdkit.core import FiniteGroupoid, GroupoidFunctor, InternalCheckError, identity_functor, terminal_groupoid
 from gpdkit.equivariant import quotient_action
 from gpdkit.localization import Anafunctor, as_diagram, identity_two_cell
 
@@ -298,3 +300,60 @@ class TestCli:
 
     def test_unknown_file_is_input_error(self):
         assert main(["validate", "/does/not/exist.json"]) == 2
+
+    def test_colliding_pullback_ids_are_an_input_error(self, tmp_path, capsys):
+        # ("p,q", "r") and ("p", "q,r") both render "(p,q,r)"
+        def discrete(objects):
+            arrows = [f"1_{x}" for x in objects]
+            return FiniteGroupoid(
+                tuple(objects), tuple(arrows), dict(zip(arrows, objects)), dict(zip(arrows, objects)),
+                {(a, a): a for a in arrows}, dict(zip(objects, arrows)), {a: a for a in arrows},
+            )
+
+        t = terminal_groupoid()
+        bundle = {"kind": "bundle", "documents": {"t": docs.groupoid_doc(t)}}
+        for name, objects in (("A", ["p,q", "p"]), ("B", ["r", "q,r"])):
+            g = discrete(objects)
+            bundle["documents"][name] = docs.groupoid_doc(g)
+            to_point = GroupoidFunctor(g, t, {x: "*" for x in g.objects}, {a: "u" for a in g.arrows})
+            bundle["documents"]["to_" + name] = docs.functor_doc(to_point, name, "t")
+        path = write(tmp_path, "bundle.json", bundle)
+        assert main(["pullback", "--mode", "strict", path, "to_A", "to_B"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert "'(p,q,r)'" in err
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), InternalCheckError("postcondition failed")])
+    def test_unexpected_exception_is_exit_three(self, monkeypatch, capsys, exc):
+        def crash(args):
+            raise exc
+
+        # a parser of its own, built with the crashing command, dropped after the test
+        monkeypatch.setattr(cli, "_cmd_demo_klein", crash)
+        monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+        assert main(["demo-klein"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+    def test_one_parser_serves_calls_in_sequence(self, tmp_path, capsys, klein_docs):
+        action, _ = klein_docs
+        path = write(tmp_path, "klein.json", docs.action_doc(action))
+        calls = (["pullback", "--mode", "sideways", path, "f", "g"], ["skeleton", path], ["demo-klein"])
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        in_sequence = [run(argv) for argv in calls]
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()  # as in a fresh process
+            alone.append(run(argv))
+        assert in_sequence == alone
+        assert [code for code, _, _ in alone] == [2, 0, 0]
+        assert "invalid choice: 'sideways'" in alone[0][2]
