@@ -23,6 +23,7 @@ from .core import (
     MismatchError,
     PreconditionError,
     action_groupoid,
+    fixed_point,
     stabilizer,
     subgroup,
     validate_functor,
@@ -470,9 +471,7 @@ def _cmd_demo_klein(args) -> int:
     facts["original_free"] = not rep.free.value and rep.free.witness is not None
     facts["original_transitive"] = rep.transitive.value
     sub = subgroup(action.group, half_turn_subgroup)
-    facts["subgroup_acts_freely"] = all(
-        action.act[(s, x)] != x for s in sub.elements if s != sub.unit for x in action.carrier
-    )
+    facts["subgroup_acts_freely"] = fixed_point(action, sub.elements) is None
     q = quotient_action(action, sub.elements)
     facts["projection_is_ssw"] = weak_equivalence_report(q.projection.functor).is_ssw
     facts["quotient_objects"] = len(q.quotient.carrier)

@@ -650,6 +650,11 @@ def stabilizer(a: ActionGroupoid, x: str) -> tuple[str, ...]:
     return tuple(g for g in a.group.elements if a.act[(g, x)] == x)
 
 
+def fixed_point(a: ActionGroupoid, elements) -> tuple[str, str] | None:
+    """The first (g, x) with g ≠ 1 in ``elements`` and g·x = x, by carrier point, then element."""
+    return next(((g, x) for x in a.carrier for g in elements if g != a.group.unit and a.act[(g, x)] == x), None)
+
+
 @dataclass(frozen=True)
 class IsoSearchResult:
     status: str  # "found" | "none" | "budget-exceeded"

@@ -214,16 +214,6 @@ def transformation_doc(source: dict, target: dict, eta: NaturalTransformation) -
     }
 
 
-def suite_config_doc(budget: InstanceBudget) -> dict:
-    return {
-        "kind": "suite_config",
-        "max_group_order": budget.max_group_order,
-        "max_carrier_size": budget.max_carrier_size,
-        "max_objects": budget.max_objects,
-        "sample_seed": budget.sample_seed,
-    }
-
-
 # --- decoding -------------------------------------------------------------
 
 

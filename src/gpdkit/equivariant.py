@@ -22,6 +22,7 @@ from .core import (
     action_groupoid,
     compose_functors,
     direct_product,
+    fixed_point,
     hom_kernel,
     identity_functor,
     identity_transformation,
@@ -30,12 +31,11 @@ from .core import (
     is_subgroup_of,
     orbits,
     render_id,
-    stabilizer,
     subgroup,
     validate_functor,
 )
 from .localization import Anafunctor, GeneralizedMorphism, TwoCellDiagram, validate_two_cell
-from .morita import strict_pullback, weak_equivalence_report, weak_pullback
+from .morita import WeakPullback, strict_pullback, weak_equivalence_report, weak_pullback
 
 PROPERTY_NAMES = (
     "free",
@@ -88,15 +88,8 @@ def property_report(a: ActionGroupoid, requested=None) -> PropertyReport:
     names = PROPERTY_NAMES if requested is None else tuple(requested)
     for name in names:
         if name not in PROPERTY_NAMES:
-            raise ValueError(f"unknown property {name!r}")
-    free_witness = None
-    for x in a.carrier:
-        for g in stabilizer(a, x):
-            if g != a.group.unit:
-                free_witness = (g, x)
-                break
-        if free_witness:
-            break
+            raise PreconditionError(f"unknown property {name!r}")
+    free_witness = fixed_point(a, a.group.elements)
     orbit_list = orbits(a)
     transitive_witness = None if len(orbit_list) <= 1 else (orbit_list[0][0], orbit_list[1][0])
     ineffective_witness = None
@@ -229,12 +222,9 @@ def quotient_action(a: ActionGroupoid, kernel_elements) -> QuotientConstruction:
     k = subgroup(a.group, kernel_elements)
     if not is_normal(a.group, k.elements):
         raise PreconditionError("quotient_action: subgroup is not normal")
-    for el in k.elements:
-        if el == a.group.unit:
-            continue
-        for x in a.carrier:
-            if a.act[(el, x)] == x:
-                raise PreconditionError(f"quotient_action: subgroup does not act freely at ({el!r}, {x!r})")
+    witness = fixed_point(a, k.elements)
+    if witness is not None:
+        raise PreconditionError(f"quotient_action: subgroup does not act freely at {witness!r}")
     g = a.group
     coset_rep: dict[str, str] = {}
     for el in g.elements:
@@ -385,12 +375,9 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
     dom, cod = phi.dom_action, phi.cod_action
     g, h = dom.group, cod.group
     kernel_elements = hom_kernel(g, h, phi.group_hom)
-    for el in kernel_elements:
-        if el == g.unit:
-            continue
-        for x in dom.carrier:
-            if dom.act[(el, x)] == x:
-                raise InternalCheckError(f"decompose: kernel does not act freely at ({el!r}, {x!r})")
+    witness = fixed_point(dom, kernel_elements)
+    if witness is not None:
+        raise InternalCheckError(f"decompose: kernel does not act freely at {witness!r}")
 
     image_elements = tuple(dict.fromkeys(e for e in h.elements if e in set(phi.group_hom.values())))
     image_group = subgroup(h, image_elements)
@@ -467,66 +454,67 @@ class EquivariantStrictPullback:
 def equivariant_strict_pullback(phi: EquivariantFunctor, psi: EquivariantFunctor) -> EquivariantStrictPullback:
     """Strict pullback of equivariant functors, as an action groupoid.
 
-    The codomain need not satisfy any property list; only the feet matter.
+    The pairs (a, b) with equal group images move (x, y) to (a·x, b·y).  The
+    codomain need not satisfy any property list; only the feet matter.
     """
     if phi.cod_action != psi.cod_action:
         raise MismatchError("equivariant_strict_pullback: functors have different codomains")
     if not weak_equivalence_report(phi.functor).is_ssw:
         raise PreconditionError("equivariant_strict_pullback: first functor is not a surjective weak equivalence")
-    g, h = phi.dom_action.group, psi.dom_action.group
-    pair_decode = {
-        render_id((a, b)): (a, b) for a in g.elements for b in h.elements if phi.group_hom[a] == psi.group_hom[b]
-    }
-    pair_elements = tuple(pair_decode)
-    pair_group = subgroup(direct_product(g, h), pair_elements)
-    carrier = []
-    carrier_decode = {}
-    for x in phi.dom_action.carrier:
-        for y in psi.dom_action.carrier:
-            if phi.obj_map[x] == psi.obj_map[y]:
-                cid = render_id((x, y))
-                carrier.append(cid)
-                carrier_decode[cid] = (x, y)
-    act = {}
-    for p in pair_elements:
-        a, b = pair_decode[p]
-        for cid in carrier:
-            x, y = carrier_decode[cid]
-            act[(p, cid)] = render_id((phi.dom_action.act[(a, x)], psi.dom_action.act[(b, y)]))
-    action = action_groupoid(pair_group, tuple(carrier), act)
-
     plain = strict_pullback(phi.functor, psi.functor)
+    pairs = [
+        (a, b)
+        for a in phi.dom_action.group.elements
+        for b in psi.dom_action.group.elements
+        if phi.group_hom[a] == psi.group_hom[b]
+    ]
+    parts = _equivariant_pullback(plain, phi.dom_action, psi.dom_action, pairs, "equivariant_strict_pullback")
+    return EquivariantStrictPullback(*parts, plain)
+
+
+def _equivariant_pullback(plain, left: ActionGroupoid, right: ActionGroupoid, pairs, where: str):
+    """The action of ``pairs`` on the apex of ``plain``, read off its tables.
+
+    ``plain`` is a strict or weak pullback of functors out of ``left.induced``
+    and ``right.induced``.  The pair (a, b) moves the object keyed (x, ..., y)
+    along the pullback arrow keyed ((a, x), ..., (b, y)), which is also the
+    canonical iso's image of the action arrow.  Returns the action, the two
+    projections and the iso, each re-verified.
+    """
+    pair_ids = {p: render_id(p) for p in pairs}
+    moves = {
+        (pid, oid): plain.arrow_ids[(left.arrow_id(a, key[0]), *key[1:-1], right.arrow_id(b, key[-1]))]
+        for (a, b), pid in pair_ids.items()
+        for key, oid in plain.object_ids.items()
+    }
+    action = action_groupoid(
+        subgroup(direct_product(left.group, right.group), pair_ids.values()),
+        plain.apex.objects,
+        {move: plain.apex.tgt[arrow] for move, arrow in moves.items()},
+    )
     iso = GroupoidFunctor(
         action.induced,
         plain.apex,
-        {cid: cid for cid in carrier},
-        {
-            action.arrow_id(p, cid): render_id(
-                (
-                    phi.dom_action.arrow_id(pair_decode[p][0], carrier_decode[cid][0]),
-                    psi.dom_action.arrow_id(pair_decode[p][1], carrier_decode[cid][1]),
-                )
-            )
-            for p in pair_elements
-            for cid in carrier
-        },
+        {oid: oid for oid in plain.apex.objects},
+        {action.arrow_id(*move): arrow for move, arrow in moves.items()},
     )
-    _verify_canonical_iso(iso, "equivariant_strict_pullback")
+    _verify_canonical_iso(iso, where)
     pr1 = equivariant_functor(
-        action, phi.dom_action,
-        {p: pair_decode[p][0] for p in pair_elements},
-        {cid: carrier_decode[cid][0] for cid in carrier},
+        action, left,
+        {pid: a for (a, _), pid in pair_ids.items()},
+        {oid: key[0] for key, oid in plain.object_ids.items()},
     )
-    pr2 = equivariant_functor(
-        action, psi.dom_action,
-        {p: pair_decode[p][1] for p in pair_elements},
-        {cid: carrier_decode[cid][1] for cid in carrier},
+    outer = equivariant_functor(
+        action, right,
+        {pid: b for (_, b), pid in pair_ids.items()},
+        {oid: key[-1] for key, oid in plain.object_ids.items()},
     )
-    if compose_functors(plain.pr1, iso) != pr1.functor or compose_functors(plain.pr2, iso) != pr2.functor:
-        raise InternalCheckError("equivariant_strict_pullback: projections do not commute with the canonical iso")
-    if not weak_equivalence_report(pr2.functor).is_ssw:
-        raise InternalCheckError("equivariant_strict_pullback: second projection is not a surjective weak equivalence")
-    return EquivariantStrictPullback(action, pr1, pr2, iso, plain)
+    plain_outer = plain.pr3 if isinstance(plain, WeakPullback) else plain.pr2
+    if compose_functors(plain.pr1, iso) != pr1.functor or compose_functors(plain_outer, iso) != outer.functor:
+        raise InternalCheckError(f"{where}: projections do not commute with the canonical iso")
+    if not weak_equivalence_report(outer.functor).is_ssw:
+        raise InternalCheckError(f"{where}: outer projection is not a surjective weak equivalence")
+    return action, pr1, outer, iso
 
 
 def _verify_canonical_iso(iso: GroupoidFunctor, where: str):
@@ -567,53 +555,9 @@ def equivariant_weak_pullback(
     if not weak_equivalence_report(phi).is_weak_equivalence:
         raise PreconditionError("equivariant_weak_pullback: first functor is not a weak equivalence")
     plain = weak_pullback(phi, psi)
-    mid = phi.cod
-    product = direct_product(left.group, right.group)
-    prod_decode = {
-        render_id((a, b)): (a, b) for a in left.group.elements for b in right.group.elements
-    }
-    carrier = plain.apex.objects
-    act = {}
-    for p, (a, b) in prod_decode.items():
-        for oid in carrier:
-            x, k, y = plain.object_triples[oid]
-            ga = phi.arr_map[left.arrow_id(a, x)]
-            hb = psi.arr_map[right.arrow_id(b, y)]
-            k2 = mid.compose[(hb, mid.compose[(k, mid.inv[ga])])]
-            act[(p, oid)] = render_id((left.act[(a, x)], k2, right.act[(b, y)]))
-    action = action_groupoid(product, carrier, act)
-    iso = GroupoidFunctor(
-        action.induced,
-        plain.apex,
-        {oid: oid for oid in carrier},
-        {
-            action.arrow_id(p, oid): render_id(
-                (
-                    left.arrow_id(prod_decode[p][0], plain.object_triples[oid][0]),
-                    plain.object_triples[oid][1],
-                    right.arrow_id(prod_decode[p][1], plain.object_triples[oid][2]),
-                )
-            )
-            for p in product.elements
-            for oid in carrier
-        },
-    )
-    _verify_canonical_iso(iso, "equivariant_weak_pullback")
-    pr1 = equivariant_functor(
-        action, left,
-        {p: prod_decode[p][0] for p in product.elements},
-        {oid: plain.object_triples[oid][0] for oid in carrier},
-    )
-    pr3 = equivariant_functor(
-        action, right,
-        {p: prod_decode[p][1] for p in product.elements},
-        {oid: plain.object_triples[oid][2] for oid in carrier},
-    )
-    if compose_functors(plain.pr1, iso) != pr1.functor or compose_functors(plain.pr3, iso) != pr3.functor:
-        raise InternalCheckError("equivariant_weak_pullback: projections do not commute with the canonical iso")
-    if not weak_equivalence_report(pr3.functor).is_ssw:
-        raise InternalCheckError("equivariant_weak_pullback: outer projection is not a surjective weak equivalence")
-    return EquivariantWeakPullback(action, pr1, pr3, iso, plain)
+    pairs = [(a, b) for a in left.group.elements for b in right.group.elements]
+    parts = _equivariant_pullback(plain, left, right, pairs, "equivariant_weak_pullback")
+    return EquivariantWeakPullback(*parts, plain)
 
 
 @dataclass(frozen=True)

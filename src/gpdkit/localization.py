@@ -164,7 +164,7 @@ def identity_two_cell(f: Anafunctor) -> AnaTwoCell:
     inverse = ff_inverse(f.left)
     unit_of = f.left_foot.unit
     component = {}
-    for oid, (y1, y2) in pb.object_pairs.items():
+    for (y1, y2), oid in pb.object_ids.items():
         component[oid] = f.right.arr_map[inverse[(y1, y2, unit_of[f.left.obj_map[y1]])]]
     cell = AnaTwoCell(
         f,
@@ -254,7 +254,7 @@ def normalize_two_cell(d: TwoCellDiagram) -> AnaTwoCell:
             anchors[upper.tgt[k]].append((w, k))
     lift = ff_inverse(bottom.left)
     component = {}
-    for oid, (y1, y2) in pb.object_pairs.items():
+    for (y1, y2), oid in pb.object_ids.items():
         values = set()
         for w, k in anchors[y1]:
             eps_inv = left_foot.inv[d.left_cell.component[w]]
@@ -311,7 +311,7 @@ def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
     first, second = c1.transformation.component, c2.transformation.component
     cod = f.right_foot
     component = {}
-    for oid, (y, y2) in pb.object_pairs.items():
+    for (y, y2), oid in pb.object_ids.items():
         values = {
             cod.compose[(second[render_id((mid, y2))], first[render_id((y, mid))])]
             for mid in over.get(f.left.obj_map[y], ())
@@ -330,7 +330,7 @@ def inverse_two_cell(cell: AnaTwoCell) -> AnaTwoCell:
     pb = strict_pullback(cell.bottom.left, cell.top.left)
     cod = cell.top.right_foot
     component = {}
-    for oid, (y2, y1) in pb.object_pairs.items():
+    for (y2, y1), oid in pb.object_ids.items():
         component[oid] = cod.inv[cell.transformation.component[render_id((y1, y2))]]
     out = AnaTwoCell(
         cell.bottom,
@@ -361,10 +361,10 @@ def strictify_composition(f: GeneralizedMorphism, g: GeneralizedMorphism) -> Two
 
     mid_of = f.right_foot
     obj_map, arr_map = {}, {}
-    for oid, (x, y) in sp.object_pairs.items():
-        obj_map[oid] = render_id((x, mid_of.unit[f.right.obj_map[x]], y))
-    for aid, (k, l) in sp.arrow_pairs.items():
-        arr_map[aid] = render_id((k, mid_of.unit[f.right.obj_map[f.right.dom.src[k]]], l))
+    for (x, y), oid in sp.object_ids.items():
+        obj_map[oid] = wp.object_ids[(x, mid_of.unit[f.right.obj_map[x]], y)]
+    for (k, l), aid in sp.arrow_ids.items():
+        arr_map[aid] = wp.arrow_ids[(k, mid_of.unit[f.right.obj_map[f.right.dom.src[k]]], l)]
     inclusion = GroupoidFunctor(sp.apex, wp.apex, obj_map, arr_map)
     rep = weak_equivalence_report(inclusion)
     if not rep.is_weak_equivalence:
@@ -404,10 +404,10 @@ def anafunctorify(f: GeneralizedMorphism) -> Anafunctorification:
     obj_map, arr_map = {}, {}
     for z in k.objects:
         x = f.left.obj_map[z]
-        obj_map[z] = render_id((x, foot.unit[x], z))
+        obj_map[z] = wp.object_ids[(x, foot.unit[x], z)]
     for a in k.arrows:
         x = f.left.obj_map[k.src[a]]
-        arr_map[a] = render_id((f.left.arr_map[a], foot.unit[x], a))
+        arr_map[a] = wp.arrow_ids[(f.left.arr_map[a], foot.unit[x], a)]
     section = GroupoidFunctor(k, wp.apex, obj_map, arr_map)
 
     witness = TwoCellDiagram(

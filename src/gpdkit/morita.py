@@ -101,11 +101,17 @@ def weak_equivalence_report(phi: GroupoidFunctor) -> WeakEquivalenceReport:
 
 @dataclass(frozen=True)
 class StrictPullback:
+    """Fibered product: objects (x, y) and arrows (a, b) with equal images.
+
+    ``object_ids`` maps each key (x, y) and ``arrow_ids`` each key (a, b) to
+    its apex id, in declaration order.
+    """
+
     apex: FiniteGroupoid
     pr1: GroupoidFunctor
     pr2: GroupoidFunctor
-    object_pairs: dict[str, tuple[str, str]] = field(repr=False)
-    arrow_pairs: dict[str, tuple[str, str]] = field(repr=False)
+    object_ids: dict[tuple[str, str], str] = field(repr=False)
+    arrow_ids: dict[tuple[str, str], str] = field(repr=False)
 
 
 def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullback:
@@ -123,11 +129,9 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
         inv=lambda p: (g.inv[p[0]], h.inv[p[1]]),
         compose=lambda q, p: (g.compose[(q[0], p[0])], h.compose[(q[1], p[1])]),
     )
-    object_pairs = {o: p for p, o in objects.items()}
-    arrow_pairs = {a: p for p, a in ids.items()}
-    pr1 = GroupoidFunctor(apex, g, {o: p[0] for o, p in object_pairs.items()}, {a: p[0] for a, p in arrow_pairs.items()})
-    pr2 = GroupoidFunctor(apex, h, {o: p[1] for o, p in object_pairs.items()}, {a: p[1] for a, p in arrow_pairs.items()})
-    out = StrictPullback(apex, pr1, pr2, object_pairs, arrow_pairs)
+    pr1 = GroupoidFunctor(apex, g, {o: p[0] for p, o in objects.items()}, {a: p[0] for p, a in ids.items()})
+    pr2 = GroupoidFunctor(apex, h, {o: p[1] for p, o in objects.items()}, {a: p[1] for p, a in ids.items()})
+    out = StrictPullback(apex, pr1, pr2, objects, ids)
     if weak_equivalence_report(phi).is_ssw:
         rep = weak_equivalence_report(pr2)
         if not rep.is_ssw:
@@ -139,16 +143,19 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
 class WeakPullback:
     """Arrow-anchored pullback: objects (x, k, y) carry a connecting arrow k.
 
-    ``comparison`` is the natural transformation phi∘pr1 ⇒ psi∘pr3 whose
-    component at (x, k, y) is k itself.
+    An arrow (a, k, b) goes from (src a, k, src b) to
+    (tgt a, psi(b) ∘ k ∘ phi(a)^(-1), tgt b).  ``object_ids`` maps each key
+    (x, k, y) and ``arrow_ids`` each key (a, k, b) to its apex id, in
+    declaration order.  ``comparison`` is the natural transformation
+    phi∘pr1 ⇒ psi∘pr3 whose component at (x, k, y) is k itself.
     """
 
     apex: FiniteGroupoid
     pr1: GroupoidFunctor
     pr3: GroupoidFunctor
     comparison: NaturalTransformation
-    object_triples: dict[str, tuple[str, str, str]] = field(repr=False)
-    arrow_triples: dict[str, tuple[str, str, str]] = field(repr=False)
+    object_ids: dict[tuple[str, str, str], str] = field(repr=False)
+    arrow_ids: dict[tuple[str, str, str], str] = field(repr=False)
 
 
 def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
@@ -178,16 +185,14 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
         inv=lambda t: (g.inv[t[0]], moved[t], h.inv[t[2]]),
         compose=lambda u, t: (g.compose[(u[0], t[0])], t[1], h.compose[(u[2], t[2])]),
     )
-    object_triples = {o: t for t, o in objects.items()}
-    arrow_triples = {a: t for t, a in ids.items()}
-    pr1 = GroupoidFunctor(apex, g, {o: t[0] for o, t in object_triples.items()}, {a: t[0] for a, t in arrow_triples.items()})
-    pr3 = GroupoidFunctor(apex, h, {o: t[2] for o, t in object_triples.items()}, {a: t[2] for a, t in arrow_triples.items()})
+    pr1 = GroupoidFunctor(apex, g, {o: t[0] for t, o in objects.items()}, {a: t[0] for t, a in ids.items()})
+    pr3 = GroupoidFunctor(apex, h, {o: t[2] for t, o in objects.items()}, {a: t[2] for t, a in ids.items()})
     comparison = NaturalTransformation(
         compose_functors(phi, pr1),
         compose_functors(psi, pr3),
-        {o: t[1] for o, t in object_triples.items()},
+        {o: t[1] for t, o in objects.items()},
     )
-    out = WeakPullback(apex, pr1, pr3, comparison, object_triples, arrow_triples)
+    out = WeakPullback(apex, pr1, pr3, comparison, objects, ids)
     rep = validate_nat_trans(comparison)
     if not rep.ok:
         raise InternalCheckError(f"weak pullback comparison transformation is not natural: {rep.violations[0]}")

@@ -24,6 +24,7 @@ from .core import (
     action_groupoid,
     all_subgroups,
     compose_functors,
+    fixed_point,
     groupoid_iso_search,
     identity_functor,
     identity_transformation,
@@ -220,7 +221,7 @@ def generate_weak_equivalences(budget: InstanceBudget) -> list[GeneratedWeakEqui
         for sub in all_subgroups(a.group):
             if len(sub) == 1 or not is_normal(a.group, sub):
                 continue
-            if any(a.act[(s, x)] == x for s in sub if s != a.group.unit for x in a.carrier):
+            if fixed_point(a, sub) is not None:
                 continue
             q = quotient_action(a, sub)
             projections.append(q)

@@ -1,7 +1,8 @@
-"""Exit-code fuzz: mutated functor documents never crash the construction commands.
+"""Exit-code fuzz: mutated documents and arguments never crash the commands.
 
 One ``arr_map`` entry of a functor (which is also a span leg) is pointed at
-another declared codomain arrow.  Every command must then answer with a
+another declared codomain arrow, or ``check-properties`` is asked for a list
+of property names mixed with junk.  Every command must then answer with a
 result (0), a negative with a witness (1) or a named input error (2), and
 never with a traceback.
 """
@@ -9,6 +10,7 @@ never with a traceback.
 import contextlib
 import io
 import os
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from gpdkit import documents as docs
 from gpdkit.catalog import cyclic_group
 from gpdkit.cli import build_klein_example, main
 from gpdkit.core import GroupoidFunctor, action_groupoid, identity_functor
-from gpdkit.equivariant import quotient_action
+from gpdkit.equivariant import PROPERTY_NAMES, quotient_action
 
 
 def _base_bundle() -> dict:
@@ -103,3 +105,21 @@ def test_mutated_functor_keeps_the_exit_code_contract(tmp_path_factory, mutation
             code = main([*argv, "--out", os.devnull])
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+
+GOLDEN_BUNDLE = str(Path(__file__).parent / "golden" / "constructions" / "bundle.json")
+GOLDEN_ACTIONS = ("inner", "klein", "loop", "point", "quotient", "swap")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    action=st.sampled_from(GOLDEN_ACTIONS),
+    props=st.lists(st.sampled_from(PROPERTY_NAMES) | st.text(max_size=8), max_size=4),
+)
+def test_property_lists_keep_the_exit_code_contract(action, props):
+    argv = ["check-properties", GOLDEN_BUNDLE, action, "--props=" + ",".join(props), "--out", os.devnull]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -324,6 +324,14 @@ class TestCli:
         assert "Traceback" not in err
         assert "'(p,q,r)'" in err
 
+    @pytest.mark.parametrize("props, named", [("bogus", "'bogus'"), ("free,,transitive", "''")])
+    def test_unknown_property_is_an_input_error(self, capsys, props, named):
+        bundle = str(Path(__file__).parent / "golden" / "constructions" / "bundle.json")
+        assert main(["check-properties", bundle, "klein", "--props", props]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unknown property {named}\n"
+
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), InternalCheckError("postcondition failed")])
     def test_unexpected_exception_is_exit_three(self, monkeypatch, capsys, exc):
         def crash(args):

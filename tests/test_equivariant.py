@@ -7,6 +7,7 @@ from gpdkit.core import (
     compose_functors,
     groupoid_iso_search,
     identity_functor,
+    render_id,
     stabilizer,
     subgroup,
     trivial_group,
@@ -30,6 +31,7 @@ from gpdkit.equivariant import (
 )
 from gpdkit.localization import GeneralizedMorphism, validate_two_cell
 from gpdkit.morita import morita_oracle, weak_equivalence_report
+from gpdkit.workbench import InstanceBudget, generate_weak_equivalences
 
 from oracles import oracle_effective
 
@@ -65,6 +67,13 @@ class TestPropertyReport:
         for action in (swap_action, klein_action, loop_action):
             rep = property_report(action)
             assert not rep.free.value or rep.locally_free.value
+
+    def test_free_witness_walks_points_then_elements(self, klein_action):
+        # E is listed first and only (t,e) fixes it; the earlier element (e,t) fixes N
+        carrier = ("E", "N", "S", "W")
+        table = {(g, x): klein_action.act[(g, x)] for g in klein_action.group.elements for x in carrier}
+        rep = property_report(action_groupoid(klein_action.group, carrier, table))
+        assert rep.free.witness == ("(t,e)", "E")
 
     def test_requested_subset(self, klein_action):
         rep = property_report(klein_action, ("effective", "free"))
@@ -244,6 +253,101 @@ class TestEquivariantPullbacks:
     def test_property_propagation_effective(self, swap_action, collapse_swap):
         out = equivariant_weak_pullback(swap_action, collapse_swap, swap_action, collapse_swap)
         assert property_report(out.action).effective.value  # both feet effective
+
+
+def _assert_documented_strict_action(phi, psi):
+    """Pairs with equal group images move (x, y) to (a·x, b·y); the iso sends
+    the action arrow at (x, y) to the pullback arrow ((a,x), (b,y))."""
+    left, right = phi.dom_action, psi.dom_action
+    pairs = [(a, b) for a in left.group.elements for b in right.group.elements if phi.group_hom[a] == psi.group_hom[b]]
+    points = [(x, y) for x in left.carrier for y in right.carrier if phi.obj_map[x] == psi.obj_map[y]]
+    out = equivariant_strict_pullback(phi, psi)
+    assert out.action.group.elements == tuple(render_id(p) for p in pairs)
+    assert out.action.carrier == tuple(render_id(q) for q in points)
+    assert out.action.act == {
+        (render_id((a, b)), render_id((x, y))): render_id((left.act[(a, x)], right.act[(b, y)]))
+        for a, b in pairs
+        for x, y in points
+    }
+    assert out.iso.arr_map == {
+        render_id((render_id((a, b)), render_id((x, y)))): render_id((render_id((a, x)), render_id((b, y))))
+        for a, b in pairs
+        for x, y in points
+    }
+
+
+def _assert_documented_weak_action(left, phi, right, psi):
+    """(a, b) moves (x, k, y) to (a·x, psi(b,y) ∘ k ∘ phi(a,x)^(-1), b·y); the
+    iso sends the action arrow at (x, k, y) to the pullback arrow ((a,x), k, (b,y))."""
+    mid = phi.cod
+    triples = [
+        (x, k, y)
+        for x in left.carrier
+        for y in right.carrier
+        for k in mid.arrows
+        if mid.src[k] == phi.obj_map[x] and mid.tgt[k] == psi.obj_map[y]
+    ]
+    pairs = [(a, b) for a in left.group.elements for b in right.group.elements]
+    out = equivariant_weak_pullback(left, phi, right, psi)
+    assert out.action.group.elements == tuple(render_id(p) for p in pairs)
+    assert out.action.carrier == tuple(render_id(t) for t in triples)
+    act, iso = {}, {}
+    for a, b in pairs:
+        for x, k, y in triples:
+            phi_ax, psi_by = phi.arr_map[render_id((a, x))], psi.arr_map[render_id((b, y))]
+            moved = mid.compose[(psi_by, mid.compose[(k, mid.inv[phi_ax])])]
+            act[(render_id((a, b)), render_id((x, k, y)))] = render_id((left.act[(a, x)], moved, right.act[(b, y)]))
+            iso[render_id((render_id((a, b)), render_id((x, k, y))))] = render_id((render_id((a, x)), k, render_id((b, y))))
+    assert out.action.act == act
+    assert out.iso.arr_map == iso
+
+
+@pytest.fixture(scope="module")
+def generated_ssw():
+    """The first 10 non-identity generated weak equivalences of the default
+    population that are surjective on objects."""
+    found = [
+        w.functor
+        for w in generate_weak_equivalences(InstanceBudget())
+        if w.kind != "identity" and weak_equivalence_report(w.functor.functor).is_ssw
+    ]
+    return found[:10]
+
+
+class TestDocumentedPullbackActions:
+    def test_strict_on_conftest_actions(self, swap_action, point_action, klein_action, klein_half_turn):
+        collapse = equivariant_functor(swap_action, point_action, {g: "e" for g in swap_action.group.elements},
+                                       {x: "*" for x in swap_action.carrier})
+        projection = quotient_action(klein_action, klein_half_turn).projection
+        for phi, psi in (
+            (collapse, collapse),
+            (collapse, identity_equivariant(point_action)),
+            (identity_equivariant(klein_action), identity_equivariant(klein_action)),
+            (projection, projection),
+            (projection, identity_equivariant(projection.cod_action)),
+        ):
+            _assert_documented_strict_action(phi, psi)
+
+    def test_weak_on_conftest_actions(self, swap_action, loop_action, klein_action, klein_half_turn,
+                                      collapse_swap, swap_to_loop):
+        loop_id = identity_functor(loop_action.induced)
+        projection = quotient_action(klein_action, klein_half_turn).projection
+        for left, phi, right, psi in (
+            (loop_action, loop_id, loop_action, loop_id),
+            (loop_action, loop_id, swap_action, swap_to_loop),
+            (swap_action, collapse_swap, swap_action, collapse_swap),
+            (klein_action, projection.functor, klein_action, projection.functor),
+        ):
+            _assert_documented_weak_action(left, phi, right, psi)
+
+    def test_strict_on_generated(self, generated_ssw):
+        assert len(generated_ssw) == 10
+        for f in generated_ssw:
+            _assert_documented_strict_action(f, f)
+
+    def test_weak_on_generated(self, generated_ssw):
+        for f in generated_ssw:
+            _assert_documented_weak_action(f.dom_action, f.functor, f.dom_action, f.functor)
 
 
 class TestEquivariantAnafunctorify:

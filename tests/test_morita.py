@@ -165,7 +165,7 @@ class TestWeakPullback:
     def test_comparison_transformation_is_natural(self, collapse_swap):
         wp = weak_pullback(collapse_swap, collapse_swap)
         assert validate_nat_trans(wp.comparison).ok
-        for oid, (x, k, y) in wp.object_triples.items():
+        for (x, k, y), oid in wp.object_ids.items():
             assert wp.comparison.component[oid] == k
 
     def test_left_whisker_is_the_elementwise_image(self, swap_action, swap_to_loop):
