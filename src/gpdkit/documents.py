@@ -384,8 +384,11 @@ def _parse_diagram(bundle: Bundle, obj: dict, where: str) -> TwoCellDiagram:
 
     top = span_of("top")
     bottom = span_of("bottom")
-    bundle.groupoid(str(_need(obj, "mediator", where, str)))  # must resolve
+    mediator = _need(obj, "mediator", where, str)
+    mediator_groupoid = bundle.groupoid(mediator)
     alpha = _as_plain_functor(_parse_functor(bundle, _need(obj, "alpha", where, dict), f"{where}.alpha"))
+    if alpha.dom != mediator_groupoid:
+        raise SchemaError(f"{where}: mediator {mediator!r} is not the domain of 'alpha'")
     alpha_prime = _as_plain_functor(
         _parse_functor(bundle, _need(obj, "alpha_prime", where, dict), f"{where}.alpha_prime")
     )

@@ -1,11 +1,11 @@
 """Instance enumeration and the executable law suite.
 
-Enumerates small group actions (every homomorphism from a catalog group into
-the symmetric group of a small carrier, deduplicated up to carrier
-relabeling), derives a population of equivariant weak equivalences from
-quotient projections and balanced-product inclusions, and runs every stated
-algebraic law over the population.  Identical budget and seed give a
-byte-identical report.
+Enumerates small group actions (every action of a catalog group on a small
+carrier, up to relabeling, assembled from its orbit types: the coset actions
+``G/K``, one per conjugacy class of subgroups), derives a population of
+equivariant weak equivalences from quotient projections and balanced-product
+inclusions, and runs every stated algebraic law over the population.
+Identical budget and seed give a byte-identical report.
 """
 
 from __future__ import annotations
@@ -112,74 +112,58 @@ class InstanceBudget:
         )
 
 
-def _permutations(points: tuple[str, ...]) -> list[tuple[int, ...]]:
-    return [tuple(p) for p in itertools.permutations(range(len(points)))]
+def _least_relabeling(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The least table over all relabelings of the carrier: the canonical form of an action.
+
+    ``table`` holds one row per group element, in declaration order, and
+    ``row[i]`` is the image of point ``i``.
+    """
+    size = len(table[0])
+    best = None
+    for sigma in itertools.permutations(range(size)):
+        inv_sigma = [0] * size
+        for i, j in enumerate(sigma):
+            inv_sigma[j] = i
+        relabeled = tuple(tuple(sigma[row[inv_sigma[i]]] for i in range(size)) for row in table)
+        if best is None or relabeled < best:
+            best = relabeled
+    return best
+
+
+def _coset_table(group, sub: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
+    """The table of ``group`` acting on its left cosets of ``sub`` by left multiplication."""
+    cosets = list(dict.fromkeys(frozenset(group.mul[(g, k)] for k in sub) for g in group.elements))
+    return tuple(
+        tuple(cosets.index(frozenset(group.mul[(g, c)] for c in coset)) for coset in cosets) for g in group.elements
+    )
 
 
 def actions_of_group(group, max_size: int) -> list[ActionGroupoid]:
     """All actions of ``group`` on carriers of size 1..max_size, up to relabeling.
 
-    An action is a homomorphism into the symmetric group of the carrier;
-    homomorphisms are enumerated through a generating sequence and actions
-    differing only by a carrier permutation are identified.
+    Every finite action is a disjoint union of orbits, each isomorphic to a
+    coset action ``G/K``, and ``G/K`` and ``G/K'`` are isomorphic exactly when
+    ``K`` and ``K'`` are conjugate.  So the actions on ``n`` points are the
+    multisets of orbit types whose sizes sum to ``n``.  Each action is listed
+    once, as its least relabeled table, and each carrier size in table order.
     """
-    from .core import _generating_sequence  # deterministic greedy generators
-
+    small = [sub for sub in all_subgroups(group) if group.order // len(sub) <= max_size]
+    orbits = sorted({_least_relabeling(_coset_table(group, sub)) for sub in small})
     out = []
-    gens = _generating_sequence(group)
     for size in range(1, max_size + 1):
         carrier = tuple(f"p{i}" for i in range(size))
-        perms = _permutations(carrier)
-        identity = tuple(range(size))
-
-        def compose_perm(p, q):
-            return tuple(p[q[i]] for i in range(size))
-
-        tables = []
-        for images in itertools.product(perms, repeat=len(gens)):
-            gen_map = dict(zip(gens, images))
-            mapping = {group.unit: identity}
-            frontier = [group.unit]
-            ok = True
-            while frontier and ok:
-                nxt = []
-                for a in frontier:
-                    for x, p in gen_map.items():
-                        c = group.mul[(x, a)]
-                        img = compose_perm(p, mapping[a])
-                        if c in mapping:
-                            if mapping[c] != img:
-                                ok = False
-                                break
-                        else:
-                            mapping[c] = img
-                            nxt.append(c)
-                    if not ok:
-                        break
-                frontier = nxt
-            if not ok or len(mapping) != group.order:
-                continue
-            if any(
-                compose_perm(mapping[a], mapping[b]) != mapping[group.mul[(a, b)]]
-                for a in group.elements
-                for b in group.elements
-            ):
-                continue
-            tables.append(tuple(mapping[g] for g in group.elements))
-        canonical = {}
-        for table in tables:
-            best = None
-            for sigma in perms:
-                inv_sigma = [0] * size
-                for i, j in enumerate(sigma):
-                    inv_sigma[j] = i
-                relabeled = tuple(
-                    tuple(sigma[row[inv_sigma[i]]] for i in range(size)) for row in table
+        tables = set()
+        for count in range(1, size + 1):
+            for combo in itertools.combinations_with_replacement(orbits, count):
+                offsets = list(itertools.accumulate((len(orbit[0]) for orbit in combo), initial=0))
+                if offsets[-1] != size:
+                    continue
+                union = tuple(
+                    tuple(offset + x for offset, orbit in zip(offsets, combo) for x in orbit[gi])
+                    for gi in range(group.order)
                 )
-                if best is None or relabeled < best:
-                    best = relabeled
-            canonical[best] = True
-        for table in sorted(canonical):
+                tables.add(_least_relabeling(union))
+        for table in sorted(tables):
             act = {
                 (g, carrier[i]): carrier[table[gi][i]]
                 for gi, g in enumerate(group.elements)
@@ -278,8 +262,8 @@ MAX_CELL_PULLBACK_ARROWS = 40
 
 
 def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInstances:
-    actions = list(enumerate_actions(budget))
     wes = generate_weak_equivalences(budget)
+    actions = [w.functor.dom_action for w in wes if w.kind == "identity"]
 
     rng = random.Random(budget.sample_seed)
 
@@ -663,18 +647,16 @@ def run_law_suite(budget: InstanceBudget, instances: WorkbenchInstances | None =
 
     laws.append(law_factorization_unique())
 
+    # the spans the 2-cell laws check: surjective left leg, within the gate
+    cell_spans = [
+        Anafunctor(span.left, span.right)
+        for span, _, _ in inst.spans
+        if weak_equivalence_report(span.left).is_ssw and _left_pullback_arrows(span) <= MAX_CELL_PULLBACK_ARROWS
+    ]
+
     def law_normalization_idempotent():
         def checks():
-            used = 0
-            for span, _, _ in inst.spans:
-                if not weak_equivalence_report(span.left).is_ssw:
-                    continue
-                if _left_pullback_arrows(span) > MAX_CELL_PULLBACK_ARROWS:
-                    continue
-                used += 1
-                if used > 15:
-                    return
-                ana = Anafunctor(span.left, span.right)
+            for ana in cell_spans[:15]:
                 cell = identity_two_cell(ana)
                 d = as_diagram(cell)
                 n = normalize_two_cell(d)
@@ -690,16 +672,7 @@ def run_law_suite(budget: InstanceBudget, instances: WorkbenchInstances | None =
 
     def law_two_cell_equality_equivalence():
         def checks():
-            used = 0
-            for span, _, _ in inst.spans:
-                if not weak_equivalence_report(span.left).is_ssw:
-                    continue
-                if _left_pullback_arrows(span) > MAX_CELL_PULLBACK_ARROWS:
-                    continue
-                used += 1
-                if used > 12:
-                    return
-                ana = Anafunctor(span.left, span.right)
+            for ana in cell_spans[:12]:
                 d1 = as_diagram(identity_two_cell(ana))
                 d2 = _perturb_diagram(d1)
                 d3 = as_diagram(normalize_two_cell(d2))
@@ -714,16 +687,7 @@ def run_law_suite(budget: InstanceBudget, instances: WorkbenchInstances | None =
 
     def law_vertical_composition():
         def checks():
-            used = 0
-            for span, _, _ in inst.spans:
-                if not weak_equivalence_report(span.left).is_ssw:
-                    continue
-                if _left_pullback_arrows(span) > MAX_CELL_PULLBACK_ARROWS:
-                    continue
-                used += 1
-                if used > 12:
-                    return
-                ana = Anafunctor(span.left, span.right)
+            for ana in cell_spans[:12]:
                 iota = identity_two_cell(ana)
                 yield ("unit law", vertical_compose_ana(iota, iota).transformation == iota.transformation)
                 assoc1 = vertical_compose_ana(vertical_compose_ana(iota, iota), iota)

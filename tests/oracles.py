@@ -156,3 +156,75 @@ def oracle_normalize_two_cell(d):
 def oracle_compose_rows(g) -> list[list[str]]:
     """The ``compose`` rows of a groupoid document: every ordered pair of declared arrows, tested."""
     return [[a2, a1, g.compose[(a2, a1)]] for a2 in g.arrows for a1 in g.arrows if (a2, a1) in g.compose]
+
+
+def oracle_actions_of_group(group, max_size: int) -> list[dict]:
+    """Action tables of ``group`` on carriers of size 1..max_size, up to relabeling.
+
+    The brute-force search the library's enumeration by orbit type replaced:
+    every tuple of generator images in the symmetric group is closed into a
+    candidate homomorphism, and each table found is relabeled every way to
+    find the least.  Returns the ``act`` dicts, carrier by carrier, in
+    sorted table order.
+    """
+    import itertools
+
+    from gpdkit.core import _generating_sequence
+
+    out = []
+    gens = _generating_sequence(group)
+    for size in range(1, max_size + 1):
+        carrier = tuple(f"p{i}" for i in range(size))
+        perms = list(itertools.permutations(range(size)))
+        identity = tuple(range(size))
+
+        def compose_perm(p, q):
+            return tuple(p[q[i]] for i in range(size))
+
+        tables = []
+        for images in itertools.product(perms, repeat=len(gens)):
+            gen_map = dict(zip(gens, images))
+            mapping = {group.unit: identity}
+            frontier = [group.unit]
+            ok = True
+            while frontier and ok:
+                nxt = []
+                for a in frontier:
+                    for x, p in gen_map.items():
+                        c = group.mul[(x, a)]
+                        img = compose_perm(p, mapping[a])
+                        if c in mapping:
+                            if mapping[c] != img:
+                                ok = False
+                                break
+                        else:
+                            mapping[c] = img
+                            nxt.append(c)
+                    if not ok:
+                        break
+                frontier = nxt
+            if not ok or len(mapping) != group.order:
+                continue
+            if any(
+                compose_perm(mapping[a], mapping[b]) != mapping[group.mul[(a, b)]]
+                for a in group.elements
+                for b in group.elements
+            ):
+                continue
+            tables.append(tuple(mapping[g] for g in group.elements))
+        canonical = set()
+        for table in tables:
+            best = None
+            for sigma in perms:
+                inv_sigma = [0] * size
+                for i, j in enumerate(sigma):
+                    inv_sigma[j] = i
+                relabeled = tuple(tuple(sigma[row[inv_sigma[i]]] for i in range(size)) for row in table)
+                if best is None or relabeled < best:
+                    best = relabeled
+            canonical.add(best)
+        for table in sorted(canonical):
+            out.append(
+                {(g, carrier[i]): carrier[table[gi][i]] for gi, g in enumerate(group.elements) for i in range(size)}
+            )
+    return out

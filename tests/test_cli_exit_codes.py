@@ -19,7 +19,9 @@ from gpdkit import documents as docs
 from gpdkit.catalog import cyclic_group
 from gpdkit.cli import build_klein_example, main
 from gpdkit.core import GroupoidFunctor, action_groupoid, identity_functor
+from gpdkit.core import identity_transformation
 from gpdkit.equivariant import PROPERTY_NAMES, quotient_action
+from gpdkit.localization import Anafunctor, as_diagram, identity_two_cell
 
 
 def _base_bundle() -> dict:
@@ -105,6 +107,93 @@ def test_mutated_functor_keeps_the_exit_code_contract(tmp_path_factory, mutation
             code = main([*argv, "--out", os.devnull])
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue(), argv
+
+
+def _run_keeps_the_contract(argv: list[str]) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", os.devnull])
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def _cell_bundle() -> tuple[dict, dict]:
+    """A 2-cell diagram, a transformation and an equivariant functor over the
+    Klein quotient projection, and for each mutable map the values it may take.
+
+    One entry of ``eta1``/``eta2``, of ``alpha``/``alpha_prime``'s ``arr_map``,
+    of the transformation's components or of ``equivariant.group_hom`` is
+    pointed at another declared value; ``validate``, ``normalize-2cell`` and
+    ``2cells-equal`` must keep the exit-code contract.
+    """
+    klein, half_turn = build_klein_example()
+    q = quotient_action(klein, half_turn)
+    proj = docs.functor_doc(q.projection.functor, "klein", "quotient")
+    d = as_diagram(identity_two_cell(Anafunctor(q.projection.functor, q.projection.functor)))
+    span = docs.span_doc(proj, proj)
+    bundle = {
+        "kind": "bundle",
+        "documents": {
+            "klein": docs.action_doc(klein),
+            "quotient": docs.action_doc(q.quotient),
+            "P": docs.groupoid_doc(d.mediator),
+            "cell": {
+                "kind": "two_cell_diagram",
+                "top": span, "bottom": span, "mediator": "P",
+                "alpha": docs.functor_doc(d.to_top, "P", "klein"),
+                "alpha_prime": docs.functor_doc(d.to_bottom, "P", "klein"),
+                "eta1": {"component": dict(d.left_cell.component)},
+                "eta2": {"component": dict(d.right_cell.component)},
+            },
+            "proj_unit": docs.transformation_doc(proj, proj, identity_transformation(q.projection.functor)),
+            "proj_eq": docs.functor_doc(q.projection.functor, "klein", "quotient", q.projection.group_hom),
+        },
+    }
+    klein_arrows, quotient_arrows = sorted(klein.induced.arrows), sorted(q.quotient.induced.arrows)
+    sites = {
+        ("cell", "eta1", "component"): quotient_arrows,
+        ("cell", "eta2", "component"): quotient_arrows,
+        ("cell", "alpha", "arr_map"): klein_arrows,
+        ("cell", "alpha_prime", "arr_map"): klein_arrows,
+        ("proj_unit", "component"): quotient_arrows,
+        ("proj_eq", "equivariant", "group_hom"): sorted(q.quotient.group.elements),
+    }
+    return bundle, sites
+
+
+CELL_BUNDLE, CELL_SITES = _cell_bundle()
+
+
+def _nested_get(doc: dict, path: tuple) -> dict:
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _nested_set(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with ``value`` at ``path``; only the dicts on the path are copied."""
+    if not path:
+        return value
+    return {**doc, path[0]: _nested_set(doc[path[0]], path[1:], value)}
+
+
+@st.composite
+def cell_mutations(draw):
+    site = draw(st.sampled_from(sorted(CELL_SITES)))
+    key = draw(st.sampled_from(sorted(_nested_get(CELL_BUNDLE["documents"], site))))
+    return site, key, draw(st.sampled_from(CELL_SITES[site]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=cell_mutations())
+def test_mutated_cell_documents_keep_the_exit_code_contract(tmp_path_factory, mutation):
+    site, key, value = mutation
+    mapping = _nested_get(CELL_BUNDLE["documents"], site)
+    documents = _nested_set(CELL_BUNDLE["documents"], site, {**mapping, key: value})
+    path = tmp_path_factory.mktemp("fuzz") / "cells.json"
+    path.write_bytes(docs.dumps({"kind": "bundle", "documents": documents}))
+    for argv in (["validate", str(path)], ["normalize-2cell", str(path), "cell"], ["2cells-equal", str(path), "cell", "cell"]):
+        _run_keeps_the_contract(argv)
 
 
 GOLDEN_BUNDLE = str(Path(__file__).parent / "golden" / "constructions" / "bundle.json")

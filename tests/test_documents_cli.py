@@ -218,6 +218,38 @@ class TestCli:
         assert main(["validate", str(out), "--out", str(tmp_path / "v.json")]) == 0
         assert main(["2cells-equal", path, "cell", "cell", "--out", str(tmp_path / "eq.json")]) == 0
 
+    def test_mediator_must_be_the_domain_of_alpha(self, tmp_path, klein_docs, capsys):
+        # the cell of test_normalize_and_equality, naming the wrong mediator
+        action, _ = klein_docs
+        ana = Anafunctor(identity_functor(action.induced), identity_functor(action.induced))
+        d = as_diagram(identity_two_cell(ana))
+        span_doc = docs.span_doc(
+            docs.functor_doc(ana.left, "klein", "klein"),
+            docs.functor_doc(ana.right, "klein", "klein"),
+        )
+        bundle = {
+            "kind": "bundle",
+            "documents": {
+                "klein": docs.action_doc(action),
+                "P": docs.groupoid_doc(d.mediator),
+                "cell": {
+                    "kind": "two_cell_diagram",
+                    "top": span_doc, "bottom": span_doc, "mediator": "klein",
+                    "alpha": docs.functor_doc(d.to_top, "P", "klein"),
+                    "alpha_prime": docs.functor_doc(d.to_bottom, "P", "klein"),
+                    "eta1": {"component": dict(d.left_cell.component)},
+                    "eta2": {"component": dict(d.right_cell.component)},
+                },
+            },
+        }
+        path = write(tmp_path, "cells.json", bundle)
+        for command in (["validate", path], ["normalize-2cell", path, "cell"], ["2cells-equal", path, "cell", "cell"]):
+            assert main([*command, "--out", str(tmp_path / "out.json")]) == 2, command
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "Traceback" not in err
+            assert err.count("\n") == 1 and err.startswith("error: ") and "mediator" in err, err
+
     def test_skeleton_report(self, tmp_path, klein_docs):
         action, _ = klein_docs
         path = write(tmp_path, "klein.json", docs.action_doc(action))

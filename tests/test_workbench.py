@@ -2,9 +2,12 @@ from pathlib import Path
 
 import pytest
 
+from gpdkit import workbench
 from gpdkit.catalog import cyclic_group, klein_four_group
+from gpdkit.catalog import group_catalog
 from gpdkit.cli import main
 from gpdkit.core import FiniteGroupoid, groupoid_iso_search, trivial_group, validate_groupoid
+from gpdkit.core import all_subgroups, subgroup
 from gpdkit.morita import weak_equivalence_report
 from gpdkit.workbench import (
     InstanceBudget,
@@ -16,6 +19,7 @@ from gpdkit.workbench import (
     run_law_suite,
     shrink_groupoid,
 )
+from oracles import oracle_actions_of_group
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +53,30 @@ class TestEnumeration:
         first = [a.act for a in enumerate_actions(small_budget)]
         second = [a.act for a in enumerate_actions(small_budget)]
         assert first == second
+
+    def test_orbit_types_match_the_brute_force_search(self):
+        # every catalog group and every subgroup of one (the groups the
+        # generator enumerates) at carrier 4, the smallest groups at carrier 5
+        cases = []
+        for _, big in group_catalog():
+            cases += [(big, 4)] + [(subgroup(big, sub), 4) for sub in all_subgroups(big)]
+            if big.order <= 4:
+                cases.append((big, 5))
+        for group, size in cases:
+            tables = [a.act for a in actions_of_group(group, size)]
+            assert tables == oracle_actions_of_group(group, size), (group.elements, size)
+
+    def test_build_instances_enumerates_the_population_once(self, monkeypatch):
+        calls = []
+        original = workbench.enumerate_actions
+
+        def counting(budget):
+            calls.append(budget)
+            return original(budget)
+
+        monkeypatch.setattr(workbench, "enumerate_actions", counting)
+        build_instances(InstanceBudget())
+        assert len(calls) == 1
 
 
 class TestGenerator:
