@@ -412,8 +412,8 @@ def _cmd_skeleton(args) -> int:
 
 def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
     fields = {}
+    mapping = {"group": "max_group_order", "carrier": "max_carrier_size", "objects": "max_objects", "seed": "sample_seed"}
     if spec:
-        mapping = {"group": "max_group_order", "carrier": "max_carrier_size", "objects": "max_objects", "seed": "sample_seed"}
         for part in spec.split(","):
             if not part:
                 continue
@@ -428,6 +428,9 @@ def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
                 raise docs.SchemaError(f"budget: {key!r} needs an integer") from None
     if seed is not None:
         fields["sample_seed"] = seed
+    for key in ("group", "carrier", "objects"):
+        if fields.get(mapping[key], 1) < 1:
+            raise docs.SchemaError(f"budget: {key!r} must be at least 1, got {fields[mapping[key]]}")
     return InstanceBudget(**fields)
 
 

@@ -212,3 +212,47 @@ def test_property_lists_keep_the_exit_code_contract(action, props):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+def _golden_functor_sites() -> dict:
+    """For each map of ``proj``, ``to_loop`` and ``collapse`` in the golden
+    bundle, the declared values its entries may take: codomain objects for
+    ``obj_map``, codomain arrows for ``arr_map`` and codomain group elements
+    for ``equivariant.group_hom``."""
+    bundle = docs.parse_bundle({"kind": "bundle", "documents": GOLDEN_DOCUMENTS})
+    sites = {}
+    for name in ("proj", "to_loop", "collapse"):
+        cod = bundle.action(bundle.docs[name]["cod"])
+        sites[(name, "obj_map")] = list(cod.carrier)
+        sites[(name, "arr_map")] = list(cod.induced.arrows)
+        sites[(name, "equivariant", "group_hom")] = list(cod.group.elements)
+    return sites
+
+
+GOLDEN_DOCUMENTS = docs.loads(Path(GOLDEN_BUNDLE).read_bytes())["documents"]
+GOLDEN_SITES = _golden_functor_sites()
+
+
+@st.composite
+def golden_functor_mutations(draw):
+    site = draw(st.sampled_from(sorted(GOLDEN_SITES)))
+    key = draw(st.sampled_from(sorted(_nested_get(GOLDEN_DOCUMENTS, site))))
+    return site, key, draw(st.sampled_from(GOLDEN_SITES[site]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=golden_functor_mutations())
+def test_mutated_equivariant_functors_keep_the_exit_code_contract(tmp_path_factory, mutation):
+    site, key, value = mutation
+    mapping = _nested_get(GOLDEN_DOCUMENTS, site)
+    documents = _nested_set(GOLDEN_DOCUMENTS, site, {**mapping, key: value})
+    path = tmp_path_factory.mktemp("fuzz") / "bundle.json"
+    path.write_bytes(docs.dumps({"kind": "bundle", "documents": documents}))
+    for argv in (
+        ["decompose", FILE, site[0]],
+        ["quotient-factorize", FILE, site[0]],
+        ["check-properties", FILE, "klein"],
+        ["compose-ana", FILE, "span", "loop_span"],
+        ["anafunctorify", FILE, "span", "--equivariant"],
+    ):
+        _run_keeps_the_contract([str(path) if a == FILE else a for a in argv])

@@ -264,6 +264,15 @@ class TestCli:
         assert main(["suite", "--budget", "group=4,carrier=3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("spec, named", [("carrier=-1", "'carrier'"), ("group=0", "'group'"), ("carrier=0", "'carrier'")])
+    def test_empty_suite_budget_is_an_input_error(self, capsys, spec, named):
+        # a budget that enumerates nothing would check no instance and report a pass
+        assert main(["suite", "--budget", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: budget: {named} must be at least 1")
+        assert err.count("\n") == 1
+
     def test_balanced_product_output(self, tmp_path, klein_docs):
         action, half_turn = klein_docs
         from gpdkit.core import action_groupoid, subgroup

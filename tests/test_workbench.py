@@ -1,8 +1,10 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from gpdkit import workbench
+from gpdkit import equivariant, localization, morita
 from gpdkit.catalog import cyclic_group, klein_four_group
 from gpdkit.catalog import group_catalog
 from gpdkit.cli import main
@@ -107,8 +109,39 @@ class TestGenerator:
         ]
         assert hits
 
+    def test_each_catalogue_group_gets_one_subgroup_list(self, monkeypatch):
+        # once inside actions_of_group, once for the generator's two loops
+        passed = []
+        original = workbench.all_subgroups
+
+        def counting(group):
+            passed.append(group)
+            return original(group)
+
+        monkeypatch.setattr(workbench, "all_subgroups", counting)
+        generate_weak_equivalences(InstanceBudget())
+        assert max(Counter(map(id, passed)).values()) <= 2
+
 
 class TestLawSuite:
+    def test_each_weak_pullback_is_built_once(self, monkeypatch):
+        budget = InstanceBudget(max_group_order=4, max_carrier_size=3, max_objects=7, sample_seed=1)
+        # built first: the round-trip spans compose through pullbacks of their own
+        instances = build_instances(budget)
+        pairs = []
+        original = morita.weak_pullback
+
+        def recording(phi, psi):
+            pairs.append((phi, psi))  # held, so no id is reused during the run
+            return original(phi, psi)
+
+        for module in (morita, workbench, equivariant, localization):
+            monkeypatch.setattr(module, "weak_pullback", recording)
+        run_law_suite(budget, instances)
+        ids = [(id(phi), id(psi)) for phi, psi in pairs]
+        assert pairs
+        assert len(set(ids)) == len(ids)
+
     def test_all_laws_pass_at_small_budget(self, small_suite):
         failing = [law for law in small_suite.laws if not law.ok]
         assert not failing, failing
