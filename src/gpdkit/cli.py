@@ -396,6 +396,7 @@ def _cmd_skeleton(args) -> int:
     bundle = _load(args.file)
     name = _single_name(bundle, args.name, "groupoid")
     g = bundle.groupoid(name)
+    bundle.require_groupoids(g)
     sk = skeleton_invariant(g)
     _emit(
         {

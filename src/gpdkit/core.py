@@ -4,8 +4,11 @@ Everything is a plain table over opaque string ids.  Constructed objects use
 deterministic structured ids (tuples rendered as ``(a,b,c)``) so re-running a
 construction yields bit-identical tables.  Product-shaped tables (action
 groupoids and the strict and weak pullbacks) are all made by
-:func:`tuple_groupoid`, which renders each of their arrow ids once.  Values
-are frozen after construction and every operation is a pure function.
+:func:`tuple_groupoid`, which renders each of their arrow ids once.  Class
+tables (orbits, components, cosets and the classes of the equivariant
+constructions) are all made by :func:`class_reps`, which picks each class's
+least-index member as its representative.  Values are frozen after
+construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ class FiniteGroupoid:
         return idx
 
 
-def _check_groupoid_declarations(g: FiniteGroupoid):
+def check_groupoid_declarations(g: FiniteGroupoid) -> None:
+    """Raise :class:`DanglingIdError` unless every id is declared once and every table is total."""
     objects = _check_unique(g.objects, "object")
     arrows = _check_unique(g.arrows, "arrow")
     for table, what in ((g.src, "src"), (g.tgt, "tgt")):
@@ -128,7 +132,7 @@ def validate_groupoid(candidate: FiniteGroupoid) -> ValidationReport:
     Raises :class:`DanglingIdError` for malformed tables (undeclared ids,
     duplicate declarations); axiom failures are reported, not raised.
     """
-    _check_groupoid_declarations(candidate)
+    check_groupoid_declarations(candidate)
     g = candidate
     violations = []
     for x in g.objects:
@@ -214,6 +218,23 @@ def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple
     return g, ids
 
 
+def class_reps(items, members) -> dict:
+    """Map every member of each class to the item that opened it.
+
+    ``items`` are walked in order; an item not yet mapped opens a class, and
+    each element of ``members(item)`` (its whole class, the item included) is
+    mapped to it.  So the representative is the class's least-index item, as
+    an earlier member would have opened the class, and the dict's values
+    first appear in item order.
+    """
+    reps: dict = {}
+    for item in items:
+        if item not in reps:
+            for member in members(item):
+                reps[member] = item
+    return reps
+
+
 def terminal_groupoid() -> FiniteGroupoid:
     """One object, one (unit) arrow."""
     return FiniteGroupoid(
@@ -233,12 +254,6 @@ class GroupoidFunctor:
     cod: FiniteGroupoid
     obj_map: dict[str, str] = field(repr=False)
     arr_map: dict[str, str] = field(repr=False)
-
-    def obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def arr(self, a: str) -> str:
-        return self.arr_map[a]
 
 
 def check_functor_declarations(f: GroupoidFunctor) -> None:
@@ -636,14 +651,11 @@ def orbit(a: ActionGroupoid, x: str) -> tuple[str, ...]:
 
 def orbits(a: ActionGroupoid) -> list[tuple[str, ...]]:
     """Orbit partition; each orbit listed once, keyed by its least-index point."""
-    seen: set[str] = set()
-    out = []
+    reps = class_reps(a.carrier, lambda x: orbit(a, x))
+    out: dict[str, list[str]] = {}
     for x in a.carrier:
-        if x not in seen:
-            o = orbit(a, x)
-            seen.update(o)
-            out.append(o)
-    return out
+        out.setdefault(reps[x], []).append(x)
+    return [tuple(o) for o in out.values()]
 
 
 def stabilizer(a: ActionGroupoid, x: str) -> tuple[str, ...]:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from .core import (
     ActionGroupoid,
+    DanglingIdError,
     FiniteGroup,
     FiniteGroupoid,
     GroupoidFunctor,
@@ -26,8 +27,10 @@ from .core import (
     PreconditionError,
     action_groupoid,
     check_functor_declarations,
+    check_groupoid_declarations,
     compose_functors,
     validate_functor,
+    validate_groupoid,
 )
 from .equivariant import EquivariantFunctor, equivariant_functor
 from .localization import GeneralizedMorphism, TwoCellDiagram
@@ -232,7 +235,12 @@ def parse_groupoid(obj: dict, where: str = "groupoid") -> FiniteGroupoid:
         compose[(a2, a1)] = a3
     unit = _str_map(obj, "identity", where)
     inv = _str_map(obj, "inverse", where)
-    return FiniteGroupoid(objects, tuple(arrows), src, tgt, compose, unit, inv)
+    g = FiniteGroupoid(objects, tuple(arrows), src, tgt, compose, unit, inv)
+    try:  # undeclared ids are input errors; axioms are verdicts, left to validate_groupoid
+        check_groupoid_declarations(g)
+    except DanglingIdError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    return g
 
 
 def parse_group(obj: dict, where: str = "group") -> FiniteGroup:
@@ -261,7 +269,11 @@ def parse_action_groupoid(obj: dict, where: str = "action_groupoid") -> ActionGr
 
 @dataclass
 class Bundle:
-    """Named documents resolved to domain values, in declaration order."""
+    """Named documents resolved to domain values, in declaration order.
+
+    ``functor``, ``span`` and ``diagram`` are the lookups commands make; each
+    first checks the plain groupoid documents its value is built on.
+    """
 
     entries: dict[str, object] = field(default_factory=dict)
     docs: dict[str, dict] = field(default_factory=dict)
@@ -292,19 +304,36 @@ class Bundle:
         value = self._lookup(name)
         if not isinstance(value, (GroupoidFunctor, EquivariantFunctor)):
             raise SchemaError(f"{name!r} is not a functor document")
+        plain = _as_plain_functor(value)
+        self.require_groupoids(plain.dom, plain.cod)
         return value
 
     def span(self, name: str) -> "RawSpan":
         value = self._lookup(name)
         if not isinstance(value, RawSpan):
             raise SchemaError(f"{name!r} is not a span document")
+        self.require_groupoids(value.left.dom, value.left.cod, value.right.cod)
         return value
 
     def diagram(self, name: str) -> TwoCellDiagram:
         value = self._lookup(name)
         if not isinstance(value, TwoCellDiagram):
             raise SchemaError(f"{name!r} is not a two_cell_diagram document")
+        self.require_groupoids(
+            value.mediator,
+            *(value.top.middle, value.top.left_foot, value.top.right_foot),
+            *(value.bottom.middle, value.bottom.left_foot, value.bottom.right_foot),
+        )
         return value
+
+    def require_groupoids(self, *groupoids: FiniteGroupoid) -> None:
+        """Raise :class:`PreconditionError` naming the first plain groupoid document among
+        ``groupoids`` that breaks an axiom; action groupoids were verified when parsed."""
+        for name, value in self.entries.items():
+            if isinstance(value, FiniteGroupoid) and any(value is g for g in groupoids):
+                rep = validate_groupoid(value)
+                if not rep.ok:
+                    raise PreconditionError(f"{name!r} is not a groupoid: {rep.violations[0]}")
 
     def _lookup(self, name: str):
         if name not in self.entries:

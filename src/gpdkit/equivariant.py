@@ -5,7 +5,9 @@ quotient projection (by the kernel of its group map, which acts freely)
 followed by an inclusion into a balanced product.  Both stages, the
 equivariant pullbacks, and the bibundle-style span replacement are
 constructed explicitly and re-verified against their contracts rather than
-trusted.
+trusted.  Their class tables (cosets, point orbits, balanced-product pairs
+and anchored triples) are built by :func:`gpdkit.core.class_reps`, so each
+class is named after its least-index member.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .core import (
     MismatchError,
     PreconditionError,
     action_groupoid,
+    class_reps,
     compose_functors,
     direct_product,
     fixed_point,
@@ -209,8 +212,6 @@ class QuotientConstruction:
     kernel: FiniteGroup
     quotient: ActionGroupoid
     projection: EquivariantFunctor
-    coset_rep: dict[str, str] = field(repr=False)
-    orbit_rep: dict[str, str] = field(repr=False)
 
 
 def quotient_action(a: ActionGroupoid, kernel_elements) -> QuotientConstruction:
@@ -226,36 +227,22 @@ def quotient_action(a: ActionGroupoid, kernel_elements) -> QuotientConstruction:
     if witness is not None:
         raise PreconditionError(f"quotient_action: subgroup does not act freely at {witness!r}")
     g = a.group
-    coset_rep: dict[str, str] = {}
-    for el in g.elements:
-        if el in coset_rep:
-            continue
-        coset = {g.mul[(el, s)] for s in k.elements}
-        rep = next(e for e in g.elements if e in coset)
-        for member in coset:
-            coset_rep[member] = rep
-    reps = tuple(dict.fromkeys(coset_rep[el] for el in g.elements))
+    coset_rep = class_reps(g.elements, lambda el: [g.mul[(el, s)] for s in k.elements])
+    reps = tuple(dict.fromkeys(coset_rep.values()))
     qgroup = FiniteGroup(
         elements=reps,
         mul={(r1, r2): coset_rep[g.mul[(r1, r2)]] for r1 in reps for r2 in reps},
         unit=coset_rep[g.unit],
         inv={r: coset_rep[g.inv[r]] for r in reps},
     )
-    orbit_rep: dict[str, str] = {}
-    for x in a.carrier:
-        if x in orbit_rep:
-            continue
-        orb = {a.act[(s, x)] for s in k.elements}
-        rep = next(y for y in a.carrier if y in orb)
-        for member in orb:
-            orbit_rep[member] = rep
-    qcarrier = tuple(dict.fromkeys(orbit_rep[x] for x in a.carrier))
+    orbit_rep = class_reps(a.carrier, lambda x: [a.act[(s, x)] for s in k.elements])
+    qcarrier = tuple(dict.fromkeys(orbit_rep.values()))
     qact = {(r, p): orbit_rep[a.act[(r, p)]] for r in reps for p in qcarrier}
     quotient = action_groupoid(qgroup, qcarrier, qact)
     projection = equivariant_functor(a, quotient, dict(coset_rep), {x: orbit_rep[x] for x in a.carrier})
     if not weak_equivalence_report(projection.functor).is_ssw:
         raise InternalCheckError("quotient projection is not a surjective weak equivalence")
-    return QuotientConstruction(k, quotient, projection, coset_rep, orbit_rep)
+    return QuotientConstruction(k, quotient, projection)
 
 
 @dataclass(frozen=True)
@@ -297,7 +284,6 @@ class BalancedProduct:
 
     product: ActionGroupoid
     inclusion: EquivariantFunctor  # inner action -> product action
-    class_map: dict[tuple[str, str], str] = field(repr=False)  # (g, x) -> class id
     rep_pairs: dict[str, tuple[str, str]] = field(repr=False)  # class id -> least-index (g, x)
 
 
@@ -311,38 +297,27 @@ def balanced_product(big: FiniteGroup, inner: ActionGroupoid) -> BalancedProduct
     k = inner.group
     if not is_subgroup_of(k, big):
         raise PreconditionError("balanced_product: inner action group is not a subgroup of the big group")
-    g_index = {el: i for i, el in enumerate(big.elements)}
-    x_index = {x: i for i, x in enumerate(inner.carrier)}
-    class_map: dict[tuple[str, str], str] = {}
-    rep_pairs: dict[str, tuple[str, str]] = {}
-    order: list[str] = []
-    for el in big.elements:
-        for x in inner.carrier:
-            if (el, x) in class_map:
-                continue
-            members = [(big.mul[(el, big.inv[s])], inner.act[(s, x)]) for s in k.elements]
-            rep = min(members, key=lambda p: (g_index[p[0]], x_index[p[1]]))
-            rid = render_id(rep)
-            order.append(rid)
-            rep_pairs[rid] = rep
-            for member in members:
-                class_map[member] = rid
-    carrier = tuple(order)
-    act = {}
-    for el in big.elements:
-        for rid in carrier:
-            rg, rx = rep_pairs[rid]
-            act[(el, rid)] = class_map[(big.mul[(el, rg)], rx)]
-    product = action_groupoid(big, carrier, act)
+    pair_rep = class_reps(
+        [(el, x) for el in big.elements for x in inner.carrier],
+        lambda p: [(big.mul[(p[0], big.inv[s])], inner.act[(s, p[1])]) for s in k.elements],
+    )
+    ids = {rep: render_id(rep) for rep in dict.fromkeys(pair_rep.values())}
+    rep_pairs = {rid: rep for rep, rid in ids.items()}
+    act = {
+        (el, rid): ids[pair_rep[(big.mul[(el, rg)], rx)]]
+        for el in big.elements
+        for rid, (rg, rx) in rep_pairs.items()
+    }
+    product = action_groupoid(big, tuple(rep_pairs), act)
     inclusion = equivariant_functor(
         inner,
         product,
         {s: s for s in k.elements},
-        {x: class_map[(big.unit, x)] for x in inner.carrier},
+        {x: ids[pair_rep[(big.unit, x)]] for x in inner.carrier},
     )
     if not weak_equivalence_report(inclusion.functor).is_weak_equivalence:
         raise InternalCheckError("balanced_product: inclusion is not a weak equivalence")
-    return BalancedProduct(product, inclusion, class_map, rep_pairs)
+    return BalancedProduct(product, inclusion, rep_pairs)
 
 
 @dataclass(frozen=True)
@@ -353,9 +328,13 @@ class DecompositionResult:
     projection: EquivariantFunctor  # domain -> middle, surjective weak equivalence
     middle: ActionGroupoid  # image group acting on the image carrier
     inclusion: EquivariantFunctor  # middle -> codomain, weak equivalence
-    quotient: QuotientConstruction  # kernel quotient of the domain
-    middle_iso: EquivariantFunctor  # quotient -> middle, the identifying isomorphism
+    quotient: QuotientFactorization  # the projection stage split as iso ∘ kernel quotient
     carrier_bijection: dict[str, str] = field(repr=False)  # balanced-product class -> codomain point
+
+    @property
+    def middle_iso(self) -> EquivariantFunctor:
+        """quotient -> middle, the identifying isomorphism."""
+        return self.quotient.iso
 
 
 def decompose(phi: EquivariantFunctor) -> DecompositionResult:
@@ -373,13 +352,9 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
             f"decompose: functor is not a weak equivalence (es {rep.es_witness!r}, ff {rep.ff_witness!r})"
         )
     dom, cod = phi.dom_action, phi.cod_action
-    g, h = dom.group, cod.group
-    kernel_elements = hom_kernel(g, h, phi.group_hom)
-    witness = fixed_point(dom, kernel_elements)
-    if witness is not None:
-        raise InternalCheckError(f"decompose: kernel does not act freely at {witness!r}")
-
-    image_elements = tuple(dict.fromkeys(e for e in h.elements if e in set(phi.group_hom.values())))
+    h = cod.group
+    image = set(phi.group_hom.values())
+    image_elements = tuple(e for e in h.elements if e in image)
     image_group = subgroup(h, image_elements)
     image_points = set(phi.obj_map.values())
     image_carrier = tuple(y for y in cod.carrier if y in image_points)
@@ -389,8 +364,10 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
         {(el, y): cod.act[(el, y)] for el in image_elements for y in image_carrier},
     )
     projection = equivariant_functor(dom, middle, dict(phi.group_hom), dict(phi.obj_map))
-    if not weak_equivalence_report(projection.functor).is_ssw:
-        raise InternalCheckError("decompose: projection stage is not a surjective weak equivalence")
+    try:
+        quotient = quotient_factorization(projection)
+    except PreconditionError as exc:
+        raise InternalCheckError(f"decompose: projection stage: {exc}") from None
     inclusion = equivariant_functor(
         middle,
         cod,
@@ -401,18 +378,6 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
         raise InternalCheckError("decompose: inclusion stage is not a weak equivalence")
     if compose_functors(inclusion.functor, projection.functor) != phi.functor:
         raise InternalCheckError("decompose: stages do not compose to the input functor")
-
-    quotient = quotient_action(dom, kernel_elements)
-    middle_iso = equivariant_functor(
-        quotient.quotient,
-        middle,
-        {r: phi.group_hom[r] for r in quotient.quotient.group.elements},
-        {p: phi.obj_map[p] for p in quotient.quotient.carrier},
-    )
-    if not _is_equivariant_iso(middle_iso):
-        raise InternalCheckError("decompose: middle is not isomorphic to the kernel quotient")
-    if compose_functors(middle_iso.functor, quotient.projection.functor) != projection.functor:
-        raise InternalCheckError("decompose: quotient identification does not commute")
 
     balanced = balanced_product(h, middle)
     carrier_bijection = {}
@@ -432,12 +397,11 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
             raise InternalCheckError(f"decompose: property {name!r} not preserved onto the middle")
 
     return DecompositionResult(
-        kernel=subgroup(g, kernel_elements),
+        kernel=quotient.kernel,
         projection=projection,
         middle=middle,
         inclusion=inclusion,
         quotient=quotient,
-        middle_iso=middle_iso,
         carrier_bijection=carrier_bijection,
     )
 
@@ -601,58 +565,47 @@ def equivariant_anafunctorify(
         for a in gi_into[phi.obj_map[z]]:
             for b in hi_into[psi.obj_map[z]]:
                 triples.append((a, z, b))
-    index = {t: i for i, t in enumerate(triples)}
     arrows_out: dict[str, list[str]] = {z: [] for z in k.objects}
     for m in k.arrows:
         arrows_out[k.src[m]].append(m)
 
-    class_of: dict[tuple[str, str, str], str] = {}
-    rep_of_class: dict[str, tuple[str, str, str]] = {}
-    carrier_order: list[str] = []
-    seen: set[tuple[str, str, str]] = set()
-    for t in triples:
-        if t in seen:
-            continue
-        members = [t]
-        seen.add(t)
+    def transports(t: tuple[str, str, str]) -> set[tuple[str, str, str]]:
+        """``t`` and every triple a chain of middle arrows transports it to."""
+        members = {t}
         frontier = [t]
         while frontier:
             nxt = []
             for (a, z, b) in frontier:
                 for m in arrows_out[z]:
                     t2 = (gi.compose[(phi.arr_map[m], a)], k.tgt[m], hi.compose[(psi.arr_map[m], b)])
-                    if t2 not in seen:
-                        seen.add(t2)
-                        members.append(t2)
+                    if t2 not in members:
+                        members.add(t2)
                         nxt.append(t2)
             frontier = nxt
-        rep = min(members, key=lambda s: index[s])
-        rid = render_id(rep)
-        carrier_order.append(rid)
-        rep_of_class[rid] = rep
-        for member in members:
-            class_of[member] = rid
+        return members
+
+    triple_rep = class_reps(triples, transports)
+    ids = {rep: render_id(rep) for rep in dict.fromkeys(triple_rep.values())}
 
     product = direct_product(left.group, right.group)
     prod_decode = {render_id((g, h)): (g, h) for g in left.group.elements for h in right.group.elements}
     act = {}
     for p, (g, h) in prod_decode.items():
-        for rid in carrier_order:
-            a, z, b = rep_of_class[rid]
+        for (a, z, b), rid in ids.items():
             a2 = gi.compose[(a, gi.inv[left.arrow_id(g, gi.src[a])])]
             b2 = hi.compose[(b, hi.inv[right.arrow_id(h, hi.src[b])])]
-            act[(p, rid)] = class_of[(a2, z, b2)]
-    middle_action = action_groupoid(product, tuple(carrier_order), act)
+            act[(p, rid)] = ids[triple_rep[(a2, z, b2)]]
+    middle_action = action_groupoid(product, tuple(ids.values()), act)
 
     left_leg = equivariant_functor(
         middle_action, left,
         {p: prod_decode[p][0] for p in product.elements},
-        {rid: gi.src[rep_of_class[rid][0]] for rid in carrier_order},
+        {rid: gi.src[a] for (a, _, _), rid in ids.items()},
     )
     right_leg = equivariant_functor(
         middle_action, right,
         {p: prod_decode[p][1] for p in product.elements},
-        {rid: hi.src[rep_of_class[rid][2]] for rid in carrier_order},
+        {rid: hi.src[b] for (_, _, b), rid in ids.items()},
     )
     left_rep = weak_equivalence_report(left_leg.functor)
     if not left_rep.is_ssw:
@@ -662,7 +615,7 @@ def equivariant_anafunctorify(
     theta_obj = {}
     theta_arr = {}
     for z in k.objects:
-        theta_obj[z] = class_of[(gi.unit[phi.obj_map[z]], z, hi.unit[psi.obj_map[z]])]
+        theta_obj[z] = ids[triple_rep[(gi.unit[phi.obj_map[z]], z, hi.unit[psi.obj_map[z]])]]
     for m in k.arrows:
         g_part = left.arrow_pairs[phi.arr_map[m]][0]
         h_part = right.arrow_pairs[psi.arr_map[m]][0]

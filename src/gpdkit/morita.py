@@ -18,6 +18,7 @@ from .core import (
     MismatchError,
     NaturalTransformation,
     PreconditionError,
+    class_reps,
     compose_functors,
     group_isomorphic,
     identity_functor,
@@ -324,11 +325,8 @@ def connected_components(g: FiniteGroupoid) -> list[tuple[str, ...]]:
     for a in g.arrows:
         neighbours[g.src[a]].add(g.tgt[a])
         neighbours[g.tgt[a]].add(g.src[a])
-    seen: set[str] = set()
-    out = []
-    for x in g.objects:
-        if x in seen:
-            continue
+
+    def component(x: str) -> set[str]:
         comp = {x}
         frontier = [x]
         while frontier:
@@ -339,9 +337,13 @@ def connected_components(g: FiniteGroupoid) -> list[tuple[str, ...]]:
                         comp.add(z)
                         nxt.append(z)
             frontier = nxt
-        seen.update(comp)
-        out.append(tuple(y for y in g.objects if y in comp))
-    return out
+        return comp
+
+    reps = class_reps(g.objects, component)
+    out: dict[str, list[str]] = {}
+    for x in g.objects:
+        out.setdefault(reps[x], []).append(x)
+    return [tuple(c) for c in out.values()]
 
 
 def isotropy_group(g: FiniteGroupoid, x: str) -> FiniteGroup:

@@ -23,6 +23,7 @@ from .core import (
     NaturalTransformation,
     action_groupoid,
     all_subgroups,
+    class_reps,
     compose_functors,
     fixed_point,
     groupoid_iso_search,
@@ -83,7 +84,6 @@ SAMPLE_CAPS = {
     "weak_equivalences": 300,
     "functor_pairs": 400,
     "spans": 40,
-    "diagrams": 40,
 }
 
 
@@ -132,10 +132,9 @@ def _least_relabeling(table: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ..
 
 def _coset_table(group, sub: tuple[str, ...]) -> tuple[tuple[int, ...], ...]:
     """The table of ``group`` acting on its left cosets of ``sub`` by left multiplication."""
-    cosets = list(dict.fromkeys(frozenset(group.mul[(g, k)] for k in sub) for g in group.elements))
-    return tuple(
-        tuple(cosets.index(frozenset(group.mul[(g, c)] for c in coset)) for coset in cosets) for g in group.elements
-    )
+    coset_rep = class_reps(group.elements, lambda g: [group.mul[(g, k)] for k in sub])
+    label = {rep: i for i, rep in enumerate(dict.fromkeys(coset_rep.values()))}
+    return tuple(tuple(label[coset_rep[group.mul[(g, rep)]]] for rep in label) for g in group.elements)
 
 
 def actions_of_group(group, max_size: int) -> list[ActionGroupoid]:

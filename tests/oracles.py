@@ -228,3 +228,45 @@ def oracle_actions_of_group(group, max_size: int) -> list[dict]:
                 {(g, carrier[i]): carrier[table[gi][i]] for gi, g in enumerate(group.elements) for i in range(size)}
             )
     return out
+
+
+def oracle_orbits(action) -> list[tuple]:
+    """Orbit partition by a walk over the carrier, as ``core.orbits`` computed it
+    before class tables were shared: each unseen point adds its whole orbit."""
+    seen = set()
+    out = []
+    for x in action.carrier:
+        if x not in seen:
+            hit = {action.act[(g, x)] for g in action.group.elements}
+            o = tuple(y for y in action.carrier if y in hit)
+            seen.update(o)
+            out.append(o)
+    return out
+
+
+def oracle_connected_components(g) -> list[tuple]:
+    """Components by breadth-first search from each unseen object, as
+    ``morita.connected_components`` computed them before class tables were
+    shared; each lists its objects in declaration order."""
+    neighbours = {x: set() for x in g.objects}
+    for a in g.arrows:
+        neighbours[g.src[a]].add(g.tgt[a])
+        neighbours[g.tgt[a]].add(g.src[a])
+    seen = set()
+    out = []
+    for x in g.objects:
+        if x in seen:
+            continue
+        comp = {x}
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for z in neighbours[y]:
+                    if z not in comp:
+                        comp.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        seen.update(comp)
+        out.append(tuple(y for y in g.objects if y in comp))
+    return out

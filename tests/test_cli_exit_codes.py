@@ -10,8 +10,10 @@ never with a traceback.
 import contextlib
 import io
 import os
+import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,3 +258,105 @@ def test_mutated_equivariant_functors_keep_the_exit_code_contract(tmp_path_facto
         ["anafunctorify", FILE, "span", "--equivariant"],
     ):
         _run_keeps_the_contract([str(path) if a == FILE else a for a in argv])
+
+
+# Plain groupoid documents are checked before any command computes with them:
+# a broken one exits 2 with one line naming it, while ``validate`` still
+# reports axiom violations as a verdict (exit 1).
+
+GROUPOID_USES = {  # plain groupoid -> (a functor and a span that use it)
+    "swap": ("left_swap", "swap_span"),
+    "loop": ("loop_id", "loop_span"),
+    "klein": ("proj", "proj_span"),
+    "quotient": ("proj", "proj_span"),
+}
+
+
+def _groupoid_commands(name: str) -> list[list[str]]:
+    functor, span = GROUPOID_USES[name]
+    return [
+        ["skeleton", FILE, name],
+        ["check-we", FILE, functor],
+        ["pullback", "--mode", "strict", FILE, functor, functor],
+        ["pullback", "--mode", "weak", FILE, functor, functor],
+        ["compose-gen", FILE, span, span],
+        ["compose-ana", FILE, span, span],
+        ["anafunctorify", FILE, span],
+    ]
+
+
+def _with_groupoid(name: str, groupoid: dict) -> dict:
+    return {"kind": "bundle", "documents": {**BASE["documents"], name: groupoid}}
+
+
+def _loop_with_undeclared_target() -> dict:
+    loop = BASE["documents"]["loop"]
+    arrows = [dict(row) for row in loop["arrows"]]
+    arrows[-1]["tgt"] = "nowhere"
+    return {**loop, "arrows": arrows}
+
+
+def _loop_without_a_composite() -> dict:
+    loop = BASE["documents"]["loop"]
+    a = loop["arrows"][-1]["id"]
+    return {**loop, "compose": [row for row in loop["compose"] if row[:2] != [a, a]]}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", os.devnull])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("broken", [_loop_with_undeclared_target, _loop_without_a_composite])
+@pytest.mark.parametrize("command", _groupoid_commands("loop"), ids=" ".join)
+def test_broken_groupoid_document_is_a_named_input_error(tmp_path, broken, command):
+    path = tmp_path / "bundle.json"
+    path.write_bytes(docs.dumps(_with_groupoid("loop", broken())))
+    code, err = _run([str(path) if a == FILE else a for a in command])
+    assert code == 2, (command, err)
+    assert re.match(r"error: ('loop' is not a groupoid|loop): ", err) and err.count("\n") == 1, err
+
+
+def test_broken_mediator_document_is_a_named_input_error(tmp_path):
+    mediator = CELL_BUNDLE["documents"]["P"]
+    broken = {**mediator, "compose": mediator["compose"][1:]}
+    path = tmp_path / "cells.json"
+    path.write_bytes(docs.dumps({"kind": "bundle", "documents": {**CELL_BUNDLE["documents"], "P": broken}}))
+    for argv in (["normalize-2cell", str(path), "cell"], ["2cells-equal", str(path), "cell", "cell"]):
+        code, err = _run(argv)
+        assert code == 2 and err.startswith("error: 'P' is not a groupoid: "), (argv, err)
+
+
+@st.composite
+def groupoid_mutations(draw):
+    """A copy of one plain groupoid of the base bundle with one ``src``,
+    ``tgt`` or ``compose`` entry pointed elsewhere (or the row dropped)."""
+    name = draw(st.sampled_from(sorted(GROUPOID_USES)))
+    doc = BASE["documents"][name]
+    arrows = [row["id"] for row in doc["arrows"]]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(arrows) - 1))
+        end = draw(st.sampled_from(["src", "tgt"]))
+        rows = [dict(row) for row in doc["arrows"]]
+        rows[i][end] = draw(st.sampled_from([*doc["objects"], "nowhere"]))
+        return name, {**doc, "arrows": rows}
+    j = draw(st.integers(0, len(doc["compose"]) - 1))
+    value = draw(st.sampled_from([*arrows, None]))
+    compose = [list(row) for row in doc["compose"]]
+    if value is None:
+        del compose[j]
+    else:
+        compose[j][2] = value
+    return name, {**doc, "compose": compose}
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=groupoid_mutations())
+def test_mutated_groupoid_documents_keep_the_exit_code_contract(tmp_path_factory, mutation):
+    name, groupoid = mutation
+    path = tmp_path_factory.mktemp("fuzz") / "bundle.json"
+    path.write_bytes(docs.dumps(_with_groupoid(name, groupoid)))
+    for command in [*_groupoid_commands(name), ["validate", FILE]]:
+        _run_keeps_the_contract([str(path) if a == FILE else a for a in command])

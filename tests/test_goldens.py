@@ -23,6 +23,8 @@ COMMANDS = {
     "anafunctorify-equivariant": ["anafunctorify", "bundle.json", "span", "--equivariant"],
     "decompose": ["decompose", "bundle.json", "proj"],
     "balanced-product": ["balanced-product", "bundle.json", "klein", "inner"],
+    "quotient-factorize": ["quotient-factorize", "bundle.json", "proj"],
+    "skeleton": ["skeleton", "bundle.json", "klein"],
 }
 
 
