@@ -402,7 +402,9 @@ class FiniteGroup:
         return len(self.elements)
 
 
-def validate_group(g: FiniteGroup) -> ValidationReport:
+def check_group_declarations(g: FiniteGroup) -> None:
+    """Raise :class:`DanglingIdError` unless every element is declared once, the
+    unit is declared, and the inverse and multiplication tables are total."""
     elements = _check_unique(g.elements, "element")
     if g.unit not in elements:
         raise DanglingIdError(f"unit {g.unit!r} is not a declared element")
@@ -413,6 +415,11 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
             raise DanglingIdError(f"mul table is missing ({a!r}, {b!r})")
         if g.mul[(a, b)] not in elements:
             raise DanglingIdError(f"mul[({a!r}, {b!r})] is undeclared")
+
+
+def validate_group(g: FiniteGroup) -> ValidationReport:
+    check_group_declarations(g)
+    elements = set(g.elements)
     violations = []
     for a, b, c in itertools.product(g.elements, repeat=3):
         if g.mul[(g.mul[(a, b)], c)] != g.mul[(a, g.mul[(b, c)])]:

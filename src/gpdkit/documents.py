@@ -27,9 +27,11 @@ from .core import (
     PreconditionError,
     action_groupoid,
     check_functor_declarations,
+    check_group_declarations,
     check_groupoid_declarations,
     compose_functors,
     validate_functor,
+    validate_group,
     validate_groupoid,
 )
 from .equivariant import EquivariantFunctor, equivariant_functor
@@ -255,11 +257,19 @@ def parse_group(obj: dict, where: str = "group") -> FiniteGroup:
         if hit is None:
             raise SchemaError(f"{where}: element {a!r} has no inverse under the stated table")
         inv[a] = hit
-    return FiniteGroup(elements, mul, unit, inv)
+    g = FiniteGroup(elements, mul, unit, inv)
+    try:  # as for groupoids: malformed tables are input errors, axioms are verdicts
+        check_group_declarations(g)
+    except DanglingIdError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    return g
 
 
 def parse_action_groupoid(obj: dict, where: str = "action_groupoid") -> ActionGroupoid:
     group = parse_group(_need(obj, "group", where, dict), f"{where}.group")
+    rep = validate_group(group)
+    if not rep.ok:
+        raise PreconditionError(f"{where}.group is not a group: {rep.violations[0]}")
     carrier = tuple(_str_list(obj, "set", where))
     act = {}
     for g, x, y in _triple_rows(obj, "action", where):
@@ -272,7 +282,8 @@ class Bundle:
     """Named documents resolved to domain values, in declaration order.
 
     ``functor``, ``span`` and ``diagram`` are the lookups commands make; each
-    first checks the plain groupoid documents its value is built on.
+    first checks the plain groupoid documents its value is built on, and
+    ``group`` refuses a group document that breaks an axiom.
     """
 
     entries: dict[str, object] = field(default_factory=dict)
@@ -298,6 +309,9 @@ class Bundle:
             return value.group
         if not isinstance(value, FiniteGroup):
             raise SchemaError(f"{name!r} is not a group document")
+        rep = validate_group(value)
+        if not rep.ok:
+            raise PreconditionError(f"{name!r} is not a group: {rep.violations[0]}")
         return value
 
     def functor(self, name: str) -> GroupoidFunctor | EquivariantFunctor:

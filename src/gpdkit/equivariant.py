@@ -28,7 +28,6 @@ from .core import (
     fixed_point,
     hom_kernel,
     identity_functor,
-    identity_transformation,
     is_group_hom,
     is_normal,
     is_subgroup_of,
@@ -37,7 +36,7 @@ from .core import (
     subgroup,
     validate_functor,
 )
-from .localization import Anafunctor, GeneralizedMorphism, TwoCellDiagram, validate_two_cell
+from .localization import Anafunctor, GeneralizedMorphism, TwoCellDiagram, identity_filled_diagram
 from .morita import WeakPullback, strict_pullback, weak_equivalence_report, weak_pullback
 
 PROPERTY_NAMES = (
@@ -627,17 +626,7 @@ def equivariant_anafunctorify(
     if not weak_equivalence_report(theta).is_weak_equivalence:
         raise InternalCheckError("equivariant_anafunctorify: comparison is not a weak equivalence")
 
-    witness = TwoCellDiagram(
-        top=f,
-        bottom=ana,
-        to_top=identity_functor(k),
-        to_bottom=theta,
-        left_cell=identity_transformation(compose_functors(f.left, identity_functor(k))),
-        right_cell=identity_transformation(compose_functors(f.right, identity_functor(k))),
-    )
-    chk = validate_two_cell(witness)
-    if not chk.ok:
-        raise InternalCheckError(f"equivariant_anafunctorify: witness diagram does not validate: {chk.violations[0]}")
+    witness = identity_filled_diagram(f, ana, identity_functor(k), theta, "equivariant_anafunctorify: witness diagram")
 
     rep_left = property_report(left)
     rep_right = property_report(right)

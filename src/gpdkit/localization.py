@@ -6,11 +6,16 @@ between parallel spans is presented by a mediating diagram; every such diagram
 normalizes to a single natural transformation over the strict pullback of the
 left legs, and two diagrams present the same 2-cell exactly when their normal
 forms agree pointwise.
+
+A normal-form cell checks itself when built and keeps that pullback.  One
+builder makes every cell computed here, from candidates that must agree at
+each pullback object; :func:`identity_filled_diagram` makes every diagram
+whose filling cells are identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     FiniteGroupoid,
@@ -24,7 +29,6 @@ from .core import (
     compose_functors,
     identity_functor,
     identity_transformation,
-    render_id,
     validate_nat_trans,
 )
 from .morita import (
@@ -107,24 +111,39 @@ class TwoCellDiagram:
 
 @dataclass(frozen=True)
 class AnaTwoCell:
-    """Normal-form 2-cell: one transformation over the strict pullback of left legs."""
+    """Normal-form 2-cell: one transformation over ``pullback``, the strict
+    pullback of the left legs (built when not given), checked when built."""
 
     top: Anafunctor
     bottom: Anafunctor
     transformation: NaturalTransformation  # top.right∘pr1 ⇒ bottom.right∘pr2
+    pullback: StrictPullback = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.top.left_foot != self.bottom.left_foot or self.top.right_foot != self.bottom.right_foot:
+            raise MismatchError("2-cell endpoints are not parallel spans")
+        if self.pullback is None:
+            object.__setattr__(self, "pullback", strict_pullback(self.top.left, self.bottom.left))
+        pb = self.pullback
+        if self.transformation.source != compose_functors(self.top.right, pb.pr1):
+            raise MismatchError("2-cell transformation source is not top.right over the pullback")
+        if self.transformation.target != compose_functors(self.bottom.right, pb.pr2):
+            raise MismatchError("2-cell transformation target is not bottom.right over the pullback")
+        rep = validate_nat_trans(self.transformation)
+        if not rep.ok:
+            raise PreconditionError(f"2-cell transformation is not natural: {rep.violations[0]}")
 
 
-def _check_ana_cell(cell: AnaTwoCell, pb: StrictPullback):
-    """Check a normal-form cell built over ``pb``, the strict pullback of its left legs."""
-    if cell.top.left_foot != cell.bottom.left_foot or cell.top.right_foot != cell.bottom.right_foot:
-        raise MismatchError("2-cell endpoints are not parallel spans")
-    if cell.transformation.source != compose_functors(cell.top.right, pb.pr1):
-        raise MismatchError("2-cell transformation source is not top.right over the pullback")
-    if cell.transformation.target != compose_functors(cell.bottom.right, pb.pr2):
-        raise MismatchError("2-cell transformation target is not bottom.right over the pullback")
-    rep = validate_nat_trans(cell.transformation)
-    if not rep.ok:
-        raise PreconditionError(f"2-cell transformation is not natural: {rep.violations[0]}")
+def _ana_cell(top: Anafunctor, bottom: Anafunctor, pb: StrictPullback, candidates, where: str) -> AnaTwoCell:
+    """The cell over ``pb`` whose component at each (y1, y2) is the one value of ``candidates(y1, y2)``."""
+    component = {}
+    for (y1, y2), oid in pb.object_ids.items():
+        values = set(candidates(y1, y2))
+        if len(values) != 1:
+            raise InternalCheckError(f"{where}: {len(values)} candidate components at {oid!r}")
+        component[oid] = values.pop()
+    nu = NaturalTransformation(compose_functors(top.right, pb.pr1), compose_functors(bottom.right, pb.pr2), component)
+    return AnaTwoCell(top, bottom, nu, pb)
 
 
 def compose_generalized(f: GeneralizedMorphism, g: GeneralizedMorphism) -> GeneralizedMorphism:
@@ -160,28 +179,18 @@ def identity_two_cell(f: Anafunctor) -> AnaTwoCell:
     Over the self-pullback of the left leg, the component at (y1, y2) is the
     right leg applied to the unique arrow y1 -> y2 sitting over the identity.
     """
-    pb = strict_pullback(f.left, f.left)
     inverse = ff_inverse(f.left)
     unit_of = f.left_foot.unit
-    component = {}
-    for (y1, y2), oid in pb.object_ids.items():
-        component[oid] = f.right.arr_map[inverse[(y1, y2, unit_of[f.left.obj_map[y1]])]]
-    cell = AnaTwoCell(
-        f,
-        f,
-        NaturalTransformation(
-            compose_functors(f.right, pb.pr1),
-            compose_functors(f.right, pb.pr2),
-            component,
-        ),
+    return _ana_cell(
+        f, f, strict_pullback(f.left, f.left),
+        lambda y1, y2: (f.right.arr_map[inverse[(y1, y2, unit_of[f.left.obj_map[y1]])]],),
+        "identity_two_cell",
     )
-    _check_ana_cell(cell, pb)
-    return cell
 
 
 def as_diagram(cell: AnaTwoCell) -> TwoCellDiagram:
     """Render a normal-form 2-cell as a mediating diagram with a trivial left cell."""
-    pb = strict_pullback(cell.top.left, cell.bottom.left)
+    pb = cell.pullback
     return TwoCellDiagram(
         top=cell.top,
         bottom=cell.bottom,
@@ -239,11 +248,17 @@ def normalize_two_cell(d: TwoCellDiagram) -> AnaTwoCell:
     R2(m) ∘ δ_w ∘ R1(k)⁻¹.  Every choice of (w, k) is computed and must give
     the same value.
     """
+    return _normalize(d)
+
+
+def _normalize(d: TwoCellDiagram, pb: StrictPullback | None = None) -> AnaTwoCell:
+    """:func:`normalize_two_cell` over ``pb``, the left legs' strict pullback, built when not given."""
     rep = validate_two_cell(d)
     if not rep.ok:
         raise PreconditionError(f"normalize_two_cell: diagram does not validate: {rep.violations[0]}")
     top, bottom = as_anafunctor(d.top), as_anafunctor(d.bottom)
-    pb = strict_pullback(top.left, bottom.left)
+    if pb is None:
+        pb = strict_pullback(top.left, bottom.left)
     upper = top.middle
     left_foot, right_foot = top.left_foot, top.right_foot
     # y1 -> every (w, k) with k: α(w) -> y1, mediator objects in order
@@ -253,21 +268,15 @@ def normalize_two_cell(d: TwoCellDiagram) -> AnaTwoCell:
         for k in out_of[d.to_top.obj_map[w]]:
             anchors[upper.tgt[k]].append((w, k))
     lift = ff_inverse(bottom.left)
-    component = {}
-    for (y1, y2), oid in pb.object_ids.items():
-        values = set()
+
+    def candidates(y1, y2):
         for w, k in anchors[y1]:
             eps_inv = left_foot.inv[d.left_cell.component[w]]
             m = lift[(d.to_bottom.obj_map[w], y2, left_foot.compose[(top.left.arr_map[k], eps_inv)])]
             back = right_foot.compose[(d.right_cell.component[w], right_foot.inv[top.right.arr_map[k]])]
-            values.add(right_foot.compose[(bottom.right.arr_map[m], back)])
-        if len(values) != 1:
-            raise InternalCheckError(f"normalize_two_cell: {len(values)} candidate components at {oid!r}")
-        component[oid] = values.pop()
-    nu = NaturalTransformation(compose_functors(top.right, pb.pr1), compose_functors(bottom.right, pb.pr2), component)
-    cell = AnaTwoCell(top, bottom, nu)
-    _check_ana_cell(cell, pb)
-    return cell
+            yield right_foot.compose[(bottom.right.arr_map[m], back)]
+
+    return _ana_cell(top, bottom, pb, candidates, "normalize_two_cell")
 
 
 def two_cell_difference(d1: TwoCellDiagram, d2: TwoCellDiagram) -> tuple[str, str, str] | None:
@@ -275,7 +284,7 @@ def two_cell_difference(d1: TwoCellDiagram, d2: TwoCellDiagram) -> tuple[str, st
 
     Both diagrams must connect the same pair of anafunctors (as tables);
     ``None`` means they present the same 2-cell, which is sound and complete
-    because the normal form is unique.
+    because the normal form is unique.  Both are normalized over one pullback.
     """
     same_pair = (
         as_anafunctor(d1.top) == as_anafunctor(d2.top)
@@ -283,8 +292,9 @@ def two_cell_difference(d1: TwoCellDiagram, d2: TwoCellDiagram) -> tuple[str, st
     )
     if not same_pair:
         raise MismatchError("two_cells_equal: diagrams do not connect the same pair of spans")
-    c1 = normalize_two_cell(d1).transformation.component
-    c2 = normalize_two_cell(d2).transformation.component
+    n1 = _normalize(d1)
+    c1 = n1.transformation.component
+    c2 = _normalize(d2, n1.pullback).transformation.component
     return next(((o, c1[o], c2[o]) for o in c1 if c1[o] != c2[o]), None)
 
 
@@ -304,45 +314,49 @@ def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
     if c1.bottom != c2.top:
         raise MismatchError("vertical_compose_ana: cells do not share a middle span")
     f, g, h = c1.top, c1.bottom, c2.bottom
-    pb = strict_pullback(f.left, h.left)
     over: dict[str, list[str]] = {}
     for y in g.middle.objects:
         over.setdefault(g.left.obj_map[y], []).append(y)
     first, second = c1.transformation.component, c2.transformation.component
+    first_id, second_id = c1.pullback.object_ids, c2.pullback.object_ids
     cod = f.right_foot
-    component = {}
-    for (y, y2), oid in pb.object_ids.items():
-        values = {
-            cod.compose[(second[render_id((mid, y2))], first[render_id((y, mid))])]
+    return _ana_cell(
+        f, h, strict_pullback(f.left, h.left),
+        lambda y, y2: (
+            cod.compose[(second[second_id[(mid, y2)]], first[first_id[(y, mid)]])]
             for mid in over.get(f.left.obj_map[y], ())
-        }
-        if len(values) != 1:
-            raise InternalCheckError(f"vertical_compose_ana: {len(values)} candidate components at {oid!r}")
-        component[oid] = values.pop()
-    lam = NaturalTransformation(compose_functors(f.right, pb.pr1), compose_functors(h.right, pb.pr2), component)
-    cell = AnaTwoCell(f, h, lam)
-    _check_ana_cell(cell, pb)
-    return cell
+        ),
+        "vertical_compose_ana",
+    )
 
 
 def inverse_two_cell(cell: AnaTwoCell) -> AnaTwoCell:
     """Pointwise inverse, living over the swapped pullback."""
-    pb = strict_pullback(cell.bottom.left, cell.top.left)
     cod = cell.top.right_foot
-    component = {}
-    for (y2, y1), oid in pb.object_ids.items():
-        component[oid] = cod.inv[cell.transformation.component[render_id((y1, y2))]]
-    out = AnaTwoCell(
-        cell.bottom,
-        cell.top,
-        NaturalTransformation(
-            compose_functors(cell.bottom.right, pb.pr1),
-            compose_functors(cell.top.right, pb.pr2),
-            component,
-        ),
+    component, ids = cell.transformation.component, cell.pullback.object_ids
+    return _ana_cell(
+        cell.bottom, cell.top, strict_pullback(cell.bottom.left, cell.top.left),
+        lambda y2, y1: (cod.inv[component[ids[(y1, y2)]]],),
+        "inverse_two_cell",
     )
-    _check_ana_cell(out, pb)
-    return out
+
+
+def identity_filled_diagram(
+    top: GeneralizedMorphism,
+    bottom: GeneralizedMorphism,
+    to_top: GroupoidFunctor,
+    to_bottom: GroupoidFunctor,
+    what: str,
+) -> TwoCellDiagram:
+    """The diagram whose filling cells are identities; raises :class:`InternalCheckError` naming ``what``
+    unless it validates."""
+    left_cell = identity_transformation(compose_functors(top.left, to_top))
+    right_cell = identity_transformation(compose_functors(top.right, to_top))
+    diagram = TwoCellDiagram(top, bottom, to_top, to_bottom, left_cell, right_cell)
+    chk = validate_two_cell(diagram)
+    if not chk.ok:
+        raise InternalCheckError(f"{what} does not validate: {chk.violations[0]}")
+    return diagram
 
 
 def strictify_composition(f: GeneralizedMorphism, g: GeneralizedMorphism) -> TwoCellDiagram:
@@ -370,18 +384,9 @@ def strictify_composition(f: GeneralizedMorphism, g: GeneralizedMorphism) -> Two
     if not rep.is_weak_equivalence:
         raise InternalCheckError("strictify_composition: unit-anchored inclusion is not a weak equivalence")
 
-    diagram = TwoCellDiagram(
-        top=weak_comp,
-        bottom=strict_comp,
-        to_top=inclusion,
-        to_bottom=identity_functor(sp.apex),
-        left_cell=identity_transformation(compose_functors(weak_comp.left, inclusion)),
-        right_cell=identity_transformation(compose_functors(weak_comp.right, inclusion)),
+    return identity_filled_diagram(
+        weak_comp, strict_comp, inclusion, identity_functor(sp.apex), "strictify_composition: diagram"
     )
-    chk = validate_two_cell(diagram)
-    if not chk.ok:
-        raise InternalCheckError(f"strictify_composition: diagram does not validate: {chk.violations[0]}")
-    return diagram
 
 
 @dataclass(frozen=True)
@@ -410,15 +415,5 @@ def anafunctorify(f: GeneralizedMorphism) -> Anafunctorification:
         arr_map[a] = wp.arrow_ids[(f.left.arr_map[a], foot.unit[x], a)]
     section = GroupoidFunctor(k, wp.apex, obj_map, arr_map)
 
-    witness = TwoCellDiagram(
-        top=f,
-        bottom=ana,
-        to_top=identity_functor(k),
-        to_bottom=section,
-        left_cell=identity_transformation(compose_functors(f.left, identity_functor(k))),
-        right_cell=identity_transformation(compose_functors(f.right, identity_functor(k))),
-    )
-    chk = validate_two_cell(witness)
-    if not chk.ok:
-        raise InternalCheckError(f"anafunctorify: witness diagram does not validate: {chk.violations[0]}")
+    witness = identity_filled_diagram(f, ana, identity_functor(k), section, "anafunctorify: witness diagram")
     return Anafunctorification(ana, witness)

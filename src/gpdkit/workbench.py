@@ -332,7 +332,6 @@ def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInst
     spans.sort(key=lambda s: _span_size(s[0]))
     spans = spans[: 3 * SAMPLE_CAPS["spans"]]
     spans = spans[: SAMPLE_CAPS["spans"]] if budget.exhaustive else maybe_sample(spans, "spans")
-    spans.sort(key=lambda s: _span_size(s[0]))
 
     return WorkbenchInstances(
         budget=budget,
@@ -612,52 +611,44 @@ def run_law_suite(budget: InstanceBudget, instances: WorkbenchInstances | None =
     laws.append(law_skeleton_preserved())
 
     def law_factorization_unique():
+        def factorizations(phi: GroupoidFunctor, side: str) -> int | None:
+            """How many transformations of the identity on ``phi``'s domain
+            (``side="left"``) or codomain (``"right"``) whisker with ``phi``
+            to the whiskered identity; ``None`` past 4096 candidates."""
+            g = phi.dom if side == "left" else phi.cod
+            hom = g.hom_index()
+            ident = identity_functor(g)
+            target = whisker(identity_transformation(ident), phi, side)
+            options = [hom.get((z, z), []) for z in g.objects]
+            total = 1
+            for opts in options:
+                total *= max(len(opts), 1)
+            if total > 4096:
+                return None
+            solutions = 0
+            for combo in itertools.product(*options):
+                trial = NaturalTransformation(ident, ident, dict(zip(g.objects, combo)))
+                if validate_nat_trans(trial).ok and whisker(trial, phi, side) == target:
+                    solutions += 1
+            return solutions
+
         def checks():
             for span, _, _ in inst.spans[:10]:
                 phi = span.left
-                dom, cod = phi.dom, phi.cod
-                hom = dom.hom_index()
-                psi = identity_functor(dom)
                 rep = weak_equivalence_report(phi)
-                eta = whisker(identity_transformation(psi), phi, "left")
-                candidates = 1
-                per_object = []
-                for z in dom.objects:
-                    opts = hom.get((z, z), [])
-                    per_object.append(opts)
-                    candidates *= max(len(opts), 1)
-                if candidates > 4096 or not rep.ff_map_bijective:
+                # fully faithful side: factor a left-whiskered identity back out
+                solutions = factorizations(phi, "left") if rep.ff_map_bijective else None
+                if solutions is None:
                     yield ("skipped: too many candidates", True)
                     continue
-                solutions = 0
-                for combo in itertools.product(*per_object):
-                    cand = dict(zip(dom.objects, combo))
-                    trial = NaturalTransformation(psi, psi, cand)
-                    if not validate_nat_trans(trial).ok:
-                        continue
-                    if whisker(trial, phi, "left") == eta:
-                        solutions += 1
                 yield (f"{solutions} factorizations through a fully faithful leg", solutions == 1)
                 if not rep.is_ssw:
                     continue
                 # surjective side: factor a right-whiskered identity back out
-                cod_hom = cod.hom_index()
-                cod_id = identity_functor(cod)
-                target = whisker(identity_transformation(cod_id), phi, "right")
-                options = [cod_hom.get((y, y), []) for y in cod.objects]
-                total = 1
-                for opts in options:
-                    total *= max(len(opts), 1)
-                if total > 4096:
+                solutions = factorizations(phi, "right")
+                if solutions is None:
                     yield ("skipped: too many candidates", True)
                     continue
-                solutions = 0
-                for combo in itertools.product(*options):
-                    trial = NaturalTransformation(cod_id, cod_id, dict(zip(cod.objects, combo)))
-                    if not validate_nat_trans(trial).ok:
-                        continue
-                    if whisker(trial, phi, "right") == target:
-                        solutions += 1
                 yield (f"{solutions} factorizations through a surjective leg", solutions == 1)
         return _law("morita: factorizations are unique", checks())
 

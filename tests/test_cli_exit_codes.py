@@ -21,6 +21,7 @@ from gpdkit import documents as docs
 from gpdkit.catalog import cyclic_group
 from gpdkit.cli import build_klein_example, main
 from gpdkit.core import GroupoidFunctor, action_groupoid, identity_functor
+from gpdkit.core import FiniteGroup
 from gpdkit.core import identity_transformation
 from gpdkit.equivariant import PROPERTY_NAMES, quotient_action
 from gpdkit.localization import Anafunctor, as_diagram, identity_two_cell
@@ -360,3 +361,102 @@ def test_mutated_groupoid_documents_keep_the_exit_code_contract(tmp_path_factory
     path.write_bytes(docs.dumps(_with_groupoid(name, groupoid)))
     for command in [*_groupoid_commands(name), ["validate", FILE]]:
         _run_keeps_the_contract([str(path) if a == FILE else a for a in command])
+
+
+# Group tables are checked when read: a malformed table exits 2 naming its
+# document, and a table that breaks a group axiom is refused before any
+# command computes with it, while ``validate`` reports it as a verdict (exit 1).
+
+C2_GROUP = docs.group_doc(cyclic_group(2))
+ON_A_POINT = docs.action_doc(action_groupoid(cyclic_group(2), ("p",), {("r0", "p"): "p", ("r1", "p"): "p"}))
+NON_ASSOCIATIVE_LOOP = ("01234", "10342", "24013", "32401", "43120")  # rows of an order-5 Latin square
+
+
+def _loop_group() -> FiniteGroup:
+    elements = tuple("01234")
+    mul = {(a, b): row[int(b)] for a, row in zip(elements, NON_ASSOCIATIVE_LOOP) for b in elements}
+    return FiniteGroup(elements, mul, "0", {a: a for a in elements})  # every element is its own inverse
+
+
+def _trivial_action(unit: str) -> dict:
+    return docs.action_doc(action_groupoid(FiniteGroup((unit,), {(unit, unit): unit}, unit, {unit: unit}), ("*",), {(unit, "*"): "*"}))
+
+
+def _repoint_mul(group: dict, a: str, b: str, value) -> dict:
+    """``group`` with the ``mul`` row for (a, b) dropped (``value`` None) or pointed at ``value``."""
+    rows = [row for row in group["mul"] if row[:2] != [a, b]]
+    if value is not None:
+        rows.append([a, b, value])
+    return {**group, "mul": rows}
+
+
+def _write(tmp_path, documents: dict) -> str:
+    path = tmp_path / "bundle.json"
+    path.write_bytes(docs.dumps({"kind": "bundle", "documents": documents}))
+    return str(path)
+
+
+@pytest.mark.parametrize("value", [None, "x"], ids=["missing", "undeclared"])
+def test_malformed_group_table_is_a_named_input_error(tmp_path, value):
+    action = {**ON_A_POINT, "group": _repoint_mul(ON_A_POINT["group"], "r1", "r0", value)}
+    path = _write(tmp_path, {"A": action})
+    for argv in (["validate", path], ["skeleton", path, "A"], ["check-properties", path, "A"]):
+        code, err = _run(argv)
+        assert code == 2 and err.startswith("error: A.group: ") and err.count("\n") == 1, (argv, err)
+    path = _write(tmp_path, {"G": _repoint_mul(C2_GROUP, "r1", "r0", value), "T": _trivial_action("r0")})
+    code, err = _run(["balanced-product", path, "G", "T"])
+    assert code == 2 and err.startswith("error: G: "), err
+
+
+def test_non_group_table_is_refused(tmp_path):
+    loop = _loop_group()
+    on_a_point = action_groupoid(loop, ("*",), {(g, "*"): "*" for g in loop.elements})
+    identity = docs.functor_doc(identity_functor(on_a_point.induced), "L", "L", {g: g for g in loop.elements})
+    path = _write(tmp_path, {"L": docs.action_doc(on_a_point), "id": identity})
+    for argv in (
+        ["skeleton", path, "L"],
+        ["check-we", path, "id"],
+        ["decompose", path, "id"],
+        ["quotient-factorize", path, "id"],
+        ["pullback", "--mode", "strict", path, "id", "id"],
+    ):
+        code, err = _run(argv)
+        assert code == 2 and err.startswith("error: L.group is not a group: "), (argv, err)
+    out = tmp_path / "report.json"
+    assert main(["validate", path, "--out", str(out)]) == 1
+    assert docs.loads(out.read_bytes())["violations"][0]["axiom"] == "construction"
+
+    path = _write(tmp_path, {"G": docs.group_doc(loop), "T": _trivial_action("0")})
+    code, err = _run(["balanced-product", path, "G", "T"])
+    assert code == 2 and err.startswith("error: 'G' is not a group: "), err
+    assert main(["validate", path, "G", "--out", os.devnull]) == 1
+
+
+GOLDEN_ACTIONS = sorted(name for name, doc in GOLDEN_DOCUMENTS.items() if doc["kind"] == "action_groupoid")
+
+
+@st.composite
+def group_table_mutations(draw):
+    """One golden action groupoid with one ``mul`` entry of its group dropped
+    or pointed at another element, declared or not."""
+    name = draw(st.sampled_from(GOLDEN_ACTIONS))
+    group = GOLDEN_DOCUMENTS[name]["group"]
+    a, b, _ = draw(st.sampled_from(group["mul"]))
+    return name, _repoint_mul(group, a, b, draw(st.sampled_from([*group["elements"], "x", None])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=group_table_mutations())
+def test_mutated_group_tables_keep_the_exit_code_contract(tmp_path_factory, mutation):
+    name, group = mutation
+    documents = {**GOLDEN_DOCUMENTS, name: {**GOLDEN_DOCUMENTS[name], "group": group}}
+    path = tmp_path_factory.mktemp("fuzz") / "bundle.json"
+    path.write_bytes(docs.dumps({"kind": "bundle", "documents": documents}))
+    for argv in (
+        ["validate", FILE],
+        ["skeleton", FILE, name],
+        ["check-properties", FILE, name],
+        ["balanced-product", FILE, "klein", "inner"],
+        ["decompose", FILE, "proj"],
+    ):
+        _run_keeps_the_contract([str(path) if a == FILE else a for a in argv])

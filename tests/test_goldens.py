@@ -25,6 +25,8 @@ COMMANDS = {
     "balanced-product": ["balanced-product", "bundle.json", "klein", "inner"],
     "quotient-factorize": ["quotient-factorize", "bundle.json", "proj"],
     "skeleton": ["skeleton", "bundle.json", "klein"],
+    "normalize-2cell": ["normalize-2cell", "bundle.json", "flip"],
+    "2cells-equal": ["2cells-equal", "bundle.json", "cell", "cell"],
 }
 
 

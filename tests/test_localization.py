@@ -14,7 +14,9 @@ from gpdkit.core import (
     validate_groupoid,
     validate_nat_trans,
 )
+from gpdkit import localization
 from gpdkit.localization import (
+    AnaTwoCell,
     Anafunctor,
     GeneralizedMorphism,
     TwoCellDiagram,
@@ -27,6 +29,7 @@ from gpdkit.localization import (
     inverse_two_cell,
     normalize_two_cell,
     strictify_composition,
+    two_cell_difference,
     two_cells_equal,
     validate_two_cell,
     vertical_compose_ana,
@@ -174,6 +177,34 @@ def _flip_cell(span, iota):
     from gpdkit.localization import AnaTwoCell
 
     return AnaTwoCell(span, span, nu)
+
+
+class TestNormalFormCell:
+    def test_non_natural_cell_refused(self, loop_span):
+        iota = identity_two_cell(loop_span)
+        loop_gpd = loop_span.right_foot
+        loop = next(a for a in loop_gpd.arrows if a not in set(loop_gpd.unit.values()))
+        component = dict(iota.transformation.component)
+        first = next(iter(component))
+        component[first] = loop_gpd.compose[(loop, component[first])]
+        nu = NaturalTransformation(iota.transformation.source, iota.transformation.target, component)
+        with pytest.raises(PreconditionError, match="not natural"):
+            AnaTwoCell(loop_span, loop_span, nu)
+
+    def test_cell_off_the_pullback_refused(self, loop_span):
+        with pytest.raises(MismatchError, match="over the pullback"):
+            AnaTwoCell(loop_span, loop_span, identity_transformation(loop_span.right))
+
+    def test_cell_keeps_its_pullback(self, loop_span, monkeypatch):
+        iota = identity_two_cell(loop_span)
+        flipped = _flip_cell(loop_span, iota)
+        built = []
+        real = localization.strict_pullback
+        monkeypatch.setattr(localization, "strict_pullback", lambda phi, psi: built.append(1) or real(phi, psi))
+        d1, d2 = as_diagram(iota), as_diagram(flipped)
+        assert built == []
+        assert two_cell_difference(d1, d2) is not None
+        assert len(built) == 1
 
 
 class TestValidateTwoCell:
