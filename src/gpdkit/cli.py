@@ -17,19 +17,13 @@ from .catalog import klein_four_group
 from .core import (
     ActionGroupoid,
     DanglingIdError,
-    FiniteGroup,
-    FiniteGroupoid,
-    GroupoidFunctor,
     MismatchError,
     PreconditionError,
     action_groupoid,
     fixed_point,
     stabilizer,
     subgroup,
-    validate_functor,
     validate_groupoid,
-    validate_group,
-    validate_nat_trans,
 )
 from .equivariant import (
     EquivariantFunctor,
@@ -43,7 +37,6 @@ from .equivariant import (
     quotient_factorization,
 )
 from .localization import (
-    GeneralizedMorphism,
     anafunctorify,
     compose_anafunctors,
     compose_generalized,
@@ -61,8 +54,9 @@ from .morita import (
 from .workbench import InstanceBudget, run_law_suite
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    data = docs.dumps(doc)
+def _emit(doc: dict | bytes, out: str | None) -> None:
+    """Write ``doc`` as canonical JSON (bytes as they are) to ``out``, or to stdout."""
+    data = doc if isinstance(doc, bytes) else docs.dumps(doc)
     if out:
         with open(out, "wb") as fh:
             fh.write(data)
@@ -88,69 +82,22 @@ def _functor_with_actions(bundle: docs.Bundle, name: str):
     value = bundle.functor(name)
     if isinstance(value, EquivariantFunctor):
         return value
-    dom_name = bundle.docs[name]["dom"]
-    cod_name = bundle.docs[name]["cod"]
-    check = as_equivariant(bundle.action(dom_name), bundle.action(cod_name), value)
+    check = as_equivariant(*bundle.actions_of(name), value)
     if not check.ok:
         raise docs.SchemaError(f"{name!r} is not equivariant (witness arrow {check.witness!r})")
     return check.functor
 
 
-def _span_bundle(span: GeneralizedMorphism, group_homs=(None, None)) -> dict:
-    left_doc = docs.functor_doc(span.left, "middle", "left_foot", group_homs[0])
-    right_doc = docs.functor_doc(span.right, "middle", "right_foot", group_homs[1])
-    return {
-        "middle": docs.groupoid_doc(span.middle),
-        "left_foot": docs.groupoid_doc(span.left_foot),
-        "right_foot": docs.groupoid_doc(span.right_foot),
-        "composite": docs.span_doc(left_doc, right_doc),
-    }
-
-
 def _cmd_validate(args) -> int:
     try:
         bundle = _load(args.file)
-    except (PreconditionError,) as exc:
+    except PreconditionError as exc:
         _emit({"kind": "validation_report", "ok": False, "violations": [{"axiom": "construction", "witness": str(exc)}]}, args.out)
         return 1
-    if args.name is not None and args.name not in bundle.docs:
-        raise docs.SchemaError(f"no document named {args.name!r} in the bundle")
-    names = [args.name] if args.name else list(bundle.docs)
-    violations = []
-    for name in names:
-        entry = bundle.entries[name]
-        raw_kind = bundle.docs[name]["kind"]
-        if isinstance(entry, ActionGroupoid):
-            report = validate_groupoid(entry.induced)
-        elif isinstance(entry, FiniteGroupoid):
-            report = validate_groupoid(entry)
-        elif isinstance(entry, FiniteGroup):
-            report = validate_group(entry)
-        elif isinstance(entry, EquivariantFunctor):
-            report = validate_functor(entry.functor)
-        elif isinstance(entry, GroupoidFunctor):
-            report = validate_functor(entry)
-        elif isinstance(entry, docs.RawSpan):
-            rep = validate_functor(entry.left)
-            if rep.ok:
-                rep = validate_functor(entry.right)
-            if rep.ok:
-                we = weak_equivalence_report(entry.left)
-                if not we.is_weak_equivalence:
-                    violations.append(
-                        {"document": name, "axiom": "left-leg-weak-equivalence",
-                         "witness": repr((we.es_witness, we.ff_witness))}
-                    )
-                continue
-            report = rep
-        elif raw_kind == "two_cell_diagram":
-            report = validate_two_cell(entry)
-        elif isinstance(entry, InstanceBudget):
-            continue
-        else:
-            report = validate_nat_trans(entry)
-        for v in report.violations:
-            violations.append({"document": name, "axiom": v.axiom, "witness": repr(v.witness)})
+    names = list(bundle.docs) if args.name is None else [args.name]
+    violations = [
+        {"document": name, "axiom": v.axiom, "witness": repr(v.witness)} for name in names for v in bundle.validate(name)
+    ]
     _emit({"kind": "validation_report", "ok": not violations, "violations": violations}, args.out)
     return 0 if not violations else 1
 
@@ -238,7 +185,13 @@ def _cmd_compose(args, strict: bool) -> int:
         composite = compose_anafunctors(as_anafunctor(f), as_anafunctor(g))
     else:
         composite = compose_generalized(f, g)
-    _emit({"kind": "bundle", "documents": _span_bundle(composite)}, args.out)
+    out = {
+        "middle": docs.groupoid_doc(composite.middle),
+        "left_foot": docs.groupoid_doc(composite.left_foot),
+        "right_foot": docs.groupoid_doc(composite.right_foot),
+        "composite": docs.legs_doc(composite, "middle"),
+    }
+    _emit({"kind": "bundle", "documents": out}, args.out)
     return 0
 
 
@@ -290,19 +243,6 @@ def _cmd_balanced_product(args) -> int:
     return 0
 
 
-def _witness_documents(witness, top_span_doc: dict, bottom_span_doc: dict) -> dict:
-    return {
-        "kind": "two_cell_diagram",
-        "top": top_span_doc,
-        "bottom": bottom_span_doc,
-        "mediator": "old_middle",
-        "alpha": docs.functor_doc(witness.to_top, "old_middle", "old_middle"),
-        "alpha_prime": docs.functor_doc(witness.to_bottom, "old_middle", "new_middle"),
-        "eta1": {"component": dict(witness.left_cell.component)},
-        "eta2": {"component": dict(witness.right_cell.component)},
-    }
-
-
 def _cmd_anafunctorify(args) -> int:
     bundle = _load(args.file)
     name = _single_name(bundle, args.span, "span")
@@ -313,39 +253,15 @@ def _cmd_anafunctorify(args) -> int:
         "old_middle": docs.groupoid_doc(span.middle),
     }
     if args.equivariant:
-        left_action, right_action = _span_feet_actions(bundle, name)
-        result = equivariant_anafunctorify(span, left_action, right_action)
-        ana = result.anafunctor
-        witness = result.witness
+        result = equivariant_anafunctorify(span, *bundle.actions_of(name))
         entries["new_middle"] = docs.action_doc(result.middle_action)
     else:
         result = anafunctorify(span)
-        ana = result.anafunctor
-        witness = result.witness
-        entries["new_middle"] = docs.groupoid_doc(ana.middle)
-    old_span_doc = docs.span_doc(
-        docs.functor_doc(span.left, "old_middle", "left_foot"),
-        docs.functor_doc(span.right, "old_middle", "right_foot"),
-    )
-    new_span_doc = docs.span_doc(
-        docs.functor_doc(ana.left, "new_middle", "left_foot"),
-        docs.functor_doc(ana.right, "new_middle", "right_foot"),
-    )
-    entries["anafunctor"] = new_span_doc
-    entries["witness"] = _witness_documents(witness, old_span_doc, new_span_doc)
+        entries["new_middle"] = docs.groupoid_doc(result.anafunctor.middle)
+    entries["anafunctor"] = docs.legs_doc(result.anafunctor, "new_middle")
+    entries["witness"] = docs.diagram_doc(result.witness, "old_middle", "old_middle", "new_middle")
     _emit({"kind": "bundle", "documents": entries}, args.out)
     return 0
-
-
-def _span_feet_actions(bundle: docs.Bundle, name: str) -> tuple[ActionGroupoid, ActionGroupoid]:
-    span_doc = bundle.docs[name]
-    sides = []
-    for side in ("left", "right"):
-        raw = span_doc[side]
-        if isinstance(raw, str):
-            raw = bundle.docs[raw]
-        sides.append(bundle.action(raw["cod"]))
-    return sides[0], sides[1]
 
 
 def _cmd_normalize(args) -> int:
@@ -361,14 +277,8 @@ def _cmd_normalize(args) -> int:
         "top_middle": docs.groupoid_doc(cell.top.middle),
         "bottom_middle": docs.groupoid_doc(cell.bottom.middle),
         "pullback": docs.groupoid_doc(cell.transformation.source.dom),
-        "top": docs.span_doc(
-            docs.functor_doc(cell.top.left, "top_middle", "left_foot"),
-            docs.functor_doc(cell.top.right, "top_middle", "right_foot"),
-        ),
-        "bottom": docs.span_doc(
-            docs.functor_doc(cell.bottom.left, "bottom_middle", "left_foot"),
-            docs.functor_doc(cell.bottom.right, "bottom_middle", "right_foot"),
-        ),
+        "top": docs.legs_doc(cell.top, "top_middle"),
+        "bottom": docs.legs_doc(cell.bottom, "bottom_middle"),
         "transformation": docs.transformation_doc(pb_left, pb_right, cell.transformation),
     }
     _emit({"kind": "bundle", "documents": entries}, args.out)
@@ -438,12 +348,7 @@ def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
 def _cmd_suite(args) -> int:
     budget = _parse_budget(args.budget, args.seed)
     report = run_law_suite(budget)
-    data = report.to_bytes()
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _emit(report.to_bytes(), args.out)
     return 0 if report.all_ok else 1
 
 

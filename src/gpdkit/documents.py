@@ -2,8 +2,12 @@
 
 One format for everything: a document is a JSON object with a ``kind`` tag
 (groupoid, action_groupoid, group, functor, span, two_cell_diagram,
-transformation, suite_config), and a bundle maps names to documents so that
-functors can reference their endpoint groupoids by sibling name.
+transformation), and a bundle maps names to documents so that functors can
+reference their endpoint groupoids by sibling name.  Each kind is declared in
+one place, the ``_KINDS`` table at the end of this module: the phase it is
+read in, its parser and its validator.  Bytes that are not UTF-8, JSON nested
+too deeply to read and integers too long to convert are refused as
+:class:`SchemaError`.
 Serialization is canonical: sorted keys, arrays in declaration order,
 two-space indentation, UTF-8, newline-terminated, so parse followed by
 serialize is the identity on canonical inputs.  :func:`dumps` writes the
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import (
     ActionGroupoid,
@@ -25,6 +30,8 @@ from .core import (
     GroupoidFunctor,
     NaturalTransformation,
     PreconditionError,
+    ValidationReport,
+    Violation,
     action_groupoid,
     check_functor_declarations,
     check_group_declarations,
@@ -33,24 +40,13 @@ from .core import (
     validate_functor,
     validate_group,
     validate_groupoid,
+    validate_nat_trans,
 )
 from .equivariant import EquivariantFunctor, equivariant_functor
-from .localization import GeneralizedMorphism, TwoCellDiagram
-from .workbench import InstanceBudget
+from .localization import GeneralizedMorphism, TwoCellDiagram, validate_two_cell
+from .morita import weak_equivalence_report
 
 _encode_str = json.encoder.encode_basestring
-
-KINDS = (
-    "groupoid",
-    "action_groupoid",
-    "group",
-    "functor",
-    "span",
-    "two_cell_diagram",
-    "transformation",
-    "suite_config",
-    "bundle",
-)
 
 
 class SchemaError(ValueError):
@@ -101,12 +97,16 @@ def _write(value, newline: str, parts: list[str]) -> None:
 
 
 def loads(data: bytes | str) -> dict:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"byte {exc.start}: not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise SchemaError("JSON nested too deeply to read") from None
+    except ValueError:  # an integer literal longer than the interpreter converts
+        raise SchemaError("a number has too many digits to read") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected a JSON object")
     return doc
@@ -251,17 +251,15 @@ def parse_group(obj: dict, where: str = "group") -> FiniteGroup:
     for a, b, c in _triple_rows(obj, "mul", where):
         mul[(a, b)] = c
     unit = str(_need(obj, "unit", where, str))
-    inv: dict[str, str] = {}
-    for a in elements:
-        hit = next((b for b in elements if mul.get((a, b)) == unit), None)
-        if hit is None:
-            raise SchemaError(f"{where}: element {a!r} has no inverse under the stated table")
-        inv[a] = hit
+    inv = {a: next((b for b in elements if mul.get((a, b)) == unit), None) for a in elements}
     g = FiniteGroup(elements, mul, unit, inv)
     try:  # as for groupoids: malformed tables are input errors, axioms are verdicts
         check_group_declarations(g)
     except DanglingIdError as exc:
         raise SchemaError(f"{where}: {exc}") from None
+    for a, b in inv.items():  # searched before the check, named only once the table is total
+        if b is None:
+            raise SchemaError(f"{where}: element {a!r} has no inverse under the stated table")
     return g
 
 
@@ -340,6 +338,23 @@ class Bundle:
         )
         return value
 
+    def validate(self, name: str) -> tuple[Violation, ...]:
+        """Every axiom violation of document ``name``, found by its kind's validator."""
+        value = self._lookup(name)
+        return _KINDS[self.docs[name]["kind"]].validate(value).violations
+
+    def actions_of(self, name: str) -> tuple[ActionGroupoid, ActionGroupoid]:
+        """The action groupoids at the two ends of functor or span document ``name``:
+        a functor's domain and codomain, a span's left and right feet."""
+        self._lookup(name)
+        doc = self.docs[name]
+        if doc["kind"] == "functor":
+            return self.action(doc["dom"]), self.action(doc["cod"])
+        if doc["kind"] != "span":
+            raise SchemaError(f"{name!r} is not a functor or span document")
+        left, right = (self.docs[leg] if isinstance(leg, str) else leg for leg in (doc["left"], doc["right"]))
+        return self.action(left["cod"]), self.action(right["cod"])
+
     def require_groupoids(self, *groupoids: FiniteGroupoid) -> None:
         """Raise :class:`PreconditionError` naming the first plain groupoid document among
         ``groupoids`` that breaks an axiom; action groupoids were verified when parsed."""
@@ -353,6 +368,17 @@ class Bundle:
         if name not in self.entries:
             raise SchemaError(f"no document named {name!r} in the bundle")
         return self.entries[name]
+
+
+def _ref(bundle: Bundle, obj: dict, key: str, where: str, kind: str):
+    """Field ``key`` of ``obj`` resolved: a ``kind`` document given inline or by sibling name."""
+    raw = _need(obj, key, where, (dict, str))
+    if isinstance(raw, dict):
+        return _KINDS[kind].parse(bundle, raw, f"{where}.{key}")
+    value = bundle._lookup(raw)
+    if bundle.docs[raw]["kind"] != kind:
+        raise SchemaError(f"{where}: {key!r} does not name a {kind} document")
+    return value
 
 
 def _parse_functor(bundle: Bundle, obj: dict, where: str):
@@ -378,6 +404,10 @@ def _as_plain_functor(value) -> GroupoidFunctor:
     return value.functor if isinstance(value, EquivariantFunctor) else value
 
 
+def _inline_functor(bundle: Bundle, obj: dict, key: str, where: str) -> GroupoidFunctor:
+    return _as_plain_functor(_parse_functor(bundle, _need(obj, key, where, dict), f"{where}.{key}"))
+
+
 @dataclass(frozen=True)
 class RawSpan:
     """A parsed span document; invariants are checked when it is built."""
@@ -398,43 +428,55 @@ def require_functor(functor: GroupoidFunctor, what: str) -> None:
         raise PreconditionError(f"{what} is not a functor: {rep.violations[0]}")
 
 
+def legs_doc(span, middle: str) -> dict:
+    """The span document of ``span``: legs from the groupoid named ``middle`` to
+    the ones named ``left_foot`` and ``right_foot``."""
+    return span_doc(functor_doc(span.left, middle, "left_foot"), functor_doc(span.right, middle, "right_foot"))
+
+
 def _parse_span(bundle: Bundle, obj: dict, where: str) -> RawSpan:
-    sides = {}
-    for side in ("left", "right"):
-        raw = _need(obj, side, where, (dict, str))
-        if isinstance(raw, str):
-            value = bundle._lookup(raw)
-            if isinstance(value, (GroupoidFunctor, EquivariantFunctor)):
-                sides[side] = _as_plain_functor(value)
-            else:
-                raise SchemaError(f"{where}: {side!r} does not name a functor document")
-        else:
-            sides[side] = _as_plain_functor(_parse_functor(bundle, raw, f"{where}.{side}"))
-    if sides["left"].dom != sides["right"].dom:
+    left, right = (_as_plain_functor(_ref(bundle, obj, side, where, "functor")) for side in ("left", "right"))
+    if left.dom != right.dom:
         raise SchemaError(f"{where}: span legs have different middles")
-    return RawSpan(sides["left"], sides["right"])
+    return RawSpan(left, right)
+
+
+def _validate_span(span: RawSpan) -> ValidationReport:
+    """Both legs are functors, and the left one is a weak equivalence."""
+    for leg in (span.left, span.right):
+        rep = validate_functor(leg)
+        if not rep.ok:
+            return rep
+    we = weak_equivalence_report(span.left)
+    if we.is_weak_equivalence:
+        return ValidationReport.collect(())
+    return ValidationReport.collect([Violation("left-leg-weak-equivalence", (we.es_witness, we.ff_witness))])
+
+
+def diagram_doc(d: TwoCellDiagram, mediator: str, top_middle: str, bottom_middle: str) -> dict:
+    """The two_cell_diagram document of ``d`` with inline spans (see :func:`legs_doc`);
+    ``mediator``, ``top_middle`` and ``bottom_middle`` name its groupoids."""
+    return {
+        "kind": "two_cell_diagram",
+        "top": legs_doc(d.top, top_middle),
+        "bottom": legs_doc(d.bottom, bottom_middle),
+        "mediator": mediator,
+        "alpha": functor_doc(d.to_top, mediator, top_middle),
+        "alpha_prime": functor_doc(d.to_bottom, mediator, bottom_middle),
+        "eta1": {"component": dict(d.left_cell.component)},
+        "eta2": {"component": dict(d.right_cell.component)},
+    }
 
 
 def _parse_diagram(bundle: Bundle, obj: dict, where: str) -> TwoCellDiagram:
-    def span_of(key: str) -> GeneralizedMorphism:
-        raw = _need(obj, key, where, (dict, str))
-        if isinstance(raw, str):
-            value = bundle._lookup(raw)
-            if not isinstance(value, RawSpan):
-                raise SchemaError(f"{where}: {key!r} does not name a span document")
-            return value.build()
-        return _parse_span(bundle, raw, f"{where}.{key}").build()
-
-    top = span_of("top")
-    bottom = span_of("bottom")
+    top = _ref(bundle, obj, "top", where, "span").build()
+    bottom = _ref(bundle, obj, "bottom", where, "span").build()
     mediator = _need(obj, "mediator", where, str)
     mediator_groupoid = bundle.groupoid(mediator)
-    alpha = _as_plain_functor(_parse_functor(bundle, _need(obj, "alpha", where, dict), f"{where}.alpha"))
+    alpha = _inline_functor(bundle, obj, "alpha", where)
     if alpha.dom != mediator_groupoid:
         raise SchemaError(f"{where}: mediator {mediator!r} is not the domain of 'alpha'")
-    alpha_prime = _as_plain_functor(
-        _parse_functor(bundle, _need(obj, "alpha_prime", where, dict), f"{where}.alpha_prime")
-    )
+    alpha_prime = _inline_functor(bundle, obj, "alpha_prime", where)
     eta1 = _str_map(_need(obj, "eta1", where, dict), "component", f"{where}.eta1")
     eta2 = _str_map(_need(obj, "eta2", where, dict), "component", f"{where}.eta2")
     return TwoCellDiagram(
@@ -452,22 +494,33 @@ def _parse_diagram(bundle: Bundle, obj: dict, where: str) -> TwoCellDiagram:
 
 
 def _parse_transformation(bundle: Bundle, obj: dict, where: str) -> NaturalTransformation:
-    source = _as_plain_functor(_parse_functor(bundle, _need(obj, "source", where, dict), f"{where}.source"))
-    target = _as_plain_functor(_parse_functor(bundle, _need(obj, "target", where, dict), f"{where}.target"))
+    source = _inline_functor(bundle, obj, "source", where)
+    target = _inline_functor(bundle, obj, "target", where)
     return NaturalTransformation(source, target, _str_map(obj, "component", where))
 
 
-def parse_suite_config(obj: dict, where: str = "suite_config") -> InstanceBudget:
-    fields = {}
-    for key in ("max_group_order", "max_carrier_size", "max_objects", "sample_seed"):
-        if key in obj:
-            if not isinstance(obj[key], int):
-                raise SchemaError(f"{where}: field {key!r} must be an integer")
-            fields[key] = obj[key]
-    return InstanceBudget(**fields)
+@dataclass(frozen=True)
+class _Kind:
+    """How documents of one kind are read and checked.  A kind is parsed after
+    every kind of a lower ``phase``, since its documents may name theirs."""
+
+    phase: int
+    parse: Callable[[Bundle, dict, str], object]
+    validate: Callable[[object], ValidationReport]
 
 
-_ORDER = {"group": 0, "groupoid": 0, "action_groupoid": 0, "functor": 1, "span": 2, "transformation": 3, "two_cell_diagram": 3, "suite_config": 0}
+# the one place a document kind is declared
+_KINDS = {
+    "groupoid": _Kind(0, lambda bundle, obj, where: parse_groupoid(obj, where), validate_groupoid),
+    "group": _Kind(0, lambda bundle, obj, where: parse_group(obj, where), validate_group),
+    "action_groupoid": _Kind(
+        0, lambda bundle, obj, where: parse_action_groupoid(obj, where), lambda a: validate_groupoid(a.induced)
+    ),
+    "functor": _Kind(1, _parse_functor, lambda f: validate_functor(_as_plain_functor(f))),
+    "span": _Kind(2, _parse_span, _validate_span),
+    "transformation": _Kind(3, _parse_transformation, validate_nat_trans),
+    "two_cell_diagram": _Kind(3, _parse_diagram, validate_two_cell),
+}
 
 
 def parse_bundle(doc: dict) -> Bundle:
@@ -482,29 +535,10 @@ def parse_bundle(doc: dict) -> Bundle:
     bundle = Bundle()
     for name, entry in named.items():
         entry_kind = _need(entry, "kind", name, str)
-        if entry_kind not in KINDS or entry_kind == "bundle":
+        if entry_kind not in _KINDS:
             raise SchemaError(f"{name}: unknown document kind {entry_kind!r}")
         bundle.docs[name] = entry
-    for phase in (0, 1, 2, 3):
-        for name, entry in bundle.docs.items():
-            if _ORDER[entry["kind"]] != phase:
-                continue
-            where = name
-            kind = entry["kind"]
-            if kind == "groupoid":
-                bundle.entries[name] = parse_groupoid(entry, where)
-            elif kind == "group":
-                bundle.entries[name] = parse_group(entry, where)
-            elif kind == "action_groupoid":
-                bundle.entries[name] = parse_action_groupoid(entry, where)
-            elif kind == "suite_config":
-                bundle.entries[name] = parse_suite_config(entry, where)
-            elif kind == "functor":
-                bundle.entries[name] = _parse_functor(bundle, entry, where)
-            elif kind == "span":
-                bundle.entries[name] = _parse_span(bundle, entry, where)
-            elif kind == "transformation":
-                bundle.entries[name] = _parse_transformation(bundle, entry, where)
-            elif kind == "two_cell_diagram":
-                bundle.entries[name] = _parse_diagram(bundle, entry, where)
+    # a stable sort: declaration order within each phase
+    for name, entry in sorted(bundle.docs.items(), key=lambda item: _KINDS[item[1]["kind"]].phase):
+        bundle.entries[name] = _KINDS[entry["kind"]].parse(bundle, entry, name)
     return bundle

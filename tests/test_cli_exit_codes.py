@@ -408,6 +408,20 @@ def test_malformed_group_table_is_a_named_input_error(tmp_path, value):
     assert code == 2 and err.startswith("error: G: "), err
 
 
+@pytest.mark.parametrize("row", [("r1", "r0"), ("r1", "r1")])
+def test_dropped_mul_row_is_named_before_any_inverse_is_sought(tmp_path, row):
+    path = _write(tmp_path, {"G": _repoint_mul(C2_GROUP, *row, None), "T": _trivial_action("r0")})
+    for argv in (["validate", path], ["balanced-product", path, "G", "T"]):
+        assert _run(argv) == (2, f"error: G: mul table is missing {row!r}\n"), argv
+
+
+def test_total_table_without_an_inverse_names_the_element(tmp_path):
+    absorbing = {"kind": "group", "elements": ["e", "a"], "unit": "e",
+                 "mul": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"], ["a", "a", "a"]]}
+    path = _write(tmp_path, {"G": absorbing})
+    assert _run(["validate", path]) == (2, "error: G: element 'a' has no inverse under the stated table\n")
+
+
 def test_non_group_table_is_refused(tmp_path):
     loop = _loop_group()
     on_a_point = action_groupoid(loop, ("*",), {(g, "*"): "*" for g in loop.elements})

@@ -1,0 +1,72 @@
+"""Every request of the seed-1 perfbench corpus, byte for byte.
+
+The corpus generator in ``perfbench/corpus.py`` writes a few dozen bundles and
+the requests the ``constructions`` workload sends.  This test runs each
+request in process through :func:`gpdkit.cli.main`, as the benchmark's worker
+does, from the directory the bundles are written to, and compares its exit
+code, the sha256 of its standard output and its standard error text with
+``tests/golden/corpus_seed1.json``.
+
+To capture the golden again after a deliberate output change, run
+``PYTHONPATH=src python tests/test_corpus_outputs.py --write``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "corpus_seed1.json"
+SEED = 1
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import corpus  # noqa: E402
+from worker import _call_cli  # noqa: E402
+
+from gpdkit import cli  # noqa: E402
+
+
+def run_corpus(directory: Path) -> dict[str, dict]:
+    """Write the corpus into ``directory`` and run every request from there."""
+    generated = corpus.generate(SEED)
+    for name, data in generated.files().items():
+        (directory / name).write_bytes(data)
+    results = {}
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for req in generated.requests:
+            argv = [a + ".json" if a == req["bundle"] else a for a in req["command"]]
+            code, stdout, stderr = _call_cli(cli, argv)
+            results[str(req["id"])] = {
+                "argv": argv,
+                "exit": code,
+                "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+                "stderr": stderr.decode("utf-8"),
+            }
+    finally:
+        os.chdir(cwd)
+    return results
+
+
+def test_every_corpus_request_matches_its_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    results = run_corpus(tmp_path)
+    assert sorted(results) == sorted(golden)
+    for rid, expected in golden.items():
+        assert results[rid] == expected, f"request {rid}: {expected['argv']}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        results = run_corpus(Path(tmp))
+    GOLDEN.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -342,6 +342,24 @@ class TestCli:
     def test_unknown_file_is_input_error(self):
         assert main(["validate", "/does/not/exist.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b'{"kind": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf-8", "nested-100000-deep", "5000-digit-integer"],
+    )
+    def test_unreadable_bytes_are_an_input_error(self, tmp_path, capsys, data):
+        path = tmp_path / "bundle.json"
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_unknown_kind_is_an_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, "bundle.json", {"kind": "bundle", "documents": {"cfg": {"kind": "suite_config"}}})
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: cfg: unknown document kind 'suite_config'\n")
+
     def test_colliding_pullback_ids_are_an_input_error(self, tmp_path, capsys):
         # ("p,q", "r") and ("p", "q,r") both render "(p,q,r)"
         def discrete(objects):

@@ -40,3 +40,14 @@ def test_construction_matches_its_golden_bytes(name, tmp_path):
 
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted([*COMMANDS, "bundle"])
+
+
+BROKEN = Path(__file__).parent / "golden" / "validate"
+
+
+def test_validate_report_on_one_broken_document_of_each_kind(tmp_path):
+    """``validate/bundle.json`` breaks one groupoid, group, functor, span (its
+    left leg is not a weak equivalence), transformation and 2-cell diagram."""
+    out = tmp_path / "out.json"
+    assert main(["validate", str(BROKEN / "bundle.json"), "--out", str(out)]) == 1
+    assert out.read_bytes() == (BROKEN / "report.json").read_bytes()
