@@ -74,6 +74,8 @@ def _single_name(bundle: docs.Bundle, name: str | None, what: str) -> str:
         return name
     if len(bundle.entries) == 1:
         return next(iter(bundle.entries))
+    if not bundle.entries:
+        raise docs.SchemaError(f"no documents in the bundle; expected a {what}")
     raise docs.SchemaError(f"several documents in the bundle; name the {what} explicitly")
 
 

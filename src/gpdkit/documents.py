@@ -6,8 +6,8 @@ transformation), and a bundle maps names to documents so that functors can
 reference their endpoint groupoids by sibling name.  Each kind is declared in
 one place, the ``_KINDS`` table at the end of this module: the phase it is
 read in, its parser and its validator.  Bytes that are not UTF-8, JSON nested
-too deeply to read and integers too long to convert are refused as
-:class:`SchemaError`.
+too deeply to read, integers too long to convert and an object that repeats
+a key are refused as :class:`SchemaError`.
 Serialization is canonical: sorted keys, arrays in declaration order,
 two-space indentation, UTF-8, newline-terminated, so parse followed by
 serialize is the identity on canonical inputs.  :func:`dumps` writes the
@@ -96,13 +96,27 @@ def _write(value, newline: str, parts: list[str]) -> None:
         parts.append(json.dumps(value))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's pairs as a dict; a repeated key would silently drop a value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def loads(data: bytes | str) -> dict:
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data, object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"byte {exc.start}: not UTF-8") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except SchemaError:
+        raise
     except RecursionError:
         raise SchemaError("JSON nested too deeply to read") from None
     except ValueError:  # an integer literal longer than the interpreter converts

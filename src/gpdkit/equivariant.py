@@ -156,7 +156,10 @@ def equivariant_functor(
 
 
 def identity_equivariant(a: ActionGroupoid) -> EquivariantFunctor:
-    return equivariant_functor(a, a, {g: g for g in a.group.elements}, {x: x for x in a.carrier})
+    """The identity of ``a``; valid because ``a`` is, so it is not re-checked."""
+    return EquivariantFunctor(
+        a, a, {g: g for g in a.group.elements}, {x: x for x in a.carrier}, identity_functor(a.induced)
+    )
 
 
 def compose_equivariant(f2: EquivariantFunctor, f1: EquivariantFunctor) -> EquivariantFunctor:
@@ -217,9 +220,13 @@ def quotient_action(a: ActionGroupoid, kernel_elements) -> QuotientConstruction:
     """Quotient group and carrier by a normal subgroup acting freely.
 
     Cosets and point orbits are collapsed onto least-index representatives so
-    the construction is deterministic.
+    the construction is deterministic.  The trivial subgroup is normal and
+    acts freely, and collapsing it changes no table: the action itself is
+    returned as its own quotient, with its identity as the projection.
     """
     k = subgroup(a.group, kernel_elements)
+    if k.order == 1:
+        return QuotientConstruction(k, a, identity_equivariant(a))
     if not is_normal(a.group, k.elements):
         raise PreconditionError("quotient_action: subgroup is not normal")
     witness = fixed_point(a, k.elements)
@@ -258,13 +265,18 @@ def _is_equivariant_iso(f: EquivariantFunctor) -> bool:
 
 
 def quotient_factorization(phi: EquivariantFunctor) -> QuotientFactorization:
-    """Split a surjective equivariant weak equivalence as iso ∘ quotient projection."""
+    """Split a surjective equivariant weak equivalence as iso ∘ quotient projection.
+
+    When the kernel is trivial the quotient is the domain itself and its
+    projection the identity (:func:`quotient_action`), so ``phi`` is the iso.
+    """
     if not weak_equivalence_report(phi.functor).is_ssw:
         raise PreconditionError("quotient_factorization: functor is not a surjective weak equivalence")
     g = phi.dom_action.group
     kernel_elements = hom_kernel(g, phi.cod_action.group, phi.group_hom)
     q = quotient_action(phi.dom_action, kernel_elements)
-    iso = equivariant_functor(
+    trivial = q.kernel.order == 1
+    iso = phi if trivial else equivariant_functor(
         q.quotient,
         phi.cod_action,
         {r: phi.group_hom[r] for r in q.quotient.group.elements},
@@ -272,7 +284,7 @@ def quotient_factorization(phi: EquivariantFunctor) -> QuotientFactorization:
     )
     if not _is_equivariant_iso(iso):
         raise InternalCheckError("quotient_factorization: comparison with the quotient is not an isomorphism")
-    if compose_functors(iso.functor, q.projection.functor) != phi.functor:
+    if not trivial and compose_functors(iso.functor, q.projection.functor) != phi.functor:
         raise InternalCheckError("quotient_factorization: stages do not compose to the input")
     return QuotientFactorization(q.kernel, q.projection, iso)
 
@@ -286,21 +298,33 @@ class BalancedProduct:
     rep_pairs: dict[str, tuple[str, str]] = field(repr=False)  # class id -> least-index (g, x)
 
 
+def _balanced_classes(big: FiniteGroup, inner: ActionGroupoid) -> tuple[dict, dict]:
+    """The balanced product's class table, read by :func:`balanced_product` and :func:`decompose`.
+
+    Pairs (g, x) of big × inner carrier, with [g * k, x] = [g, k·x] for k in
+    the inner group.  Returns pair -> the least-index pair of its class, and
+    that pair -> the class id.  :func:`decompose` reads the table alone, to
+    identify its codomain with the product without building the product.
+    """
+    pair_rep = class_reps(
+        [(el, x) for el in big.elements for x in inner.carrier],
+        lambda p: [(big.mul[(p[0], big.inv[s])], inner.act[(s, p[1])]) for s in inner.group.elements],
+    )
+    return pair_rep, {rep: render_id(rep) for rep in dict.fromkeys(pair_rep.values())}
+
+
 def balanced_product(big: FiniteGroup, inner: ActionGroupoid) -> BalancedProduct:
     """Induce an action of ``big`` from an action of a subgroup of it.
 
     Points are classes [g, x] with [g * k, x] = [g, k·x]; representatives are
-    least-index pairs.  The inclusion x -> [1, x] of the inner action is a
-    weak equivalence (re-verified here).
+    least-index pairs (:func:`_balanced_classes`).  The product's action
+    axioms are verified as it is built, and the inclusion x -> [1, x] of the
+    inner action is re-verified to be a weak equivalence.
     """
     k = inner.group
     if not is_subgroup_of(k, big):
         raise PreconditionError("balanced_product: inner action group is not a subgroup of the big group")
-    pair_rep = class_reps(
-        [(el, x) for el in big.elements for x in inner.carrier],
-        lambda p: [(big.mul[(p[0], big.inv[s])], inner.act[(s, p[1])]) for s in k.elements],
-    )
-    ids = {rep: render_id(rep) for rep in dict.fromkeys(pair_rep.values())}
+    pair_rep, ids = _balanced_classes(big, inner)
     rep_pairs = {rid: rep for rep, rid in ids.items()}
     act = {
         (el, rid): ids[pair_rep[(big.mul[(el, rg)], rx)]]
@@ -340,10 +364,15 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
     """Factor an equivariant weak equivalence through its image action.
 
     The projection stage collapses the kernel of the group map (shown to act
-    freely); the inclusion stage embeds the image action.  The middle is
-    identified with the kernel quotient, the codomain carrier with the
-    balanced product over the image, and property verdicts other than
-    effectiveness are checked to agree across all three actions.
+    freely); the inclusion stage embeds the image action.  What the input
+    already is gets reused, not rebuilt: with a trivial kernel the quotient is
+    the domain (:func:`quotient_action`), and when ``phi`` is onto, on the
+    group and on the carrier, the middle is the codomain, the projection is
+    ``phi`` and the inclusion the codomain's identity.  The codomain is
+    identified with the balanced product over the image through that
+    product's class table alone (:func:`_balanced_classes`), checked to be a
+    bijection [g, y] -> g·y.  Property verdicts other than effectiveness are
+    checked to agree across all three actions.
     """
     rep = weak_equivalence_report(phi.functor)
     if not rep.is_weak_equivalence:
@@ -353,36 +382,35 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
     dom, cod = phi.dom_action, phi.cod_action
     h = cod.group
     image = set(phi.group_hom.values())
-    image_elements = tuple(e for e in h.elements if e in image)
-    image_group = subgroup(h, image_elements)
     image_points = set(phi.obj_map.values())
-    image_carrier = tuple(y for y in cod.carrier if y in image_points)
-    middle = action_groupoid(
-        image_group,
-        image_carrier,
-        {(el, y): cod.act[(el, y)] for el in image_elements for y in image_carrier},
-    )
-    projection = equivariant_functor(dom, middle, dict(phi.group_hom), dict(phi.obj_map))
+    if len(image) == h.order and len(image_points) == len(cod.carrier):
+        middle, projection, inclusion = cod, phi, identity_equivariant(cod)
+    else:
+        image_elements = tuple(e for e in h.elements if e in image)
+        image_carrier = tuple(y for y in cod.carrier if y in image_points)
+        middle = action_groupoid(
+            subgroup(h, image_elements),
+            image_carrier,
+            {(el, y): cod.act[(el, y)] for el in image_elements for y in image_carrier},
+        )
+        projection = equivariant_functor(dom, middle, dict(phi.group_hom), dict(phi.obj_map))
+        inclusion = equivariant_functor(
+            middle,
+            cod,
+            {el: el for el in image_elements},
+            {y: y for y in image_carrier},
+        )
+        if not weak_equivalence_report(inclusion.functor).is_weak_equivalence:
+            raise InternalCheckError("decompose: inclusion stage is not a weak equivalence")
+        if compose_functors(inclusion.functor, projection.functor) != phi.functor:
+            raise InternalCheckError("decompose: stages do not compose to the input functor")
     try:
         quotient = quotient_factorization(projection)
     except PreconditionError as exc:
         raise InternalCheckError(f"decompose: projection stage: {exc}") from None
-    inclusion = equivariant_functor(
-        middle,
-        cod,
-        {el: el for el in image_elements},
-        {y: y for y in image_carrier},
-    )
-    if not weak_equivalence_report(inclusion.functor).is_weak_equivalence:
-        raise InternalCheckError("decompose: inclusion stage is not a weak equivalence")
-    if compose_functors(inclusion.functor, projection.functor) != phi.functor:
-        raise InternalCheckError("decompose: stages do not compose to the input functor")
 
-    balanced = balanced_product(h, middle)
-    carrier_bijection = {}
-    for rid in balanced.product.carrier:
-        el, y = balanced.rep_pairs[rid]
-        carrier_bijection[rid] = cod.act[(el, y)]
+    _, class_ids = _balanced_classes(h, middle)
+    carrier_bijection = {rid: cod.act[pair] for pair, rid in class_ids.items()}
     if sorted(carrier_bijection.values()) != sorted(cod.carrier):
         raise InternalCheckError("decompose: balanced product does not match the codomain carrier")
 

@@ -270,3 +270,57 @@ def oracle_connected_components(g) -> list[tuple]:
         seen.update(comp)
         out.append(tuple(y for y in g.objects if y in comp))
     return out
+
+
+def oracle_decomposition(phi) -> dict:
+    """The tables ``equivariant.decompose`` must produce for ``phi``, from the definitions.
+
+    Returns the kernel elements; the middle (image group elements, image
+    points, action); the quotient of the domain by the kernel (coset
+    representatives, point-orbit representatives, action), each class named
+    by its least-index member; and the map from balanced-product classes
+    [g, y] = [g * k^-1, k·y] (g in the codomain group, y in the middle, k in
+    the image group), named "(g,y)" after their least-index pair, to g·y.
+    """
+    dom, cod = phi.dom_action, phi.cod_action
+    g, h = dom.group, cod.group
+    kernel = tuple(a for a in g.elements if phi.group_hom[a] == h.unit)
+
+    image = tuple(b for b in h.elements if any(phi.group_hom[a] == b for a in g.elements))
+    points = tuple(y for y in cod.carrier if any(phi.obj_map[x] == y for x in dom.carrier))
+    middle_act = {(b, y): cod.act[(b, y)] for b in image for y in points}
+
+    def coset_rep(a):
+        for r in g.elements:
+            for k in kernel:
+                if g.mul[(r, k)] == a:
+                    return r
+
+    def orbit_rep(x):
+        for p in dom.carrier:
+            for k in kernel:
+                if dom.act[(k, p)] == x:
+                    return p
+
+    reps = tuple(dict.fromkeys(coset_rep(a) for a in g.elements))
+    qpoints = tuple(dict.fromkeys(orbit_rep(x) for x in dom.carrier))
+    quotient_mul = {(r1, r2): coset_rep(g.mul[(r1, r2)]) for r1 in reps for r2 in reps}
+    quotient_act = {(r, p): orbit_rep(dom.act[(r, p)]) for r in reps for p in qpoints}
+
+    pairs = [(b, y) for b in h.elements for y in points]
+
+    def pair_rep(pair):
+        b, y = pair
+        for c, z in pairs:
+            for k in image:
+                if c == h.mul[(b, h.inv[k])] and z == cod.act[(k, y)]:
+                    return (c, z)
+
+    classes = dict.fromkeys(pair_rep(p) for p in pairs)
+    bijection = {f"({b},{y})": cod.act[(b, y)] for b, y in classes}
+    return {
+        "kernel": kernel,
+        "middle": (image, points, middle_act),
+        "quotient": (reps, quotient_mul, qpoints, quotient_act),
+        "carrier_bijection": bijection,
+    }

@@ -360,6 +360,21 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr() == ("", "error: cfg: unknown document kind 'suite_config'\n")
 
+    def test_duplicate_key_is_an_input_error(self, tmp_path, capsys):
+        # the second "G" used to replace the first, and validate accepted the bundle
+        group = '{"kind": "group", "elements": ["e"], "mul": [["e", "e", "e"]], "unit": "e"}'
+        groupoid = '{"kind": "groupoid", "objects": [], "arrows": [], "compose": [], "identity": {}, "inverse": {}}'
+        path = tmp_path / "bundle.json"
+        path.write_text(f'{{"kind": "bundle", "documents": {{"G": {group}, "G": {groupoid}}}}}')
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: duplicate key 'G' in a JSON object\n")
+
+    @pytest.mark.parametrize("command, what", [("skeleton", "groupoid"), ("check-we", "functor")])
+    def test_empty_bundle_names_the_missing_document(self, tmp_path, capsys, command, what):
+        path = write(tmp_path, "bundle.json", {"kind": "bundle", "documents": {}})
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: no documents in the bundle; expected a {what}\n")
+
     def test_colliding_pullback_ids_are_an_input_error(self, tmp_path, capsys):
         # ("p,q", "r") and ("p", "q,r") both render "(p,q,r)"
         def discrete(objects):

@@ -33,7 +33,7 @@ from gpdkit.localization import GeneralizedMorphism, validate_two_cell
 from gpdkit.morita import morita_oracle, weak_equivalence_report
 from gpdkit.workbench import InstanceBudget, generate_weak_equivalences
 
-from oracles import oracle_effective
+from oracles import oracle_decomposition, oracle_effective
 
 
 class TestPropertyReport:
@@ -216,6 +216,24 @@ class TestDecompose:
                                 {x: "p" for x in swap_action.carrier})
         with pytest.raises(PreconditionError):
             decompose(f)
+
+    def test_generated_inputs_match_the_oracle_and_reuse_their_ends(self):
+        shapes = set()
+        for w in generate_weak_equivalences(InstanceBudget(max_group_order=4, max_carrier_size=4)):
+            phi = w.functor
+            dec = decompose(phi)
+            expected = oracle_decomposition(phi)
+            quotient = dec.quotient.projection.cod_action
+            assert dec.kernel.elements == expected["kernel"]
+            assert (dec.middle.group.elements, dec.middle.carrier, dec.middle.act) == expected["middle"]
+            assert (quotient.group.elements, quotient.group.mul, quotient.carrier, quotient.act) == expected["quotient"]
+            assert dec.carrier_bijection == expected["carrier_bijection"]
+            trivial_kernel = len(dec.kernel.elements) == 1
+            onto = dec.middle.group.order == phi.cod_action.group.order and dec.middle.carrier == phi.cod_action.carrier
+            assert (quotient is phi.dom_action) == trivial_kernel
+            assert (dec.middle is phi.cod_action) == onto
+            shapes.add((trivial_kernel, onto))
+        assert shapes == {(True, False), (False, True), (True, True), (False, False)}
 
 
 class TestEquivariantPullbacks:
