@@ -86,16 +86,53 @@ SAMPLE_CAPS = {
     "spans": 40,
 }
 
+# Every other population cap.  Each fixes which instances the build or a law
+# takes, and so the suite report.
+# The build: composites through at most one host larger than the quotient
+# group, identity spans on the first actions, a few round trips through a
+# pullback apex from small spans, and the smallest spans as the pool.
+LARGER_COMPOSITE_HOSTS = 1
+IDENTITY_SPANS = 12
+ROUND_TRIPS = 4
+ROUND_TRIP_MAX_SPAN_SIZE = 24
+SPAN_POOL = 3 * SAMPLE_CAPS["spans"]
+# The shared (f, f) pullback pass: plain pullbacks of the first weak
+# equivalences, equivariant ones of the first surjective ones.
+PULLBACK_PLAIN_WES = 40
+PULLBACK_EQUIVARIANT_WES = 25
+# The iso-search law pairs up the first action groupoids whose group order and
+# carrier size are both at most ``ISO_SEARCH_MAX_SIZE``.
+ISO_SEARCH_MAX_SIZE = 4
+ISO_SEARCH_GROUPOIDS = 10
+# A leg with more candidate transformations than this is skipped, not counted.
+FACTORIZATION_CANDIDATES = 4096
+FACTORIZATION_SPANS = 10
+# The 2-cell laws only take spans whose left-leg self-pullback has at most
+# ``MAX_CELL_PULLBACK_ARROWS`` arrows; normal forms are computed per object,
+# so the gate does not bound their cost: it fixes which spans the laws check.
+MAX_CELL_PULLBACK_ARROWS = 40
+NORMALIZATION_CELLS = 15
+CELL_EQUALITY_CELLS = 12
+VERTICAL_COMPOSITION_CELLS = 12
+ANAFUNCTORIFY_SPANS = 10
+STRICTIFIED_COMPOSITES = 10
+EQUIVARIANT_REPLACEMENT_SPANS = 20
+
 
 @dataclass(frozen=True)
 class InstanceBudget:
     """Size limits for the law suite's instance population.
 
     ``max_group_order`` and ``max_carrier_size`` bound the enumerated catalog
-    groups and carriers.  ``max_objects`` bounds no groupoid size: it only
-    takes part in the regime switch.  While every field is at most its
-    default the run is exhaustive; above any default it subsamples each
-    instance category to ``SAMPLE_CAPS`` with ``sample_seed``.
+    groups and carriers.  While every field is at most its default the run is
+    exhaustive; above any default it subsamples each instance category to
+    ``SAMPLE_CAPS`` with ``sample_seed``.
+
+    ``max_objects`` bounds no groupoid size: it only takes part in that
+    regime switch.  It stays all the same, since the benchmark worker builds a
+    budget positionally from ``(group, carrier, objects)``, the sampled
+    workload (``group=4,carrier=3,objects=7``) is sampled only through
+    ``objects=7``, and the suite report's header prints it.
     """
 
     max_group_order: int = DEFAULT_GROUP_ORDER
@@ -219,8 +256,8 @@ def generate_weak_equivalences(budget: InstanceBudget) -> list[GeneratedWeakEqui
                 out.append(GeneratedWeakEquivalence(bp.inclusion, "inclusion"))
 
     for q in projections:
-        hosts = [q.quotient.group]
-        hosts += [g for g in groups if g.order > q.quotient.group.order and is_subgroup_of(q.quotient.group, g)][:1]
+        larger = [g for g in groups if g.order > q.quotient.group.order and is_subgroup_of(q.quotient.group, g)]
+        hosts = [q.quotient.group, *larger[:LARGER_COMPOSITE_HOSTS]]
         for host in hosts:
             bp = balanced_product(host, q.quotient)
             composite = compose_equivariant(bp.inclusion, q.projection)
@@ -254,10 +291,9 @@ def _left_pullback_arrows(span: GeneralizedMorphism) -> int:
     return sum(n * n for n in fibers.values())
 
 
-# the 2-cell laws only take spans whose left-leg self-pullback has at most
-# this many arrows; normal forms are computed per object, so the gate does not
-# bound their cost: it fixes which spans the laws check, and so the report
-MAX_CELL_PULLBACK_ARROWS = 40
+def _in_cell_gate(span: GeneralizedMorphism) -> bool:
+    """Whether the 2-cell laws take ``span``: a surjective left leg within ``MAX_CELL_PULLBACK_ARROWS``."""
+    return weak_equivalence_report(span.left).is_ssw and _left_pullback_arrows(span) <= MAX_CELL_PULLBACK_ARROWS
 
 
 def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInstances:
@@ -307,7 +343,7 @@ def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInst
     # spans between action groupoids: identity spans, Morita spans built from
     # projections, and inclusion spans whose left leg is not surjective
     spans: list[tuple[GeneralizedMorphism, ActionGroupoid, ActionGroupoid]] = []
-    for a in actions[:12]:
+    for a in actions[:IDENTITY_SPANS]:
         i = identity_functor(a.induced)
         spans.append((Anafunctor(i, i), a, a))
     for w in wes:
@@ -321,7 +357,7 @@ def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInst
     # a few round trips whose middle is a pullback apex rather than a carrier
     composed = 0
     for span, left_action, _ in list(spans):
-        if composed >= 4 or _span_size(span) > 24 or span.left == span.right:
+        if composed >= ROUND_TRIPS or _span_size(span) > ROUND_TRIP_MAX_SPAN_SIZE or span.left == span.right:
             continue
         if not weak_equivalence_report(span.right).is_weak_equivalence:
             continue
@@ -330,7 +366,7 @@ def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInst
         composed += 1
     # smallest spans first; the cut below fixes the span population
     spans.sort(key=lambda s: _span_size(s[0]))
-    spans = spans[: 3 * SAMPLE_CAPS["spans"]]
+    spans = spans[:SPAN_POOL]
     spans = spans[: SAMPLE_CAPS["spans"]] if budget.exhaustive else maybe_sample(spans, "spans")
 
     return WorkbenchInstances(
@@ -451,355 +487,312 @@ def _describe_functor(f: GroupoidFunctor) -> str:
     )
 
 
-def run_law_suite(budget: InstanceBudget, instances: WorkbenchInstances | None = None) -> SuiteReport:
-    """Execute every module's stated laws over the enumerated instances.
+def _groupoids_validate(actions, weak_equivalences, extra_groupoids):
+    """Each distinct action groupoid validates, then each extra groupoid; a failure is shrunk."""
+    ends = (a for w in weak_equivalences for a in (w.functor.dom_action, w.functor.cod_action))
+    distinct: dict[tuple, FiniteGroupoid] = {}
+    for a in itertools.chain(actions, ends):
+        distinct.setdefault((a.induced.objects, a.induced.arrows), a.induced)
+    for g in [*distinct.values(), *extra_groupoids]:
+        try:
+            rep = validate_groupoid(g)
+        except Exception as exc:
+            yield (f"malformed groupoid: {exc}", False)
+            continue
+        if rep.ok:
+            yield ("ok", True)
+        else:
+            small = shrink_groupoid(g)
+            first = validate_groupoid(small).violations[0]
+            yield (
+                f"groupoid with {len(small.objects)} objects / {len(small.arrows)} arrows "
+                f"violates {first.axiom} at {first.witness}",
+                False,
+            )
 
-    Failures are data: each failing law carries a minimal witness (groupoid
-    witnesses are shrunk by deletion).  Deterministic for a fixed budget and
-    seed.
+
+def _self_pullback_pass(weak_equivalences) -> tuple[list, list, list]:
+    """The comparison, projection and equivariant-pullback checks, from one pass.
+
+    The pass builds the pullbacks of each generated weak equivalence ``f``
+    with itself for the three laws that read them: the equivariant-pullback
+    law takes the first ``PULLBACK_EQUIVARIANT_WES`` surjective ones, and the
+    whisker and projection laws the first ``PULLBACK_PLAIN_WES``, reusing the
+    plain pullbacks inside the equivariant ones.  Only the checks are kept,
+    and each pullback is dropped when ``_self_pullback_checks`` returns:
+    holding all of them until the default run ends raised its peak memory
+    from 50 MB to 81 MB.
     """
-    inst = instances if instances is not None else build_instances(budget)
-    laws = []
-
-    def law_action_groupoids_validate():
-        seen = []
-        for a in inst.actions:
-            seen.append(a.induced)
-        for w in inst.weak_equivalences:
-            seen.append(w.functor.dom_action.induced)
-            seen.append(w.functor.cod_action.induced)
-        unique, keys = [], set()
-        for g in seen:
-            key = (g.objects, g.arrows)
-            if key not in keys:
-                keys.add(key)
-                unique.append(g)
-        for g in inst.extra_groupoids:
-            unique.append(g)
-        def checks():
-            for g in unique:
-                try:
-                    rep = validate_groupoid(g)
-                except Exception as exc:
-                    yield (f"malformed groupoid: {exc}", False)
-                    continue
-                if rep.ok:
-                    yield ("ok", True)
-                else:
-                    small = shrink_groupoid(g)
-                    first = validate_groupoid(small).violations[0]
-                    yield (
-                        f"groupoid with {len(small.objects)} objects / {len(small.arrows)} arrows "
-                        f"violates {first.axiom} at {first.witness}",
-                        False,
-                    )
-        return _law("core: action groupoids validate", checks())
-
-    laws.append(law_action_groupoids_validate())
-
-    # One pass builds the pullbacks of each generated weak equivalence f with
-    # itself for the three laws that read them: the equivariant-pullback law
-    # takes the first 25 surjective ones, and the whisker and projection laws
-    # the first 40, reusing the plain pullbacks inside the equivariant ones.
-    # Only the checks are kept, and each pullback is dropped when
-    # ``self_pullback_checks`` returns: holding all of them until the default
-    # run ends raised its peak memory from 50 MB to 81 MB.
-    comparison_checks, projection_checks, equivariant_checks = [], [], []
-
-    def self_pullback_checks(w, rep, equivariant: bool, plain: bool):
-        f, foot = w.functor.functor, w.functor.dom_action
-        sp = wp = None
-        if equivariant:
-            esp = equivariant_strict_pullback(w.functor, w.functor)
-            ewp = equivariant_weak_pullback(foot, f, foot, f)
-            sp, wp = esp.plain, ewp.plain
-            equivariant_checks.append(("strict matches plain", compose_functors(sp.pr2, esp.iso) == esp.pr2.functor))
-            equivariant_checks.append(("weak matches plain", compose_functors(wp.pr3, ewp.iso) == ewp.pr3.functor))
-            reps = [property_report(a) for a in (foot, esp.action, ewp.action)]
-            for name in ("free", "transitive"):
-                foot_v, strict_v, weak_v = (r.verdict(name).value for r in reps)
-                equivariant_checks.append((f"strict inherits {name}", strict_v == foot_v))
-                equivariant_checks.append((f"weak inherits {name}", weak_v == foot_v))
-        if not plain:
-            return
-        wp = wp or weak_pullback(f, f)
-        round_trip = vertical_compose_nat(inverse_transformation(wp.comparison), wp.comparison)
-        comparison_checks.extend([
-            ("comparison natural", validate_nat_trans(wp.comparison).ok),
-            ("left whisker natural", validate_nat_trans(whisker(wp.comparison, identity_functor(f.cod), "left")).ok),
-            ("right whisker natural", validate_nat_trans(whisker(wp.comparison, identity_functor(wp.apex), "right")).ok),
-            ("stacked with inverse is natural", validate_nat_trans(round_trip).ok),
-            ("stacked with inverse is the identity", round_trip == identity_transformation(wp.comparison.source)),
-        ])
-        # the constructions re-verify their own projection classes; the law
-        # confirms the reports from outside as well
-        if rep.is_ssw:
-            projection_checks.append(("strict pr2 ssw", weak_equivalence_report((sp or strict_pullback(f, f)).pr2).is_ssw))
-        if rep.is_weak_equivalence:
-            projection_checks.append(("weak pr3 ssw", weak_equivalence_report(wp.pr3).is_ssw))
-
-    equivariant_left = 25
-    for i, w in enumerate(inst.weak_equivalences):
-        if i >= 40 and not equivariant_left:
+    checks = ([], [], [])
+    equivariant_left = PULLBACK_EQUIVARIANT_WES
+    for i, w in enumerate(weak_equivalences):
+        if i >= PULLBACK_PLAIN_WES and not equivariant_left:
             break
         rep = weak_equivalence_report(w.functor.functor)
         equivariant = rep.is_ssw and equivariant_left > 0
         equivariant_left -= equivariant
-        self_pullback_checks(w, rep, equivariant, i < 40)
+        _self_pullback_checks(w, rep, equivariant, i < PULLBACK_PLAIN_WES, *checks)
+    return checks
 
-    laws.append(_law("core: whiskers and comparisons validate", comparison_checks))
 
-    def law_iso_search_symmetric():
-        small = [a.induced for a in inst.actions if len(a.carrier) <= 4 and a.group.order <= 4][:10]
-        def checks():
-            for g, h in itertools.combinations(small, 2):
-                fwd = groupoid_iso_search(g, h)
-                back = groupoid_iso_search(h, g)
-                if "budget-exceeded" in (fwd.status, back.status):
-                    yield ("budget exceeded", True)
-                    continue
-                yield (
-                    f"asymmetric search on {len(g.objects)}/{len(h.objects)} objects",
-                    fwd.found == back.found,
-                )
-        return _law("core: iso search symmetric", checks())
+def _self_pullback_checks(w, rep, equivariant, plain, comparison_checks, projection_checks, equivariant_checks):
+    f, foot = w.functor.functor, w.functor.dom_action
+    sp = wp = None
+    if equivariant:
+        esp = equivariant_strict_pullback(w.functor, w.functor)
+        ewp = equivariant_weak_pullback(foot, f, foot, f)
+        sp, wp = esp.plain, ewp.plain
+        equivariant_checks.append(("strict matches plain", compose_functors(sp.pr2, esp.iso) == esp.pr2.functor))
+        equivariant_checks.append(("weak matches plain", compose_functors(wp.pr3, ewp.iso) == ewp.pr3.functor))
+        reps = [property_report(a) for a in (foot, esp.action, ewp.action)]
+        for name in ("free", "transitive"):
+            foot_v, strict_v, weak_v = (r.verdict(name).value for r in reps)
+            equivariant_checks.append((f"strict inherits {name}", strict_v == foot_v))
+            equivariant_checks.append((f"weak inherits {name}", weak_v == foot_v))
+    if not plain:
+        return
+    wp = wp or weak_pullback(f, f)
+    round_trip = vertical_compose_nat(inverse_transformation(wp.comparison), wp.comparison)
+    comparison_checks.extend([
+        ("comparison natural", validate_nat_trans(wp.comparison).ok),
+        ("left whisker natural", validate_nat_trans(whisker(wp.comparison, identity_functor(f.cod), "left")).ok),
+        ("right whisker natural", validate_nat_trans(whisker(wp.comparison, identity_functor(wp.apex), "right")).ok),
+        ("stacked with inverse is natural", validate_nat_trans(round_trip).ok),
+        ("stacked with inverse is the identity", round_trip == identity_transformation(wp.comparison.source)),
+    ])
+    # the constructions re-verify their own projection classes; the law
+    # confirms the reports from outside as well
+    if rep.is_ssw:
+        projection_checks.append(("strict pr2 ssw", weak_equivalence_report((sp or strict_pullback(f, f)).pr2).is_ssw))
+    if rep.is_weak_equivalence:
+        projection_checks.append(("weak pr3 ssw", weak_equivalence_report(wp.pr3).is_ssw))
 
-    laws.append(law_iso_search_symmetric())
 
-    def law_three_for_two():
-        def checks():
-            for f, g in inst.functor_pairs:
-                a = weak_equivalence_report(f).is_weak_equivalence
-                b = weak_equivalence_report(g).is_weak_equivalence
-                c = weak_equivalence_report(compose_functors(g, f)).is_weak_equivalence
-                ok = (not (a and b) or c) and (not (a and c) or b) and (not (b and c) or a)
-                yield (f"{_describe_functor(f)} then {_describe_functor(g)}: {a}/{b}/{c}", ok)
-        return _law("morita: three-for-two", checks())
+def _iso_search_symmetric(groupoids):
+    for g, h in itertools.combinations(groupoids, 2):
+        fwd = groupoid_iso_search(g, h)
+        back = groupoid_iso_search(h, g)
+        if "budget-exceeded" in (fwd.status, back.status):
+            yield ("budget exceeded", True)
+            continue
+        yield (f"asymmetric search on {len(g.objects)}/{len(h.objects)} objects", fwd.found == back.found)
 
-    laws.append(law_three_for_two())
 
-    def law_ff_surjective_implies_we():
-        def checks():
-            seen = set()
-            for f, g in inst.functor_pairs:
-                for functor in (f, g):
-                    key = id(functor)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    rep = weak_equivalence_report(functor)
-                    if rep.ff_map_bijective and rep.object_map_surjective:
-                        yield (_describe_functor(functor), rep.is_weak_equivalence)
-                    else:
-                        yield ("not applicable", True)
-        return _law("morita: fully faithful and surjective implies weak equivalence", checks())
+def _three_for_two(functor_pairs):
+    for f, g in functor_pairs:
+        a = weak_equivalence_report(f).is_weak_equivalence
+        b = weak_equivalence_report(g).is_weak_equivalence
+        c = weak_equivalence_report(compose_functors(g, f)).is_weak_equivalence
+        ok = (not (a and b) or c) and (not (a and c) or b) and (not (b and c) or a)
+        yield (f"{_describe_functor(f)} then {_describe_functor(g)}: {a}/{b}/{c}", ok)
 
-    laws.append(law_ff_surjective_implies_we())
 
-    laws.append(_law("morita: pullback projections keep their class", projection_checks))
+def _ff_surjective_implies_we(functor_pairs):
+    seen = set()
+    for f, g in functor_pairs:
+        for functor in (f, g):
+            if id(functor) in seen:
+                continue
+            seen.add(id(functor))
+            rep = weak_equivalence_report(functor)
+            if rep.ff_map_bijective and rep.object_map_surjective:
+                yield (_describe_functor(functor), rep.is_weak_equivalence)
+            else:
+                yield ("not applicable", True)
 
-    def law_skeleton_preserved():
-        def checks():
-            for w in inst.weak_equivalences:
-                f = w.functor.functor
-                yield (
-                    f"{w.kind} {_describe_functor(f)}",
-                    skeleton_invariant(f.dom).morita_equal(skeleton_invariant(f.cod)),
-                )
-        return _law("morita: skeleton invariant preserved", checks())
 
-    laws.append(law_skeleton_preserved())
+def _skeleton_preserved(weak_equivalences):
+    for w in weak_equivalences:
+        f = w.functor.functor
+        yield (f"{w.kind} {_describe_functor(f)}", skeleton_invariant(f.dom).morita_equal(skeleton_invariant(f.cod)))
 
-    def law_factorization_unique():
-        def factorizations(phi: GroupoidFunctor, side: str) -> int | None:
-            """How many transformations of the identity on ``phi``'s domain
-            (``side="left"``) or codomain (``"right"``) whisker with ``phi``
-            to the whiskered identity; ``None`` past 4096 candidates."""
-            g = phi.dom if side == "left" else phi.cod
-            hom = g.hom_index()
-            ident = identity_functor(g)
-            target = whisker(identity_transformation(ident), phi, side)
-            options = [hom.get((z, z), []) for z in g.objects]
-            total = 1
-            for opts in options:
-                total *= max(len(opts), 1)
-            if total > 4096:
-                return None
-            solutions = 0
-            for combo in itertools.product(*options):
-                trial = NaturalTransformation(ident, ident, dict(zip(g.objects, combo)))
-                if validate_nat_trans(trial).ok and whisker(trial, phi, side) == target:
-                    solutions += 1
-            return solutions
 
-        def checks():
-            for span, _, _ in inst.spans[:10]:
-                phi = span.left
-                rep = weak_equivalence_report(phi)
-                # fully faithful side: factor a left-whiskered identity back out
-                solutions = factorizations(phi, "left") if rep.ff_map_bijective else None
-                if solutions is None:
-                    yield ("skipped: too many candidates", True)
-                    continue
-                yield (f"{solutions} factorizations through a fully faithful leg", solutions == 1)
-                if not rep.is_ssw:
-                    continue
-                # surjective side: factor a right-whiskered identity back out
-                solutions = factorizations(phi, "right")
-                if solutions is None:
-                    yield ("skipped: too many candidates", True)
-                    continue
-                yield (f"{solutions} factorizations through a surjective leg", solutions == 1)
-        return _law("morita: factorizations are unique", checks())
+def _factorizations(phi: GroupoidFunctor, side: str) -> int | None:
+    """How many transformations of the identity on ``phi``'s domain
+    (``side="left"``) or codomain (``"right"``) whisker with ``phi`` to the
+    whiskered identity; ``None`` past ``FACTORIZATION_CANDIDATES`` candidates."""
+    g = phi.dom if side == "left" else phi.cod
+    hom = g.hom_index()
+    ident = identity_functor(g)
+    target = whisker(identity_transformation(ident), phi, side)
+    options = [hom.get((z, z), []) for z in g.objects]
+    total = 1
+    for opts in options:
+        total *= max(len(opts), 1)
+    if total > FACTORIZATION_CANDIDATES:
+        return None
+    solutions = 0
+    for combo in itertools.product(*options):
+        trial = NaturalTransformation(ident, ident, dict(zip(g.objects, combo)))
+        if validate_nat_trans(trial).ok and whisker(trial, phi, side) == target:
+            solutions += 1
+    return solutions
 
-    laws.append(law_factorization_unique())
 
-    # the spans the 2-cell laws check: surjective left leg, within the gate
-    cell_spans = [
-        Anafunctor(span.left, span.right)
-        for span, _, _ in inst.spans
-        if weak_equivalence_report(span.left).is_ssw and _left_pullback_arrows(span) <= MAX_CELL_PULLBACK_ARROWS
-    ]
+def _factorizations_unique(spans):
+    for span in spans:
+        phi = span.left
+        rep = weak_equivalence_report(phi)
+        # fully faithful side: factor a left-whiskered identity back out
+        solutions = _factorizations(phi, "left") if rep.ff_map_bijective else None
+        if solutions is None:
+            yield ("skipped: too many candidates", True)
+            continue
+        yield (f"{solutions} factorizations through a fully faithful leg", solutions == 1)
+        if not rep.is_ssw:
+            continue
+        # surjective side: factor a right-whiskered identity back out
+        solutions = _factorizations(phi, "right")
+        if solutions is None:
+            yield ("skipped: too many candidates", True)
+            continue
+        yield (f"{solutions} factorizations through a surjective leg", solutions == 1)
 
-    def law_normalization_idempotent():
-        def checks():
-            for ana in cell_spans[:15]:
-                cell = identity_two_cell(ana)
-                d = as_diagram(cell)
-                n = normalize_two_cell(d)
-                again = normalize_two_cell(as_diagram(n))
-                yield ("identity cell", again.transformation == n.transformation)
-                perturbed = _perturb_diagram(d)
-                yield ("perturbed diagram validates", validate_two_cell(perturbed).ok)
-                n2 = normalize_two_cell(perturbed)
-                yield ("perturbed normal form agrees", n2.transformation == n.transformation)
-        return _law("localization: normalization idempotent and stable", checks())
 
-    laws.append(law_normalization_idempotent())
+def _normalization_idempotent(cell_spans):
+    for ana in cell_spans:
+        d = as_diagram(identity_two_cell(ana))
+        n = normalize_two_cell(d)
+        again = normalize_two_cell(as_diagram(n))
+        yield ("identity cell", again.transformation == n.transformation)
+        perturbed = _perturb_diagram(d)
+        yield ("perturbed diagram validates", validate_two_cell(perturbed).ok)
+        n2 = normalize_two_cell(perturbed)
+        yield ("perturbed normal form agrees", n2.transformation == n.transformation)
 
-    def law_two_cell_equality_equivalence():
-        def checks():
-            for ana in cell_spans[:12]:
-                d1 = as_diagram(identity_two_cell(ana))
-                d2 = _perturb_diagram(d1)
-                d3 = as_diagram(normalize_two_cell(d2))
-                yield ("reflexive", two_cells_equal(d1, d1))
-                ab, ba = two_cells_equal(d1, d2), two_cells_equal(d2, d1)
-                yield ("symmetric", ab == ba)
-                if ab and two_cells_equal(d2, d3):
-                    yield ("transitive", two_cells_equal(d1, d3))
-        return _law("localization: 2-cell equality is an equivalence", checks())
 
-    laws.append(law_two_cell_equality_equivalence())
+def _two_cell_equality_equivalence(cell_spans):
+    for ana in cell_spans:
+        d1 = as_diagram(identity_two_cell(ana))
+        d2 = _perturb_diagram(d1)
+        d3 = as_diagram(normalize_two_cell(d2))
+        yield ("reflexive", two_cells_equal(d1, d1))
+        ab, ba = two_cells_equal(d1, d2), two_cells_equal(d2, d1)
+        yield ("symmetric", ab == ba)
+        if ab and two_cells_equal(d2, d3):
+            yield ("transitive", two_cells_equal(d1, d3))
 
-    def law_vertical_composition():
-        def checks():
-            for ana in cell_spans[:12]:
-                iota = identity_two_cell(ana)
-                yield ("unit law", vertical_compose_ana(iota, iota).transformation == iota.transformation)
-                assoc1 = vertical_compose_ana(vertical_compose_ana(iota, iota), iota)
-                assoc2 = vertical_compose_ana(iota, vertical_compose_ana(iota, iota))
-                yield ("associativity", assoc1.transformation == assoc2.transformation)
-        return _law("localization: vertical composition unital and associative", checks())
 
-    laws.append(law_vertical_composition())
+def _vertical_composition(cell_spans):
+    for ana in cell_spans:
+        iota = identity_two_cell(ana)
+        yield ("unit law", vertical_compose_ana(iota, iota).transformation == iota.transformation)
+        assoc1 = vertical_compose_ana(vertical_compose_ana(iota, iota), iota)
+        assoc2 = vertical_compose_ana(iota, vertical_compose_ana(iota, iota))
+        yield ("associativity", assoc1.transformation == assoc2.transformation)
 
-    def law_strictify_and_replace():
-        def checks():
-            spans = [s for s, _, _ in inst.spans]
-            for f in spans[:10]:
-                out = anafunctorify(f)
-                yield ("replacement witness validates", validate_two_cell(out.witness).ok)
-                yield ("replacement left leg surjective", weak_equivalence_report(out.anafunctor.left).is_ssw)
-            by_foot: dict[tuple, list[GeneralizedMorphism]] = {}
-            for s in spans:
-                by_foot.setdefault((s.left_foot.objects, s.left_foot.arrows), []).append(s)
-            used = 0
-            for f in spans:
-                for g in by_foot.get((f.right_foot.objects, f.right_foot.arrows), ()):
-                    if g.left_foot != f.right_foot or not weak_equivalence_report(g.left).is_ssw:
-                        continue
-                    used += 1
-                    if used > 10:
-                        return
-                    d = strictify_composition(f, g)
-                    yield ("strictified diagram validates", validate_two_cell(d).ok)
-                    yield (
-                        "composite skeletons agree",
-                        skeleton_invariant(d.top.middle).morita_equal(skeleton_invariant(d.bottom.middle)),
-                    )
-        return _law("localization: strictification and span replacement", checks())
 
-    laws.append(law_strictify_and_replace())
+def _composable_spans(spans):
+    """Each pair ``(f, g)`` of spans where ``g`` leaves ``f``'s right foot by a surjective left leg."""
+    by_foot: dict[tuple, list[GeneralizedMorphism]] = {}
+    for s in spans:
+        by_foot.setdefault((s.left_foot.objects, s.left_foot.arrows), []).append(s)
+    for f in spans:
+        for g in by_foot.get((f.right_foot.objects, f.right_foot.arrows), ()):
+            if g.left_foot == f.right_foot and weak_equivalence_report(g.left).is_ssw:
+                yield f, g
 
-    def law_property_invariance():
-        def checks():
-            effectiveness_divergences = 0
-            for w in inst.weak_equivalences:
-                f = w.functor
-                rep_dom = property_report(f.dom_action)
-                rep_cod = property_report(f.cod_action)
-                for name in ("free", "transitive"):
-                    yield (
-                        f"{w.kind}: {name}",
-                        rep_dom.verdict(name).value == rep_cod.verdict(name).value,
-                    )
-                if rep_dom.effective.value != rep_cod.effective.value:
-                    effectiveness_divergences += 1
-            if budget.max_group_order >= 4 and budget.max_carrier_size >= 4:
-                # the four-element two-reflection action on four points loses
-                # effectiveness under its half-turn quotient
-                yield ("an effectiveness counterexample occurs", effectiveness_divergences > 0)
-        return _law("equivariant: invariant verdicts agree, effectiveness may differ", checks())
 
-    laws.append(law_property_invariance())
+def _strictify_and_replace(spans, composable_pairs):
+    for f in spans:
+        out = anafunctorify(f)
+        yield ("replacement witness validates", validate_two_cell(out.witness).ok)
+        yield ("replacement left leg surjective", weak_equivalence_report(out.anafunctor.left).is_ssw)
+    for f, g in composable_pairs:
+        d = strictify_composition(f, g)
+        yield ("strictified diagram validates", validate_two_cell(d).ok)
+        yield (
+            "composite skeletons agree",
+            skeleton_invariant(d.top.middle).morita_equal(skeleton_invariant(d.bottom.middle)),
+        )
 
-    def law_decomposition():
-        def checks():
-            for w in inst.weak_equivalences:
-                dec = decompose(w.functor)
-                yield (
-                    f"{w.kind}: stages compose",
-                    compose_functors(dec.inclusion.functor, dec.projection.functor) == w.functor.functor,
-                )
-                if w.kind == "composite" and w.stages:
-                    projection, inclusion = w.stages
-                    yield (
-                        "recorded projection recovered",
-                        dec.quotient.projection.functor == projection.functor,
-                    )
-                    yield (
-                        "recorded inclusion recovered",
-                        compose_functors(dec.inclusion.functor, dec.middle_iso.functor) == inclusion.functor,
-                    )
-        return _law("equivariant: decomposition succeeds and retracts", checks())
 
-    laws.append(law_decomposition())
+def _property_invariance(weak_equivalences, budget: InstanceBudget):
+    effectiveness_divergences = 0
+    for w in weak_equivalences:
+        f = w.functor
+        rep_dom = property_report(f.dom_action)
+        rep_cod = property_report(f.cod_action)
+        for name in ("free", "transitive"):
+            yield (f"{w.kind}: {name}", rep_dom.verdict(name).value == rep_cod.verdict(name).value)
+        if rep_dom.effective.value != rep_cod.effective.value:
+            effectiveness_divergences += 1
+    if budget.max_group_order >= 4 and budget.max_carrier_size >= 4:
+        # the four-element two-reflection action on four points loses
+        # effectiveness under its half-turn quotient
+        yield ("an effectiveness counterexample occurs", effectiveness_divergences > 0)
 
-    laws.append(_law("equivariant: pullbacks realize as action groupoids", equivariant_checks))
 
-    def law_span_replacement_equivariant():
-        def checks():
-            for span, left, right in inst.spans[:20]:
-                out = equivariant_anafunctorify(span, left, right)
-                yield ("witness validates", validate_two_cell(out.witness).ok)
-                yield (
-                    "middle matches left foot",
-                    morita_oracle(out.middle_action.induced, left.induced),
-                )
-        return _law("equivariant: spans replace by action-groupoid spans", checks())
+def _decomposition(weak_equivalences):
+    for w in weak_equivalences:
+        dec = decompose(w.functor)
+        yield (
+            f"{w.kind}: stages compose",
+            compose_functors(dec.inclusion.functor, dec.projection.functor) == w.functor.functor,
+        )
+        if w.kind == "composite" and w.stages:
+            projection, inclusion = w.stages
+            yield ("recorded projection recovered", dec.quotient.projection.functor == projection.functor)
+            yield (
+                "recorded inclusion recovered",
+                compose_functors(dec.inclusion.functor, dec.middle_iso.functor) == inclusion.functor,
+            )
 
-    laws.append(law_span_replacement_equivariant())
 
-    def law_generator_soundness():
-        def checks():
-            for w in inst.weak_equivalences:
-                yield (w.kind, weak_equivalence_report(w.functor.functor).is_weak_equivalence)
-        return _law("workbench: generator soundness", checks())
+def _equivariant_span_replacement(spans):
+    for span, left, right in spans:
+        out = equivariant_anafunctorify(span, left, right)
+        yield ("witness validates", validate_two_cell(out.witness).ok)
+        yield ("middle matches left foot", morita_oracle(out.middle_action.induced, left.induced))
 
-    laws.append(law_generator_soundness())
 
-    return SuiteReport(budget=budget, laws=tuple(laws))
+def _generator_soundness(weak_equivalences):
+    for w in weak_equivalences:
+        yield (w.kind, weak_equivalence_report(w.functor.functor).is_weak_equivalence)
+
+
+def run_law_suite(budget: InstanceBudget, instances: WorkbenchInstances | None = None) -> SuiteReport:
+    """Execute every module's stated laws over the enumerated instances.
+
+    Each law is one entry of the ``laws`` table below: its name and the
+    ``(description, ok)`` checks of its generator over its population, cut by
+    the named caps.  Failures are data: each failing law carries a minimal
+    witness (groupoid witnesses are shrunk by deletion).  Deterministic for a
+    fixed budget and seed.
+    """
+    inst = instances if instances is not None else build_instances(budget)
+    wes = inst.weak_equivalences
+    comparison, projection, equivariant = _self_pullback_pass(wes)
+    small = [a.induced for a in inst.actions
+             if len(a.carrier) <= ISO_SEARCH_MAX_SIZE and a.group.order <= ISO_SEARCH_MAX_SIZE]
+    spans = [span for span, _, _ in inst.spans]
+    cells = [Anafunctor(span.left, span.right) for span in spans if _in_cell_gate(span)]
+    laws = {
+        "core: action groupoids validate": _groupoids_validate(inst.actions, wes, inst.extra_groupoids),
+        "core: whiskers and comparisons validate": comparison,
+        "core: iso search symmetric": _iso_search_symmetric(small[:ISO_SEARCH_GROUPOIDS]),
+        "morita: three-for-two": _three_for_two(inst.functor_pairs),
+        "morita: fully faithful and surjective implies weak equivalence": _ff_surjective_implies_we(inst.functor_pairs),
+        "morita: pullback projections keep their class": projection,
+        "morita: skeleton invariant preserved": _skeleton_preserved(wes),
+        "morita: factorizations are unique": _factorizations_unique(spans[:FACTORIZATION_SPANS]),
+        "localization: normalization idempotent and stable": _normalization_idempotent(cells[:NORMALIZATION_CELLS]),
+        "localization: 2-cell equality is an equivalence": _two_cell_equality_equivalence(cells[:CELL_EQUALITY_CELLS]),
+        "localization: vertical composition unital and associative": _vertical_composition(
+            cells[:VERTICAL_COMPOSITION_CELLS]
+        ),
+        "localization: strictification and span replacement": _strictify_and_replace(
+            spans[:ANAFUNCTORIFY_SPANS], itertools.islice(_composable_spans(spans), STRICTIFIED_COMPOSITES)
+        ),
+        "equivariant: invariant verdicts agree, effectiveness may differ": _property_invariance(wes, budget),
+        "equivariant: decomposition succeeds and retracts": _decomposition(wes),
+        "equivariant: pullbacks realize as action groupoids": equivariant,
+        "equivariant: spans replace by action-groupoid spans": _equivariant_span_replacement(
+            inst.spans[:EQUIVARIANT_REPLACEMENT_SPANS]
+        ),
+        "workbench: generator soundness": _generator_soundness(wes),
+    }
+    return SuiteReport(budget, tuple(_law(name, checks) for name, checks in laws.items()))
 
 
 def _pair_groupoid() -> FiniteGroupoid:

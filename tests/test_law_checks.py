@@ -1,4 +1,4 @@
-"""Every law's full check sequence, pinned by a digest.
+"""Every law's full check sequence, pinned by a digest, and the caps that cut them.
 
 The suite-report goldens pin only each law's instance count and verdict, so a
 reordered or reworded check in an all-pass run leaves them unchanged while it
@@ -6,6 +6,10 @@ changes the witness a later failure would carry.  Here ``workbench._law`` is
 wrapped to record each law's whole ``(description, ok)`` list, and
 ``tests/golden/law_checks.json`` holds, per budget and law, the instance count
 and the sha256 of the JSON-encoded list.
+
+The cap tests set each named population cap of ``workbench`` to a value that
+binds, and check that exactly the laws, or the instance populations, that
+read it change: an inline literal left in place of a cap fails them.
 
 To capture the golden again after a deliberate change to a law, run
 ``PYTHONPATH=src python tests/test_law_checks.py --write``.
@@ -56,6 +60,67 @@ def law_checks(budget: InstanceBudget) -> dict[str, dict]:
 def test_every_law_check_sequence_matches_its_golden(key):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[key]
     assert law_checks(BUDGETS[key]) == golden
+
+
+# each cap the suite reads, and the laws whose population it cuts
+SUITE_CAPS = {
+    "PULLBACK_PLAIN_WES": {"core: whiskers and comparisons validate", "morita: pullback projections keep their class"},
+    "PULLBACK_EQUIVARIANT_WES": {"equivariant: pullbacks realize as action groupoids"},
+    "ISO_SEARCH_MAX_SIZE": {"core: iso search symmetric"},
+    "ISO_SEARCH_GROUPOIDS": {"core: iso search symmetric"},
+    "FACTORIZATION_CANDIDATES": {"morita: factorizations are unique"},
+    "FACTORIZATION_SPANS": {"morita: factorizations are unique"},
+    "MAX_CELL_PULLBACK_ARROWS": {
+        "localization: normalization idempotent and stable",
+        "localization: 2-cell equality is an equivalence",
+        "localization: vertical composition unital and associative",
+    },
+    "NORMALIZATION_CELLS": {"localization: normalization idempotent and stable"},
+    "CELL_EQUALITY_CELLS": {"localization: 2-cell equality is an equivalence"},
+    "VERTICAL_COMPOSITION_CELLS": {"localization: vertical composition unital and associative"},
+    "ANAFUNCTORIFY_SPANS": {"localization: strictification and span replacement"},
+    "STRICTIFIED_COMPOSITES": {"localization: strictification and span replacement"},
+    "EQUIVARIANT_REPLACEMENT_SPANS": {"equivariant: spans replace by action-groupoid spans"},
+}
+
+# each cap the instance build reads, and the populations it cuts
+BUILD_CAPS = {
+    "LARGER_COMPOSITE_HOSTS": {"weak_equivalences", "functor_pairs"},
+    "IDENTITY_SPANS": {"spans"},
+    "ROUND_TRIPS": {"spans"},
+    "ROUND_TRIP_MAX_SPAN_SIZE": {"spans"},
+    "SPAN_POOL": {"spans"},
+}
+
+
+def _instance_counts(budget, instances) -> dict[str, int]:
+    return {law.name: law.instances for law in workbench.run_law_suite(budget, instances).laws}
+
+
+@pytest.fixture(scope="module")
+def small_population():
+    budget = BUDGETS["group=4,carrier=3"]
+    instances = workbench.build_instances(budget)
+    return budget, instances, _instance_counts(budget, instances)
+
+
+@pytest.mark.parametrize("cap", sorted(SUITE_CAPS))
+def test_each_suite_cap_cuts_exactly_the_laws_that_read_it(cap, small_population, monkeypatch):
+    budget, instances, counts = small_population
+    monkeypatch.setattr(workbench, cap, 1)
+    capped = _instance_counts(budget, instances)
+    assert {name for name in counts if capped[name] != counts[name]} == SUITE_CAPS[cap]
+
+
+@pytest.mark.parametrize("cap", sorted(BUILD_CAPS))
+def test_each_build_cap_cuts_exactly_the_populations_that_read_it(cap, monkeypatch):
+    # the sampled budget: in an exhaustive run the round trips do not survive the span cut
+    budget = BUDGETS["group=4,carrier=3,objects=7,seed=1"]
+    built = workbench.build_instances(budget)
+    monkeypatch.setattr(workbench, cap, 0)
+    capped = workbench.build_instances(budget)
+    fields = ("actions", "weak_equivalences", "functor_pairs", "spans")
+    assert {f for f in fields if getattr(capped, f) != getattr(built, f)} == BUILD_CAPS[cap]
 
 
 if __name__ == "__main__":

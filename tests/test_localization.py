@@ -36,9 +36,8 @@ from gpdkit.localization import (
 )
 from gpdkit.morita import morita_oracle, skeleton_invariant, weak_equivalence_report, weak_pullback
 from gpdkit.workbench import (
-    MAX_CELL_PULLBACK_ARROWS,
     InstanceBudget,
-    _left_pullback_arrows,
+    _in_cell_gate,
     _perturb_diagram,
     build_instances,
 )
@@ -486,10 +485,7 @@ class TestNormalFormOracle:
 
     def test_first_gated_default_budget_spans(self):
         # the spans the default-budget 2-cell laws admit, smallest first
-        gated = [
-            span for span, _, _ in build_instances(InstanceBudget()).spans
-            if weak_equivalence_report(span.left).is_ssw and _left_pullback_arrows(span) <= MAX_CELL_PULLBACK_ARROWS
-        ][:20]
+        gated = [span for span, _, _ in build_instances(InstanceBudget()).spans if _in_cell_gate(span)][:20]
         assert len(gated) == 20
         for span in gated:
             for d in _oracle_diagrams(span):
