@@ -13,7 +13,10 @@ two-space indentation, UTF-8, newline-terminated, so parse followed by
 serialize is the identity on canonical inputs.  :func:`dumps` writes the
 bytes the standard library's encoder gives with ``sort_keys=True``,
 ``indent=2`` and ``ensure_ascii=False``, plus a newline, in time linear in
-the output.
+the output; a row of strings inside a list and a dict of string values are
+each written in one join.  A groupoid's ``compose`` rows are grouped by their
+after-arrow in declaration order, and a group is sorted by first-arrow
+position only when its table was not filled in declaration order.
 """
 
 from __future__ import annotations
@@ -70,8 +73,15 @@ def _write(value, newline: str, parts: list[str]) -> None:
             parts.append("{}")
             return
         inner = newline + "  "
+        items = sorted(value.items())
+        try:  # string values only, in one join; the encoder refuses anything else
+            body = ("," + inner).join([_encode_str(k) + ": " + _encode_str(v) for k, v in items])
+            parts.append("{" + inner + body + newline + "}")
+            return
+        except TypeError:
+            pass
         sep = "{" + inner
-        for key, item in sorted(value.items()):
+        for key, item in items:
             parts.append(sep + _encode_str(key) + ": ")
             _write(item, inner, parts)
             sep = "," + inner
@@ -81,13 +91,16 @@ def _write(value, newline: str, parts: list[str]) -> None:
             parts.append("[]")
             return
         inner = newline + "  "
-        try:  # a list of only strings, in one join; the encoder refuses anything else
-            parts.append("[" + inner + ("," + inner).join(map(_encode_str, value)) + newline + "]")
-            return
-        except TypeError:
-            pass
+        row_open, row_sep, row_close = "[" + inner + "  ", "," + inner + "  ", inner + "]"
         sep = "[" + inner
         for item in value:
+            if isinstance(item, (list, tuple)) and item:
+                try:  # a row of only strings, in one join; the encoder refuses anything else
+                    parts.append(sep + row_open + row_sep.join(map(_encode_str, item)) + row_close)
+                    sep = "," + inner
+                    continue
+                except TypeError:
+                    pass
             parts.append(sep)
             _write(item, inner, parts)
             sep = "," + inner
@@ -173,17 +186,29 @@ def groupoid_doc(g: FiniteGroupoid) -> dict:
 
 def _compose_rows(g: FiniteGroupoid) -> list[list[str]]:
     """``[a2, a1, a2∘a1]`` for every pair of declared positions of a compose key,
-    ordered by the position of ``a2``, then of ``a1``."""
+    ordered by the position of ``a2``, then of ``a1``.
+
+    One pass groups the entries by ``a2``.  A group is sorted only when an
+    arrow id is declared twice or its ``a1`` positions are out of order, which
+    they never are in a table filled first-arrow-major in declaration order, as
+    :func:`~gpdkit.core.tuple_groupoid` fills it."""
     positions: dict[str, list[int]] = {}
     for i, a in enumerate(g.arrows):
         positions.setdefault(a, []).append(i)
-    rows = sorted(
-        (i2, i1, [a2, a1, a3])
-        for (a2, a1), a3 in g.compose.items()
-        for i2 in positions.get(a2, ())
-        for i1 in positions.get(a1, ())
-    )
-    return [row for _, _, row in rows]
+    repeated = len(positions) < len(g.arrows)
+    groups: dict[str, list[list[str]]] = {a: [] for a in positions}
+    for (a2, a1), a3 in g.compose.items():
+        group = groups.get(a2)
+        if group is not None and a1 in positions:
+            group.append([a2, a1, a3])
+    rows: list[list[str]] = []
+    for a2 in g.arrows:
+        group = groups[a2]
+        order = [positions[row[1]] for row in group]
+        if repeated or order != sorted(order):  # a repeated id: a row for every pair of its positions
+            group = [row for _, row in sorted((i1, row) for row in group for i1 in positions[row[1]])]
+        rows += group
+    return rows
 
 
 def group_payload(g: FiniteGroup) -> dict:

@@ -11,7 +11,6 @@ Identical budget and seed give a byte-identical report.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 
@@ -40,6 +39,7 @@ from .core import (
     vertical_compose_nat,
     whisker,
 )
+from .documents import dumps
 from .equivariant import (
     EquivariantFunctor,
     balanced_product,
@@ -410,7 +410,7 @@ class SuiteReport:
             ],
             "ok": self.all_ok,
         }
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return dumps(doc)
 
 
 def _delete_object(g: FiniteGroupoid, x: str) -> FiniteGroupoid:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from gpdkit import documents as docs
 from gpdkit.core import FiniteGroupoid
+from gpdkit.morita import strict_pullback, weak_pullback
+from gpdkit.workbench import InstanceBudget, LawResult, SuiteReport
 
 from oracles import oracle_compose_rows
 
@@ -35,8 +37,28 @@ def test_dumps_equals_the_indented_json_reference(doc):
 
 
 def test_dumps_on_empty_and_string_only_containers():
-    for doc in ({}, [], "", {"a": [], "b": {}, "c": ["x", "y"], "d": [[], ["z"], [1, "w"]]}, [None, True, 1.5, -0.0]):
-        assert docs.dumps(doc) == reference_dumps(doc)
+    """Rows of strings and string-valued dicts are written in one join each;
+    whatever is not such a row or dict must still be written as the encoder would."""
+    cases = (
+        {},
+        [],
+        "",
+        {"a": [], "b": {}, "c": ["x", "y"], "d": [[], ["z"], [1, "w"]]},
+        [None, True, 1.5, -0.0],
+        [["a", "b"], "cd"],
+        ["cd", ["a", "b"]],
+        [["a", "b"], {"k": "v", "j": "w"}],
+        [{"k": "v"}, ["a"]],
+        [("a", "b"), ["c"]],
+        [["a"], [], ["b"]],
+        [["a"], ["b", 1]],
+        [["a", ["b", "c"]], ["d"]],
+        [["é", "\n"], ['"', "\\"]],
+        {'"q': "x", "\\": "y", "é\n": "z", "\x00": "w"},
+        {"a": "x", "b": 1},
+    )
+    for doc in cases:
+        assert docs.dumps(doc) == reference_dumps(doc), doc
 
 
 @st.composite
@@ -58,3 +80,24 @@ def _groupoids(draw):
 @given(g=_groupoids())
 def test_compose_rows_equal_the_all_pairs_comprehension(g):
     assert docs.groupoid_doc(g)["compose"] == oracle_compose_rows(g)
+
+
+def test_compose_rows_of_fixed_tables_equal_the_oracle(klein_action, collapse_swap, swap_to_loop):
+    """Tables filled in declaration order, whose groups are written unsorted,
+    and one filled in reverse order, whose groups are sorted."""
+    groupoids = [klein_action.induced]
+    for f in (collapse_swap, swap_to_loop):
+        groupoids += [strict_pullback(f, f).apex, weak_pullback(f, f).apex]
+    k = klein_action.induced
+    reversed_table = dict(reversed(list(k.compose.items())))
+    groupoids.append(FiniteGroupoid(k.objects, k.arrows, k.src, k.tgt, reversed_table, k.unit, k.inv))
+    for g in groupoids:
+        assert len(g.compose) > len(g.arrows)
+        assert docs.groupoid_doc(g)["compose"] == oracle_compose_rows(g)
+
+
+def test_suite_report_is_written_by_the_canonical_writer():
+    report = SuiteReport(InstanceBudget(), (LawResult("law", 1, False, "é"), LawResult("other", 2, True)))
+    data = report.to_bytes()
+    assert "é".encode("utf-8") in data
+    assert data == reference_dumps(json.loads(data))
