@@ -293,6 +293,17 @@ def validate_functor(f: GroupoidFunctor) -> ValidationReport:
     return ValidationReport.collect(violations)
 
 
+def verify_isomorphism(iso: GroupoidFunctor, where: str) -> None:
+    """Raise :class:`InternalCheckError` unless ``iso`` is a functor bijective on objects and arrows."""
+    rep = validate_functor(iso)
+    if not rep.ok:
+        raise InternalCheckError(f"{where}: isomorphism is not a functor: {rep.violations[0]}")
+    if len(set(iso.obj_map.values())) != len(iso.cod.objects) or len(iso.obj_map) != len(iso.cod.objects):
+        raise InternalCheckError(f"{where}: isomorphism is not bijective on objects")
+    if len(set(iso.arr_map.values())) != len(iso.cod.arrows) or len(iso.arr_map) != len(iso.cod.arrows):
+        raise InternalCheckError(f"{where}: isomorphism is not bijective on arrows")
+
+
 def identity_functor(g: FiniteGroupoid) -> GroupoidFunctor:
     return GroupoidFunctor(g, g, {x: x for x in g.objects}, {a: a for a in g.arrows})
 
@@ -555,20 +566,23 @@ def _generating_sequence(g: FiniteGroup) -> list[str]:
     return gens
 
 
-def group_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
-    """Exhaustive isomorphism test, pruned by element-order profiles."""
+def group_isomorphism(g: FiniteGroup, h: FiniteGroup) -> dict[str, str] | None:
+    """An isomorphism g -> h as an element map, or None when there is none.
+
+    Exhaustive over images of a generating sequence, pruned by element orders.
+    """
     if g.order != h.order:
-        return False
+        return None
     g_profile = sorted(element_order(g, a) for a in g.elements)
     h_profile = sorted(element_order(h, a) for a in h.elements)
     if g_profile != h_profile:
-        return False
+        return None
     gens = _generating_sequence(g)
     by_order: dict[int, list[str]] = {}
     for b in h.elements:
         by_order.setdefault(element_order(h, b), []).append(b)
 
-    def extend(images: list[str]) -> bool:
+    def extend(images: list[str]) -> dict[str, str] | None:
         mapping = {g.unit: h.unit}
         frontier = [g.unit]
         gen_map = dict(zip(gens, images))
@@ -581,24 +595,25 @@ def group_isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:
                     img = h.mul[(y, mapping[a])]
                     if c in mapping:
                         if mapping[c] != img:
-                            return False
+                            return None
                     else:
                         mapping[c] = img
                         nxt.append(c)
             frontier = nxt
         if len(set(mapping.values())) != h.order:
-            return False
-        return all(
+            return None
+        homomorphic = all(
             mapping[g.mul[(a, b)]] == h.mul[(mapping[a], mapping[b])]
             for a in g.elements
             for b in g.elements
         )
+        return mapping if homomorphic else None
 
     candidate_lists = [by_order.get(element_order(g, x), []) for x in gens]
     for images in itertools.product(*candidate_lists):
-        if len(set(images)) == len(images) and extend(list(images)):
-            return True
-    return False
+        if len(set(images)) == len(images) and (mapping := extend(list(images))) is not None:
+            return mapping
+    return None
 
 
 @dataclass(frozen=True)
@@ -674,147 +689,84 @@ def fixed_point(a: ActionGroupoid, elements) -> tuple[str, str] | None:
     return next(((g, x) for x in a.carrier for g in elements if g != a.group.unit and a.act[(g, x)] == x), None)
 
 
-@dataclass(frozen=True)
-class IsoSearchResult:
-    status: str  # "found" | "none" | "budget-exceeded"
-    functor: GroupoidFunctor | None
+def connected_components(g: FiniteGroupoid) -> list[tuple[str, ...]]:
+    """Object partition under arrow-reachability, ordered by least object index."""
+    neighbours: dict[str, set[str]] = {x: set() for x in g.objects}
+    for a in g.arrows:
+        neighbours[g.src[a]].add(g.tgt[a])
+        neighbours[g.tgt[a]].add(g.src[a])
 
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
+    def component(x: str) -> set[str]:
+        comp = {x}
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for z in neighbours[y]:
+                    if z not in comp:
+                        comp.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        return comp
+
+    reps = class_reps(g.objects, component)
+    out: dict[str, list[str]] = {}
+    for x in g.objects:
+        out.setdefault(reps[x], []).append(x)
+    return [tuple(c) for c in out.values()]
 
 
-def _object_fingerprint(g: FiniteGroupoid, x: str, hom_counts) -> tuple:
-    loops = hom_counts.get((x, x), 0)
-    outs = sorted(hom_counts.get((x, y), 0) for y in g.objects if y != x)
-    ins = sorted(hom_counts.get((y, x), 0) for y in g.objects if y != x)
-    return (loops, tuple(outs), tuple(ins))
+def isotropy_group(g: FiniteGroupoid, x: str) -> FiniteGroup:
+    loops = tuple(a for a in g.arrows if g.src[a] == x and g.tgt[a] == x)
+    return FiniteGroup(
+        elements=loops,
+        mul={(a, b): g.compose[(a, b)] for a in loops for b in loops},
+        unit=g.unit[x],
+        inv={a: g.inv[a] for a in loops},
+    )
 
 
-def groupoid_iso_search(g: FiniteGroupoid, h: FiniteGroupoid, budget: int = 200_000) -> IsoSearchResult:
-    """Exhaustive search for an isomorphism g -> h, pruned by object fingerprints.
+def groupoid_iso_search(g: FiniteGroupoid, h: FiniteGroupoid) -> GroupoidFunctor | None:
+    """An isomorphism g -> h, or None when there is none.
 
-    "budget-exceeded" is a distinct non-answer: the search space was not
-    exhausted, so absence of an isomorphism was not established.
+    A connected groupoid is isomorphic to its objects paired indiscretely
+    times the isotropy group at any one of them, here its least-index object
+    (the base).  So g and h are isomorphic exactly when their components pair off
+    with equal object counts and isomorphic isotropy groups; that relation is
+    an equivalence, so matching each component of g with the first unused
+    one of h that fits is exact.  Given such a pairing, with object bijection
+    F, isotropy isomorphisms ρ and an arrow t[y]: base -> y for every object
+    of g (t' in h), each arrow a: x -> y goes to t'[F y] ∘ ρ(t[y]⁻¹ ∘ a ∘ t[x]) ∘ t'[F x]⁻¹.
     """
-    if len(g.objects) != len(h.objects) or len(g.arrows) != len(h.arrows):
-        return IsoSearchResult("none", None)
-    g_hom = {k: len(v) for k, v in g.hom_index().items()}
-    h_hom = {k: len(v) for k, v in h.hom_index().items()}
-    g_fp = {x: _object_fingerprint(g, x, g_hom) for x in g.objects}
-    h_fp = {y: _object_fingerprint(h, y, h_hom) for y in h.objects}
-    if sorted(g_fp.values()) != sorted(h_fp.values()):
-        return IsoSearchResult("none", None)
-
-    h_hom_arrows = h.hom_index()
-    nodes = 0
-    exceeded = False
-
-    # order objects so the most constrained are assigned first
-    g_order = sorted(g.objects, key=lambda x: (sum(1 for y in h.objects if h_fp[y] == g_fp[x]), g.objects.index(x)))
-
-    def assign_arrows(omap: dict[str, str]):
-        nonlocal nodes, exceeded
-        amap: dict[str, str] = {}
-        used: set[str] = set()
-        for x in g.objects:
-            amap[g.unit[x]] = h.unit[omap[x]]
-            used.add(h.unit[omap[x]])
-        if len(used) != len(g.objects):
-            return None
-        todo = [a for a in g.arrows if a not in amap]
-
-        def consistent(a: str, b: str) -> bool:
-            # inverse and all already-decided compositions must commute
-            ia = g.inv[a]
-            if ia == a:
-                if h.inv[b] != b:
-                    return False
-            elif ia in amap and amap[ia] != h.inv[b]:
-                return False
-            for a2, b2 in amap.items():
-                c = g.compose.get((a2, a))
-                if c is not None and c in amap and h.compose.get((b2, b)) != amap[c]:
-                    return False
-                c = g.compose.get((a, a2))
-                if c is not None and c in amap and h.compose.get((b, b2)) != amap[c]:
-                    return False
-            return True
-
-        def complete() -> bool:
-            return all(
-                h.compose.get((amap[a2], amap[a1])) == amap[a3]
-                for (a2, a1), a3 in g.compose.items()
-            )
-
-        def rec(i: int):
-            nonlocal nodes, exceeded
-            if i == len(todo):
-                return dict(amap) if complete() else None
-            a = todo[i]
-            if a in amap:
-                return rec(i + 1)
-            for b in h_hom_arrows.get((omap[g.src[a]], omap[g.tgt[a]]), ()):
-                if b in used:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    exceeded = True
-                    return None
-                if not consistent(a, b):
-                    continue
-                amap[a] = b
-                used.add(b)
-                ia, ib = g.inv[a], h.inv[b]
-                forced = ia not in amap and ia != a
-                if forced:
-                    if ib in used:
-                        amap.pop(a); used.discard(b)
-                        continue
-                    amap[ia] = ib
-                    used.add(ib)
-                got = rec(i + 1)
-                if got is not None or exceeded:
-                    return got
-                amap.pop(a)
-                used.discard(b)
-                if forced:
-                    amap.pop(ia)
-                    used.discard(ib)
-            return None
-
-        return rec(0)
-
-    def assign_objects(i: int, omap: dict[str, str], used: set[str]):
-        nonlocal nodes, exceeded
-        if i == len(g_order):
-            amap = assign_arrows(omap)
-            if amap is not None:
-                return GroupoidFunctor(g, h, dict(omap), amap)
-            return None
-        x = g_order[i]
-        for y in h.objects:
-            if y in used or h_fp[y] != g_fp[x]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                exceeded = True
-                return None
-            omap[x] = y
-            used.add(y)
-            got = assign_objects(i + 1, omap, used)
-            if got is not None or exceeded:
-                return got
-            omap.pop(x)
-            used.discard(y)
+    g_comps, h_comps = connected_components(g), connected_components(h)
+    if len(g_comps) != len(h_comps):
         return None
+    unused = [(comp, isotropy_group(h, comp[0])) for comp in h_comps]
+    obj_map: dict[str, str] = {}
+    loop_map: dict[str, str] = {}
+    for comp in g_comps:
+        group = isotropy_group(g, comp[0])
+        for i, (other, other_group) in enumerate(unused):
+            rho = group_isomorphism(group, other_group) if len(other) == len(comp) else None
+            if rho is not None:
+                break
+        else:
+            return None
+        del unused[i]
+        obj_map.update(zip(comp, other))
+        loop_map.update(rho)
 
-    functor = assign_objects(0, {}, set())
-    if functor is not None:
-        rep = validate_functor(functor)
-        if not rep.ok:
-            raise InternalCheckError(f"iso search produced an invalid functor: {rep.violations[0]}")
-        return IsoSearchResult("found", functor)
-    if exceeded:
-        return IsoSearchResult("budget-exceeded", None)
-    return IsoSearchResult("none", None)
+    def tree(k: FiniteGroupoid, comps) -> dict[str, str]:
+        hom = k.hom_index()
+        return {y: hom[(comp[0], y)][0] for comp in comps for y in comp}
+
+    g_tree, h_tree = tree(g, g_comps), tree(h, h_comps)
+    arr_map = {}
+    for a in g.arrows:
+        x, y = g.src[a], g.tgt[a]
+        loop = g.compose[(g.inv[g_tree[y]], g.compose[(a, g_tree[x])])]
+        image = h.compose[(h_tree[obj_map[y]], loop_map[loop])]
+        arr_map[a] = h.compose[(image, h.inv[h_tree[obj_map[x]]])]
+    iso = GroupoidFunctor(g, h, obj_map, arr_map)
+    verify_isomorphism(iso, "groupoid_iso_search")
+    return iso

@@ -35,6 +35,7 @@ from .core import (
     render_id,
     subgroup,
     validate_functor,
+    verify_isomorphism,
 )
 from .localization import Anafunctor, GeneralizedMorphism, TwoCellDiagram, identity_filled_diagram
 from .morita import WeakPullback, strict_pullback, weak_equivalence_report, weak_pullback
@@ -415,8 +416,8 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
         raise InternalCheckError("decompose: balanced product does not match the codomain carrier")
 
     rep_dom = property_report(dom)
-    rep_mid = property_report(middle)
     rep_cod = property_report(cod)
+    rep_mid = rep_cod if middle is cod else property_report(middle)
     for name in PROPERTY_NAMES:
         if name == "effective":
             continue
@@ -489,7 +490,7 @@ def _equivariant_pullback(plain, left: ActionGroupoid, right: ActionGroupoid, pa
         {oid: oid for oid in plain.apex.objects},
         {action.arrow_id(*move): arrow for move, arrow in moves.items()},
     )
-    _verify_canonical_iso(iso, where)
+    verify_isomorphism(iso, where)
     pr1 = equivariant_functor(
         action, left,
         {pid: a for (a, _), pid in pair_ids.items()},
@@ -506,16 +507,6 @@ def _equivariant_pullback(plain, left: ActionGroupoid, right: ActionGroupoid, pa
     if not weak_equivalence_report(outer.functor).is_ssw:
         raise InternalCheckError(f"{where}: outer projection is not a surjective weak equivalence")
     return action, pr1, outer, iso
-
-
-def _verify_canonical_iso(iso: GroupoidFunctor, where: str):
-    rep = validate_functor(iso)
-    if not rep.ok:
-        raise InternalCheckError(f"{where}: canonical comparison is not a functor: {rep.violations[0]}")
-    if len(set(iso.obj_map.values())) != len(iso.cod.objects) or len(iso.obj_map) != len(iso.cod.objects):
-        raise InternalCheckError(f"{where}: canonical comparison is not bijective on objects")
-    if len(set(iso.arr_map.values())) != len(iso.cod.arrows) or len(iso.arr_map) != len(iso.cod.arrows):
-        raise InternalCheckError(f"{where}: canonical comparison is not bijective on arrows")
 
 
 @dataclass(frozen=True)
@@ -592,9 +583,7 @@ def equivariant_anafunctorify(
         for a in gi_into[phi.obj_map[z]]:
             for b in hi_into[psi.obj_map[z]]:
                 triples.append((a, z, b))
-    arrows_out: dict[str, list[str]] = {z: [] for z in k.objects}
-    for m in k.arrows:
-        arrows_out[k.src[m]].append(m)
+    arrows_out = k.arrows_from()
 
     def transports(t: tuple[str, str, str]) -> set[tuple[str, str, str]]:
         """``t`` and every triple a chain of middle arrows transports it to."""

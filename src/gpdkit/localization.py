@@ -33,6 +33,7 @@ from .core import (
 )
 from .morita import (
     StrictPullback,
+    WeakEquivalenceReport,
     ff_inverse,
     strict_pullback,
     weak_equivalence_report,
@@ -50,7 +51,9 @@ class GeneralizedMorphism:
     def __post_init__(self):
         if self.left.dom != self.right.dom:
             raise MismatchError("span legs must share their middle groupoid")
-        rep = weak_equivalence_report(self.left)
+        self._check_left_leg(weak_equivalence_report(self.left))
+
+    def _check_left_leg(self, rep: WeakEquivalenceReport) -> None:
         if not rep.is_weak_equivalence:
             raise PreconditionError(
                 f"left leg of a span must be a weak equivalence "
@@ -74,9 +77,8 @@ class GeneralizedMorphism:
 class Anafunctor(GeneralizedMorphism):
     """A span whose left leg is additionally surjective on objects."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        rep = weak_equivalence_report(self.left)
+    def _check_left_leg(self, rep: WeakEquivalenceReport) -> None:
+        super()._check_left_leg(rep)
         if not rep.is_ssw:
             raise PreconditionError(
                 f"left leg of an anafunctor must be surjective on objects (witness {rep.obj_witness!r})"

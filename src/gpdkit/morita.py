@@ -18,10 +18,11 @@ from .core import (
     MismatchError,
     NaturalTransformation,
     PreconditionError,
-    class_reps,
     compose_functors,
-    group_isomorphic,
+    connected_components,
+    group_isomorphism,
     identity_functor,
+    isotropy_group,
     render_id,
     tuple_groupoid,
     validate_nat_trans,
@@ -312,48 +313,11 @@ class SkeletonInvariant:
             return False
         unused = list(range(len(other.components)))
         for _, mine in self.components:
-            hit = next((i for i in unused if group_isomorphic(mine, other.components[i][1])), None)
+            hit = next((i for i in unused if group_isomorphism(mine, other.components[i][1]) is not None), None)
             if hit is None:
                 return False
             unused.remove(hit)
         return True
-
-
-def connected_components(g: FiniteGroupoid) -> list[tuple[str, ...]]:
-    """Object partition under arrow-reachability, ordered by least object index."""
-    neighbours: dict[str, set[str]] = {x: set() for x in g.objects}
-    for a in g.arrows:
-        neighbours[g.src[a]].add(g.tgt[a])
-        neighbours[g.tgt[a]].add(g.src[a])
-
-    def component(x: str) -> set[str]:
-        comp = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for z in neighbours[y]:
-                    if z not in comp:
-                        comp.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return comp
-
-    reps = class_reps(g.objects, component)
-    out: dict[str, list[str]] = {}
-    for x in g.objects:
-        out.setdefault(reps[x], []).append(x)
-    return [tuple(c) for c in out.values()]
-
-
-def isotropy_group(g: FiniteGroupoid, x: str) -> FiniteGroup:
-    loops = tuple(a for a in g.arrows if g.src[a] == x and g.tgt[a] == x)
-    return FiniteGroup(
-        elements=loops,
-        mul={(a, b): g.compose[(a, b)] for a in loops for b in loops},
-        unit=g.unit[x],
-        inv={a: g.inv[a] for a in loops},
-    )
 
 
 def skeleton_invariant(g: FiniteGroupoid) -> SkeletonInvariant:

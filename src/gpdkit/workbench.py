@@ -90,7 +90,10 @@ SAMPLE_CAPS = {
 # takes, and so the suite report.
 # The build: composites through at most one host larger than the quotient
 # group, identity spans on the first actions, a few round trips through a
-# pullback apex from small spans, and the smallest spans as the pool.
+# pullback apex from small spans, and the smallest spans as the pool.  The
+# round trips sort after every kept span at the default budget, so none
+# reaches a law there; at group=4,carrier=3,objects=7, seed 1, two are kept,
+# at positions 21 and 30 (from 0) of the 40 spans.
 LARGER_COMPOSITE_HOSTS = 1
 IDENTITY_SPANS = 12
 ROUND_TRIPS = 4
@@ -354,7 +357,8 @@ def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInst
         elif w.kind == "inclusion":
             f = w.functor
             spans.append((GeneralizedMorphism(f.functor, identity_functor(f.dom_action.induced)), f.cod_action, f.dom_action))
-    # a few round trips whose middle is a pullback apex rather than a carrier
+    # a few round trips whose middle is a pullback apex rather than a carrier;
+    # the default budget keeps none of them (see ROUND_TRIPS)
     composed = 0
     for span, left_action, _ in list(spans):
         if composed >= ROUND_TRIPS or _span_size(span) > ROUND_TRIP_MAX_SPAN_SIZE or span.left == span.right:
@@ -570,12 +574,9 @@ def _self_pullback_checks(w, rep, equivariant, plain, comparison_checks, project
 
 def _iso_search_symmetric(groupoids):
     for g, h in itertools.combinations(groupoids, 2):
-        fwd = groupoid_iso_search(g, h)
-        back = groupoid_iso_search(h, g)
-        if "budget-exceeded" in (fwd.status, back.status):
-            yield ("budget exceeded", True)
-            continue
-        yield (f"asymmetric search on {len(g.objects)}/{len(h.objects)} objects", fwd.found == back.found)
+        fwd = groupoid_iso_search(g, h) is not None
+        back = groupoid_iso_search(h, g) is not None
+        yield (f"asymmetric search on {len(g.objects)}/{len(h.objects)} objects", fwd == back)
 
 
 def _three_for_two(functor_pairs):

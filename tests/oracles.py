@@ -7,6 +7,8 @@ different route than the implementation under test.
 
 from __future__ import annotations
 
+import itertools
+
 
 def oracle_essentially_surjective(phi) -> bool:
     """Every codomain object receives an arrow from an object in the image."""
@@ -246,7 +248,7 @@ def oracle_orbits(action) -> list[tuple]:
 
 def oracle_connected_components(g) -> list[tuple]:
     """Components by breadth-first search from each unseen object, as
-    ``morita.connected_components`` computed them before class tables were
+    ``connected_components`` computed them before class tables were
     shared; each lists its objects in declaration order."""
     neighbours = {x: set() for x in g.objects}
     for a in g.arrows:
@@ -270,6 +272,43 @@ def oracle_connected_components(g) -> list[tuple]:
         seen.update(comp)
         out.append(tuple(y for y in g.objects if y in comp))
     return out
+
+
+def oracle_groupoid_isomorphic(g, h) -> bool:
+    """Some object bijection and arrow bijection preserve endpoints and composites.
+
+    Backtracks over every object bijection, then over arrows in declaration
+    order, each sent to an unused arrow between the image endpoints and kept
+    only if every composite among the arrows sent so far is preserved.  A
+    bijection preserving composites preserves units and inverses as well.
+    """
+    if len(g.objects) != len(h.objects) or len(g.arrows) != len(h.arrows):
+        return False
+    for image in itertools.permutations(h.objects):
+        obj = dict(zip(g.objects, image))
+        arr: dict = {}
+
+        def extend(i: int) -> bool:
+            if i == len(g.arrows):
+                return True
+            a = g.arrows[i]
+            for b in h.arrows:
+                if b in arr.values() or h.src[b] != obj[g.src[a]] or h.tgt[b] != obj[g.tgt[a]]:
+                    continue
+                arr[a] = b
+                if all(
+                    h.compose.get((arr[a2], arr[a1])) == arr[g.compose[(a2, a1)]]
+                    for a2 in arr
+                    for a1 in arr
+                    if (a2, a1) in g.compose and g.compose[(a2, a1)] in arr
+                ) and extend(i + 1):
+                    return True
+                del arr[a]
+            return False
+
+        if extend(0):
+            return True
+    return False
 
 
 def oracle_decomposition(phi) -> dict:

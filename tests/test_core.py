@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,15 +25,18 @@ from gpdkit.core import (
     compose_functors,
     direct_product,
     element_order,
+    group_isomorphism,
     groupoid_iso_search,
     identity_functor,
     identity_transformation,
     inverse_transformation,
+    is_group_hom,
     is_normal,
     is_subgroup_of,
     orbits,
     stabilizer,
     subgroup,
+    trivial_group,
     tuple_groupoid,
     validate_functor,
     validate_group,
@@ -41,8 +46,9 @@ from gpdkit.core import (
     whisker,
 )
 from gpdkit.morita import weak_equivalence_report
+from gpdkit.workbench import InstanceBudget, enumerate_actions
 
-from oracles import oracle_orbit, oracle_stabilizer
+from oracles import oracle_groupoid_isomorphic, oracle_orbit, oracle_stabilizer
 
 
 class TestGroupCatalog:
@@ -284,21 +290,16 @@ class TestNaturalTransformations:
 class TestIsoSearch:
     def test_self_iso_found(self, swap_action):
         result = groupoid_iso_search(swap_action.induced, swap_action.induced)
-        assert result.found and validate_functor(result.functor).ok
+        assert result is not None and validate_functor(result).ok
 
     def test_size_mismatch_is_definite_no(self, swap_action, loop_action):
         # 2 objects/4 arrows vs 1 object/2 arrows
-        assert groupoid_iso_search(loop_action.induced, swap_action.induced).status == "none"
+        assert groupoid_iso_search(loop_action.induced, swap_action.induced) is None
 
     def test_iso_invariant_under_carrier_relabeling(self, klein_action):
         relabeled = _relabel(klein_action, {"N": "E", "E": "N", "S": "W", "W": "S"})
         result = groupoid_iso_search(klein_action.induced, relabeled.induced)
-        assert result.found
-
-    def test_budget_exceeded_is_distinct(self, klein_action):
-        result = groupoid_iso_search(klein_action.induced, klein_action.induced, budget=1)
-        assert result.status == "budget-exceeded"
-        assert result.functor is None
+        assert result is not None
 
     def test_non_isomorphic_same_size(self, swap_action, loop_action):
         # double the loop groupoid to match the swap groupoid's sizes
@@ -307,7 +308,72 @@ class TestIsoSearch:
             c2, ("p", "q"), {("r0", "p"): "p", ("r0", "q"): "q", ("r1", "p"): "p", ("r1", "q"): "q"}
         )
         assert len(two_loops.induced.arrows) == len(swap_action.induced.arrows)
-        assert groupoid_iso_search(two_loops.induced, swap_action.induced).status == "none"
+        assert groupoid_iso_search(two_loops.induced, swap_action.induced) is None
+
+    @pytest.mark.parametrize("g, h, points", [("Q8", "D4", 4), ("C4", "V4", 1), ("C6", "S3", 1)])
+    def test_trivial_actions_of_different_groups_of_one_order(self, g, h, points):
+        catalog = dict(group_catalog())
+        carrier = tuple(f"p{i}" for i in range(points))
+        left, right = (_trivial_action(catalog[name], carrier).induced for name in (g, h))
+        assert len(left.arrows) == len(right.arrows)
+        assert groupoid_iso_search(left, right) is None
+        assert groupoid_iso_search(right, left) is None
+
+    def test_agrees_with_brute_force_on_small_actions(self):
+        acts = [a.induced for a in enumerate_actions(InstanceBudget(max_group_order=4, max_carrier_size=3))]
+        pairs = [
+            (g, h) for g, h in itertools.combinations_with_replacement(acts, 2)
+            if len(g.objects) == len(h.objects) and len(g.arrows) == len(h.arrows)
+        ]
+        verdicts = [groupoid_iso_search(g, h) is not None for g, h in pairs]
+        assert verdicts == [oracle_groupoid_isomorphic(g, h) for g, h in pairs]
+        assert 0 < verdicts.count(False) and len(acts) < verdicts.count(True)
+
+    def test_components_matched_in_any_order(self, swap_action, loop_action):
+        c3_loop = _trivial_action(cyclic_group(3), ("p",))
+        pieces = [loop_action.induced, swap_action.induced, c3_loop.induced, _trivial_action(trivial_group(), ("p",)).induced]
+        unions = [_disjoint_union(a, b) for a in pieces for b in pieces]
+        pairs = [
+            (g, h) for g, h in itertools.product(unions, repeat=2)
+            if len(g.objects) == len(h.objects) and len(g.arrows) == len(h.arrows)
+        ]
+        verdicts = [groupoid_iso_search(g, h) is not None for g, h in pairs]
+        assert verdicts == [oracle_groupoid_isomorphic(g, h) for g, h in pairs]
+        # a union and its reverse need their components swapped
+        swapped = groupoid_iso_search(_disjoint_union(*pieces[:2]), _disjoint_union(*pieces[1::-1]))
+        assert swapped is not None and validate_functor(swapped).ok
+
+
+def test_group_isomorphism_is_a_bijective_hom_or_none():
+    # the catalogue lists one group per isomorphism class; the product is V4 again
+    groups = group_catalog() + [("V4", direct_product(cyclic_group(2), cyclic_group(2)))]
+    for name_g, g in groups:
+        for name_h, h in groups:
+            mapping = group_isomorphism(g, h)
+            assert (mapping is not None) == (name_g == name_h)
+            if mapping is not None:
+                assert is_group_hom(g, h, mapping) is None
+                assert sorted(mapping.values()) == sorted(h.elements)
+
+
+def _trivial_action(group, carrier):
+    return action_groupoid(group, carrier, {(g, x): x for g in group.elements for x in carrier})
+
+
+def _disjoint_union(*parts):
+    """The groupoid with each part's ids prefixed by the part's position."""
+    def tag(i, table):
+        return {f"{i}.{k}": f"{i}.{v}" for k, v in table.items()}
+
+    return FiniteGroupoid(
+        objects=tuple(f"{i}.{x}" for i, g in enumerate(parts) for x in g.objects),
+        arrows=tuple(f"{i}.{a}" for i, g in enumerate(parts) for a in g.arrows),
+        src={k: v for i, g in enumerate(parts) for k, v in tag(i, g.src).items()},
+        tgt={k: v for i, g in enumerate(parts) for k, v in tag(i, g.tgt).items()},
+        compose={(f"{i}.{a2}", f"{i}.{a1}"): f"{i}.{a3}" for i, g in enumerate(parts) for (a2, a1), a3 in g.compose.items()},
+        unit={k: v for i, g in enumerate(parts) for k, v in tag(i, g.unit).items()},
+        inv={k: v for i, g in enumerate(parts) for k, v in tag(i, g.inv).items()},
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -319,7 +385,7 @@ def test_relabeled_klein_action_always_isomorphic(perm):
     mapping = dict(zip(["N", "S", "E", "W"], perm))
     relabeled = _relabel(action, mapping)
     assert validate_groupoid(relabeled.induced).ok
-    assert groupoid_iso_search(action.induced, relabeled.induced).found
+    assert groupoid_iso_search(action.induced, relabeled.induced) is not None
 
 
 def _relabel(action, mapping):
