@@ -4,6 +4,10 @@ Exit codes: 0 when the property holds or the construction succeeded, 1 for a
 definite negative (always with a witness), 2 for input errors, 3 for an
 internal error (a failed postcondition or any other unexpected exception).
 All output is canonical JSON so identical inputs give byte-identical outputs.
+
+Each command's handler returns its output document, or the bytes of one, with
+its exit code; :func:`main` is the one place that writes it, to ``--out`` or
+to stdout.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from .core import (
     validate_groupoid,
 )
 from .equivariant import (
-    EquivariantFunctor,
-    as_equivariant,
     balanced_product,
     decompose,
     equivariant_anafunctorify,
@@ -38,6 +40,7 @@ from .equivariant import (
 )
 from .localization import (
     anafunctorify,
+    as_anafunctor,
     compose_anafunctors,
     compose_generalized,
     normalize_two_cell,
@@ -54,65 +57,26 @@ from .morita import (
 from .workbench import InstanceBudget, run_law_suite
 
 
-def _emit(doc: dict | bytes, out: str | None) -> None:
-    """Write ``doc`` as canonical JSON (bytes as they are) to ``out``, or to stdout."""
-    data = doc if isinstance(doc, bytes) else docs.dumps(doc)
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-
-
 def _load(path: str) -> docs.Bundle:
     with open(path, "rb") as fh:
         return docs.parse_bundle(docs.loads(fh.read()))
 
 
-def _single_name(bundle: docs.Bundle, name: str | None, what: str) -> str:
-    if name is not None:
-        return name
-    if len(bundle.entries) == 1:
-        return next(iter(bundle.entries))
-    if not bundle.entries:
-        raise docs.SchemaError(f"no documents in the bundle; expected a {what}")
-    raise docs.SchemaError(f"several documents in the bundle; name the {what} explicitly")
-
-
-def _functor_with_actions(bundle: docs.Bundle, name: str):
-    """An equivariant functor, recovering the group map when not annotated."""
-    value = bundle.functor(name)
-    if isinstance(value, EquivariantFunctor):
-        return value
-    check = as_equivariant(*bundle.actions_of(name), value)
-    if not check.ok:
-        raise docs.SchemaError(f"{name!r} is not equivariant (witness arrow {check.witness!r})")
-    return check.functor
-
-
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[dict, int]:
     try:
         bundle = _load(args.file)
     except PreconditionError as exc:
-        _emit({"kind": "validation_report", "ok": False, "violations": [{"axiom": "construction", "witness": str(exc)}]}, args.out)
-        return 1
+        return {"kind": "validation_report", "ok": False, "violations": [{"axiom": "construction", "witness": str(exc)}]}, 1
     names = list(bundle.docs) if args.name is None else [args.name]
     violations = [
         {"document": name, "axiom": v.axiom, "witness": repr(v.witness)} for name in names for v in bundle.validate(name)
     ]
-    _emit({"kind": "validation_report", "ok": not violations, "violations": violations}, args.out)
-    return 0 if not violations else 1
+    return {"kind": "validation_report", "ok": not violations, "violations": violations}, 0 if not violations else 1
 
 
-def _cmd_check_we(args) -> int:
-    bundle = _load(args.file)
-    name = _single_name(bundle, args.functor, "functor")
-    functor = bundle.functor(name)
-    if isinstance(functor, EquivariantFunctor):
-        functor = functor.functor
-    docs.require_functor(functor, repr(name))
-    rep = weak_equivalence_report(functor)
-    _emit(
+def _cmd_check_we(args) -> tuple[dict, int]:
+    rep = weak_equivalence_report(_load(args.file).functor(args.functor))
+    return (
         {
             "kind": "we_report",
             "es_map_surjective": rep.es_map_surjective,
@@ -126,33 +90,25 @@ def _cmd_check_we(args) -> int:
                 "object_map": rep.obj_witness,
             },
         },
-        args.out,
+        0 if rep.is_weak_equivalence else 1,
     )
-    return 0 if rep.is_weak_equivalence else 1
 
 
-def _cmd_check_properties(args) -> int:
-    bundle = _load(args.file)
-    name = _single_name(bundle, args.action, "action groupoid")
-    action = bundle.action(name)
+def _cmd_check_properties(args) -> tuple[dict, int]:
+    action = _load(args.file).action(args.action)
     requested = tuple(args.props.split(",")) if args.props else PROPERTY_NAMES
     report = property_report(action, requested)
     verdicts = {
         prop: {"value": v.value, "trivial": v.trivial, "witness": list(v.witness) if v.witness else None}
         for prop, v in report.selected().items()
     }
-    _emit({"kind": "property_report", "verdicts": verdicts}, args.out)
-    return 0 if all(v["value"] for v in verdicts.values()) else 1
+    return {"kind": "property_report", "verdicts": verdicts}, 0 if all(v["value"] for v in verdicts.values()) else 1
 
 
-def _cmd_pullback(args) -> int:
+def _cmd_pullback(args) -> tuple[dict, int]:
     bundle = _load(args.file)
     phi = bundle.functor(args.phi)
     psi = bundle.functor(args.psi)
-    phi = phi.functor if isinstance(phi, EquivariantFunctor) else phi
-    psi = psi.functor if isinstance(psi, EquivariantFunctor) else psi
-    for name, functor in ((args.phi, phi), (args.psi, psi)):
-        docs.require_functor(functor, repr(name))
     out = {
         "dom1": docs.groupoid_doc(phi.dom),
         "dom2": docs.groupoid_doc(psi.dom),
@@ -173,13 +129,10 @@ def _cmd_pullback(args) -> int:
             docs.functor_doc(pb.comparison.target, "apex", "codomain"),
             pb.comparison,
         )
-    _emit({"kind": "bundle", "documents": out}, args.out)
-    return 0
+    return {"kind": "bundle", "documents": out}, 0
 
 
-def _cmd_compose(args, strict: bool) -> int:
-    from .localization import as_anafunctor
-
+def _cmd_compose(args, strict: bool) -> tuple[dict, int]:
     bundle = _load(args.file)
     f = bundle.span(args.first).build()
     g = bundle.span(args.second).build()
@@ -193,14 +146,11 @@ def _cmd_compose(args, strict: bool) -> int:
         "right_foot": docs.groupoid_doc(composite.right_foot),
         "composite": docs.legs_doc(composite, "middle"),
     }
-    _emit({"kind": "bundle", "documents": out}, args.out)
-    return 0
+    return {"kind": "bundle", "documents": out}, 0
 
 
-def _cmd_decompose(args) -> int:
-    bundle = _load(args.file)
-    name = _single_name(bundle, args.functor, "functor")
-    functor = _functor_with_actions(bundle, name)
+def _cmd_decompose(args) -> tuple[dict, int]:
+    functor = _load(args.file).equivariant(args.functor)
     result = decompose(functor)
     out = {
         "domain": docs.action_doc(functor.dom_action),
@@ -210,14 +160,11 @@ def _cmd_decompose(args) -> int:
         "projection": docs.functor_doc(result.projection.functor, "domain", "middle", result.projection.group_hom),
         "inclusion": docs.functor_doc(result.inclusion.functor, "middle", "codomain", result.inclusion.group_hom),
     }
-    _emit({"kind": "bundle", "documents": out}, args.out)
-    return 0
+    return {"kind": "bundle", "documents": out}, 0
 
 
-def _cmd_quotient_factorize(args) -> int:
-    bundle = _load(args.file)
-    name = _single_name(bundle, args.functor, "functor")
-    functor = _functor_with_actions(bundle, name)
+def _cmd_quotient_factorize(args) -> tuple[dict, int]:
+    functor = _load(args.file).equivariant(args.functor)
     result = quotient_factorization(functor)
     out = {
         "domain": docs.action_doc(functor.dom_action),
@@ -227,11 +174,10 @@ def _cmd_quotient_factorize(args) -> int:
         "projection": docs.functor_doc(result.projection.functor, "domain", "quotient", result.projection.group_hom),
         "iso": docs.functor_doc(result.iso.functor, "quotient", "codomain", result.iso.group_hom),
     }
-    _emit({"kind": "bundle", "documents": out}, args.out)
-    return 0
+    return {"kind": "bundle", "documents": out}, 0
 
 
-def _cmd_balanced_product(args) -> int:
+def _cmd_balanced_product(args) -> tuple[dict, int]:
     bundle = _load(args.file)
     big = bundle.group(args.group)
     inner = bundle.action(args.action)
@@ -241,36 +187,30 @@ def _cmd_balanced_product(args) -> int:
         "product": docs.action_doc(result.product),
         "inclusion": docs.functor_doc(result.inclusion.functor, "inner", "product", result.inclusion.group_hom),
     }
-    _emit({"kind": "bundle", "documents": out}, args.out)
-    return 0
+    return {"kind": "bundle", "documents": out}, 0
 
 
-def _cmd_anafunctorify(args) -> int:
+def _cmd_anafunctorify(args) -> tuple[dict, int]:
     bundle = _load(args.file)
-    name = _single_name(bundle, args.span, "span")
-    span = bundle.span(name).build()
+    span = bundle.span(args.span).build()
     entries = {
         "left_foot": docs.groupoid_doc(span.left_foot),
         "right_foot": docs.groupoid_doc(span.right_foot),
         "old_middle": docs.groupoid_doc(span.middle),
     }
     if args.equivariant:
-        result = equivariant_anafunctorify(span, *bundle.actions_of(name))
+        result = equivariant_anafunctorify(span, *bundle.actions_of(args.span))
         entries["new_middle"] = docs.action_doc(result.middle_action)
     else:
         result = anafunctorify(span)
         entries["new_middle"] = docs.groupoid_doc(result.anafunctor.middle)
     entries["anafunctor"] = docs.legs_doc(result.anafunctor, "new_middle")
     entries["witness"] = docs.diagram_doc(result.witness, "old_middle", "old_middle", "new_middle")
-    _emit({"kind": "bundle", "documents": entries}, args.out)
-    return 0
+    return {"kind": "bundle", "documents": entries}, 0
 
 
-def _cmd_normalize(args) -> int:
-    bundle = _load(args.file)
-    name = _single_name(bundle, args.diagram, "diagram")
-    diagram = bundle.diagram(name)
-    cell = normalize_two_cell(diagram)
+def _cmd_normalize(args) -> tuple[dict, int]:
+    cell = normalize_two_cell(_load(args.file).diagram(args.diagram))
     pb_left = docs.functor_doc(cell.transformation.source, "pullback", "right_foot")
     pb_right = docs.functor_doc(cell.transformation.target, "pullback", "right_foot")
     entries = {
@@ -283,11 +223,10 @@ def _cmd_normalize(args) -> int:
         "bottom": docs.legs_doc(cell.bottom, "bottom_middle"),
         "transformation": docs.transformation_doc(pb_left, pb_right, cell.transformation),
     }
-    _emit({"kind": "bundle", "documents": entries}, args.out)
-    return 0
+    return {"kind": "bundle", "documents": entries}, 0
 
 
-def _cmd_cells_equal(args) -> int:
+def _cmd_cells_equal(args) -> tuple[dict, int]:
     bundle = _load(args.file)
     d1 = bundle.diagram(args.first)
     d2 = bundle.diagram(args.second)
@@ -300,17 +239,15 @@ def _cmd_cells_equal(args) -> int:
     if difference is not None:
         at, first, second = difference
         witness = {"at": at, "first": first, "second": second}
-    _emit({"kind": "two_cell_equality", "equal": difference is None, "witness": witness}, args.out)
-    return 0 if difference is None else 1
+    return {"kind": "two_cell_equality", "equal": difference is None, "witness": witness}, 0 if difference is None else 1
 
 
-def _cmd_skeleton(args) -> int:
+def _cmd_skeleton(args) -> tuple[dict, int]:
     bundle = _load(args.file)
-    name = _single_name(bundle, args.name, "groupoid")
-    g = bundle.groupoid(name)
+    g = bundle.groupoid(args.name)
     bundle.require_groupoids(g)
     sk = skeleton_invariant(g)
-    _emit(
+    return (
         {
             "kind": "skeleton",
             "components": [
@@ -318,9 +255,8 @@ def _cmd_skeleton(args) -> int:
                 for size, iso in sk.components
             ],
         },
-        args.out,
+        0,
     )
-    return 0
 
 
 def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
@@ -347,11 +283,9 @@ def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
     return InstanceBudget(**fields)
 
 
-def _cmd_suite(args) -> int:
-    budget = _parse_budget(args.budget, args.seed)
-    report = run_law_suite(budget)
-    _emit(report.to_bytes(), args.out)
-    return 0 if report.all_ok else 1
+def _cmd_suite(args) -> tuple[bytes, int]:
+    report = run_law_suite(_parse_budget(args.budget, args.seed))
+    return report.to_bytes(), 0 if report.all_ok else 1
 
 
 def build_klein_example() -> tuple[ActionGroupoid, tuple[str, str]]:
@@ -373,7 +307,7 @@ def build_klein_example() -> tuple[ActionGroupoid, tuple[str, str]]:
     return action_groupoid(group, points, table), ("(e,e)", "(t,t)")
 
 
-def _cmd_demo_klein(args) -> int:
+def _cmd_demo_klein(args) -> tuple[dict, int]:
     action, half_turn_subgroup = build_klein_example()
     facts = {}
     facts["original_valid"] = validate_groupoid(action.induced).ok
@@ -392,20 +326,21 @@ def _cmd_demo_klein(args) -> int:
     facts["morita_equivalent"] = morita_oracle(action.induced, q.quotient.induced)
     dec = decompose(q.projection)
     facts["decomposition_kernel"] = list(dec.kernel.elements)
-    ok = (
-        facts["original_valid"]
-        and facts["original_effective"]
-        and facts["original_free"]
-        and not facts["original_transitive"]
-        and facts["subgroup_acts_freely"]
-        and facts["projection_is_ssw"]
-        and facts["quotient_objects"] == 2
-        and facts["quotient_isotropy_orders"] == [2, 2]
-        and facts["quotient_effective"] is False
-        and facts["morita_equivalent"]
-        and facts["decomposition_kernel"] == list(sub.elements)
-    )
-    out = {
+    expected = {
+        "original_valid": True,
+        "original_effective": True,
+        "original_free": True,
+        "original_transitive": False,
+        "subgroup_acts_freely": True,
+        "projection_is_ssw": True,
+        "quotient_objects": 2,
+        "quotient_isotropy_orders": [2, 2],
+        "quotient_effective": False,
+        "morita_equivalent": True,
+        "decomposition_kernel": list(sub.elements),
+    }
+    ok = facts == expected
+    return {
         "kind": "demo_report",
         "ok": ok,
         "facts": facts,
@@ -415,15 +350,14 @@ def _cmd_demo_klein(args) -> int:
             "quotient": docs.action_doc(q.quotient),
             "projection": docs.functor_doc(q.projection.functor, "original", "quotient", q.projection.group_hom),
         },
-    }
-    _emit(out, args.out)
-    return 0 if ok else 1
+    }, 0 if ok else 1
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="gpdkit", description=__doc__)
+    # the docstring's last paragraph is about the code, not for --help
+    parser = argparse.ArgumentParser(prog="gpdkit", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -509,7 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        doc, code = args.fn(args)
+        data = doc if isinstance(doc, bytes) else docs.dumps(doc)
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        else:
+            sys.stdout.buffer.write(data)
+        return code
     except (docs.SchemaError, DanglingIdError, MismatchError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

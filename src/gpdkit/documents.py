@@ -45,7 +45,7 @@ from .core import (
     validate_groupoid,
     validate_nat_trans,
 )
-from .equivariant import EquivariantFunctor, equivariant_functor
+from .equivariant import EquivariantFunctor, as_equivariant, equivariant_functor
 from .localization import GeneralizedMorphism, TwoCellDiagram, validate_two_cell
 from .morita import weak_equivalence_report
 
@@ -318,30 +318,33 @@ def parse_action_groupoid(obj: dict, where: str = "action_groupoid") -> ActionGr
 class Bundle:
     """Named documents resolved to domain values, in declaration order.
 
-    ``functor``, ``span`` and ``diagram`` are the lookups commands make; each
-    first checks the plain groupoid documents its value is built on, and
-    ``group`` refuses a group document that breaks an axiom.
+    A lookup of name ``None`` gives the bundle's only document.  ``functor``
+    gives the plain functor and refuses one that breaks a functor axiom;
+    ``equivariant`` gives the equivariant functor, recovering the group map of
+    a document without one.  ``functor``, ``equivariant``, ``span`` and
+    ``diagram`` first check the plain groupoid documents their value is built
+    on, and ``group`` refuses a group document that breaks an axiom.
     """
 
     entries: dict[str, object] = field(default_factory=dict)
     docs: dict[str, dict] = field(default_factory=dict)
 
-    def groupoid(self, name: str) -> FiniteGroupoid:
-        value = self._lookup(name)
+    def groupoid(self, name: str | None) -> FiniteGroupoid:
+        name, value = self._lookup(name, "groupoid")
         if isinstance(value, ActionGroupoid):
             return value.induced
         if isinstance(value, FiniteGroupoid):
             return value
         raise SchemaError(f"{name!r} is not a groupoid document")
 
-    def action(self, name: str) -> ActionGroupoid:
-        value = self._lookup(name)
+    def action(self, name: str | None) -> ActionGroupoid:
+        name, value = self._lookup(name, "action groupoid")
         if not isinstance(value, ActionGroupoid):
             raise SchemaError(f"{name!r} is not an action_groupoid document")
         return value
 
-    def group(self, name: str) -> FiniteGroup:
-        value = self._lookup(name)
+    def group(self, name: str | None) -> FiniteGroup:
+        name, value = self._lookup(name, "group")
         if isinstance(value, ActionGroupoid):
             return value.group
         if not isinstance(value, FiniteGroup):
@@ -351,23 +354,30 @@ class Bundle:
             raise PreconditionError(f"{name!r} is not a group: {rep.violations[0]}")
         return value
 
-    def functor(self, name: str) -> GroupoidFunctor | EquivariantFunctor:
-        value = self._lookup(name)
-        if not isinstance(value, (GroupoidFunctor, EquivariantFunctor)):
-            raise SchemaError(f"{name!r} is not a functor document")
+    def functor(self, name: str | None) -> GroupoidFunctor:
+        name, value = self._functor_entry(name)
         plain = _as_plain_functor(value)
-        self.require_groupoids(plain.dom, plain.cod)
-        return value
+        require_functor(plain, repr(name))
+        return plain
 
-    def span(self, name: str) -> "RawSpan":
-        value = self._lookup(name)
+    def equivariant(self, name: str | None) -> EquivariantFunctor:
+        name, value = self._functor_entry(name)
+        if isinstance(value, EquivariantFunctor):
+            return value
+        check = as_equivariant(*self.actions_of(name), value)
+        if not check.ok:
+            raise SchemaError(f"{name!r} is not equivariant (witness arrow {check.witness!r})")
+        return check.functor
+
+    def span(self, name: str | None) -> "RawSpan":
+        name, value = self._lookup(name, "span")
         if not isinstance(value, RawSpan):
             raise SchemaError(f"{name!r} is not a span document")
         self.require_groupoids(value.left.dom, value.left.cod, value.right.cod)
         return value
 
-    def diagram(self, name: str) -> TwoCellDiagram:
-        value = self._lookup(name)
+    def diagram(self, name: str | None) -> TwoCellDiagram:
+        name, value = self._lookup(name, "diagram")
         if not isinstance(value, TwoCellDiagram):
             raise SchemaError(f"{name!r} is not a two_cell_diagram document")
         self.require_groupoids(
@@ -379,13 +389,13 @@ class Bundle:
 
     def validate(self, name: str) -> tuple[Violation, ...]:
         """Every axiom violation of document ``name``, found by its kind's validator."""
-        value = self._lookup(name)
+        name, value = self._lookup(name, "document")
         return _KINDS[self.docs[name]["kind"]].validate(value).violations
 
-    def actions_of(self, name: str) -> tuple[ActionGroupoid, ActionGroupoid]:
+    def actions_of(self, name: str | None) -> tuple[ActionGroupoid, ActionGroupoid]:
         """The action groupoids at the two ends of functor or span document ``name``:
         a functor's domain and codomain, a span's left and right feet."""
-        self._lookup(name)
+        name, _ = self._lookup(name, "functor or span")
         doc = self.docs[name]
         if doc["kind"] == "functor":
             return self.action(doc["dom"]), self.action(doc["cod"])
@@ -403,10 +413,27 @@ class Bundle:
                 if not rep.ok:
                     raise PreconditionError(f"{name!r} is not a groupoid: {rep.violations[0]}")
 
-    def _lookup(self, name: str):
+    def _functor_entry(self, name: str | None) -> tuple[str, GroupoidFunctor | EquivariantFunctor]:
+        """The resolved name and value of a functor document, its groupoids checked."""
+        name, value = self._lookup(name, "functor")
+        if not isinstance(value, (GroupoidFunctor, EquivariantFunctor)):
+            raise SchemaError(f"{name!r} is not a functor document")
+        plain = _as_plain_functor(value)
+        self.require_groupoids(plain.dom, plain.cod)
+        return name, value
+
+    def _lookup(self, name: str | None, what: str) -> tuple[str, object]:
+        """The name and value of document ``name``, or of the only document when
+        ``name`` is ``None``; ``what`` names the kind expected in the refusal."""
+        if name is None:
+            if len(self.entries) == 1:
+                return next(iter(self.entries.items()))
+            if not self.entries:
+                raise SchemaError(f"no documents in the bundle; expected a {what}")
+            raise SchemaError(f"several documents in the bundle; name the {what} explicitly")
         if name not in self.entries:
             raise SchemaError(f"no document named {name!r} in the bundle")
-        return self.entries[name]
+        return name, self.entries[name]
 
 
 def _ref(bundle: Bundle, obj: dict, key: str, where: str, kind: str):
@@ -414,7 +441,7 @@ def _ref(bundle: Bundle, obj: dict, key: str, where: str, kind: str):
     raw = _need(obj, key, where, (dict, str))
     if isinstance(raw, dict):
         return _KINDS[kind].parse(bundle, raw, f"{where}.{key}")
-    value = bundle._lookup(raw)
+    _, value = bundle._lookup(raw, kind)
     if bundle.docs[raw]["kind"] != kind:
         raise SchemaError(f"{where}: {key!r} does not name a {kind} document")
     return value

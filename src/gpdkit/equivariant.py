@@ -416,7 +416,7 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
         raise InternalCheckError("decompose: balanced product does not match the codomain carrier")
 
     rep_dom = property_report(dom)
-    rep_cod = property_report(cod)
+    rep_cod = rep_dom if cod is dom else property_report(cod)
     rep_mid = rep_cod if middle is cod else property_report(middle)
     for name in PROPERTY_NAMES:
         if name == "effective":

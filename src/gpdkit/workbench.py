@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import catalog
 from .core import (
@@ -68,7 +68,6 @@ from .localization import (
 )
 from .morita import (
     morita_oracle,
-    skeleton_invariant,
     strict_pullback,
     weak_equivalence_report,
     weak_pullback,
@@ -402,12 +401,7 @@ class SuiteReport:
 
     def to_bytes(self) -> bytes:
         doc = {
-            "budget": {
-                "max_group_order": self.budget.max_group_order,
-                "max_carrier_size": self.budget.max_carrier_size,
-                "max_objects": self.budget.max_objects,
-                "sample_seed": self.budget.sample_seed,
-            },
+            "budget": asdict(self.budget),
             "laws": [
                 {"name": law.name, "instances": law.instances, "ok": law.ok, "witness": law.witness}
                 for law in sorted(self.laws, key=lambda l: l.name)
@@ -605,7 +599,7 @@ def _ff_surjective_implies_we(functor_pairs):
 def _skeleton_preserved(weak_equivalences):
     for w in weak_equivalences:
         f = w.functor.functor
-        yield (f"{w.kind} {_describe_functor(f)}", skeleton_invariant(f.dom).morita_equal(skeleton_invariant(f.cod)))
+        yield (f"{w.kind} {_describe_functor(f)}", morita_oracle(f.dom, f.cod))
 
 
 def _factorizations(phi: GroupoidFunctor, side: str) -> int | None:
@@ -702,10 +696,7 @@ def _strictify_and_replace(spans, composable_pairs):
     for f, g in composable_pairs:
         d = strictify_composition(f, g)
         yield ("strictified diagram validates", validate_two_cell(d).ok)
-        yield (
-            "composite skeletons agree",
-            skeleton_invariant(d.top.middle).morita_equal(skeleton_invariant(d.bottom.middle)),
-        )
+        yield ("composite skeletons agree", morita_oracle(d.top.middle, d.bottom.middle))
 
 
 def _property_invariance(weak_equivalences, budget: InstanceBudget):

@@ -369,11 +369,40 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr() == ("", "error: duplicate key 'G' in a JSON object\n")
 
-    @pytest.mark.parametrize("command, what", [("skeleton", "groupoid"), ("check-we", "functor")])
+    OPTIONAL_NAME_COMMANDS = [
+        ("skeleton", "groupoid"),
+        ("check-we", "functor"),
+        ("check-properties", "action groupoid"),
+        ("decompose", "functor"),
+        ("quotient-factorize", "functor"),
+        ("anafunctorify", "span"),
+        ("normalize-2cell", "diagram"),
+    ]
+
+    @pytest.mark.parametrize("command, what", OPTIONAL_NAME_COMMANDS)
     def test_empty_bundle_names_the_missing_document(self, tmp_path, capsys, command, what):
         path = write(tmp_path, "bundle.json", {"kind": "bundle", "documents": {}})
         assert main([command, path]) == 2
         assert capsys.readouterr() == ("", f"error: no documents in the bundle; expected a {what}\n")
+
+    @pytest.mark.parametrize("command, what", OPTIONAL_NAME_COMMANDS)
+    def test_two_document_bundle_asks_for_the_name(self, tmp_path, capsys, command, what):
+        t = docs.groupoid_doc(terminal_groupoid())
+        path = write(tmp_path, "bundle.json", {"kind": "bundle", "documents": {"a": t, "b": t}})
+        assert main([command, path]) == 2
+        assert capsys.readouterr() == ("", f"error: several documents in the bundle; name the {what} explicitly\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["demo-klein"], ["check-we", str(Path(__file__).parent / "golden" / "constructions" / "bundle.json"), "proj"]],
+        ids=["demo-klein", "check-we"],
+    )
+    def test_out_into_a_missing_directory_is_an_input_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "missing" / "out.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
     def test_colliding_pullback_ids_are_an_input_error(self, tmp_path, capsys):
         # ("p,q", "r") and ("p", "q,r") both render "(p,q,r)"
