@@ -585,20 +585,15 @@ def equivariant_anafunctorify(
                 triples.append((a, z, b))
     arrows_out = k.arrows_from()
 
-    def transports(t: tuple[str, str, str]) -> set[tuple[str, str, str]]:
-        """``t`` and every triple a chain of middle arrows transports it to."""
-        members = {t}
-        frontier = [t]
-        while frontier:
-            nxt = []
-            for (a, z, b) in frontier:
-                for m in arrows_out[z]:
-                    t2 = (gi.compose[(phi.arr_map[m], a)], k.tgt[m], hi.compose[(psi.arr_map[m], b)])
-                    if t2 not in members:
-                        members.add(t2)
-                        nxt.append(t2)
-            frontier = nxt
-        return members
+    def transports(t: tuple[str, str, str]) -> list[tuple[str, str, str]]:
+        """Every triple a middle arrow transports ``t`` to, ``t`` included.
+
+        One step is the whole class: ``phi`` and ``psi`` are functors and the
+        middle is a groupoid, so a chain of transports is the transport along
+        the composite arrow.
+        """
+        a, z, b = t
+        return [(gi.compose[(phi.arr_map[m], a)], k.tgt[m], hi.compose[(psi.arr_map[m], b)]) for m in arrows_out[z]]
 
     triple_rep = class_reps(triples, transports)
     ids = {rep: render_id(rep) for rep in dict.fromkeys(triple_rep.values())}

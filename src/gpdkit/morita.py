@@ -292,9 +292,8 @@ def locally_split_witness(phi: GroupoidFunctor) -> LocallySplitWitness:
     rep = weak_equivalence_report(phi)
     if not rep.is_weak_equivalence:
         raise PreconditionError("locally_split_witness: functor is not a weak equivalence")
+    # weak_pullback re-verifies that pr3 is a surjective weak equivalence
     wp = weak_pullback(phi, identity_functor(phi.cod))
-    if not weak_equivalence_report(wp.pr3).is_ssw:
-        raise InternalCheckError("locally_split_witness: projection is not a surjective weak equivalence")
     return LocallySplitWitness(wp.apex, wp.pr3, wp.pr1, wp.comparison)
 
 

@@ -37,7 +37,6 @@ from gpdkit.localization import (
 from gpdkit.morita import morita_oracle, skeleton_invariant, weak_equivalence_report, weak_pullback
 from gpdkit.workbench import (
     InstanceBudget,
-    _in_cell_gate,
     _perturb_diagram,
     build_instances,
 )
@@ -483,10 +482,11 @@ class TestNormalFormOracle:
         for d in diagrams:
             assert normalize_two_cell(d).transformation == oracle_normalize_two_cell(d)
 
-    def test_first_gated_default_budget_spans(self):
+    def test_first_default_budget_cell_spans(self):
         # the spans the default-budget 2-cell laws admit, smallest first
-        gated = [span for span, _, _ in build_instances(InstanceBudget()).spans if _in_cell_gate(span)][:20]
-        assert len(gated) == 20
-        for span in gated:
+        spans = [span for span, _, _ in build_instances(InstanceBudget()).spans]
+        cells = [span for span in spans if weak_equivalence_report(span.left).is_ssw][:20]
+        assert len(cells) == 20
+        for span in cells:
             for d in _oracle_diagrams(span):
                 assert normalize_two_cell(d).transformation == oracle_normalize_two_cell(d)

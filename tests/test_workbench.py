@@ -80,6 +80,19 @@ class TestEnumeration:
         build_instances(InstanceBudget())
         assert len(calls) == 1
 
+    def test_build_instances_enumerates_each_group_once(self, monkeypatch):
+        # a whole group and C2..C8's trivial subgroup (equal to C1) reuse the earlier list
+        groups = []
+        original = workbench.actions_of_group
+
+        def recording(group, max_size):
+            groups.append(group)
+            return original(group, max_size)
+
+        monkeypatch.setattr(workbench, "actions_of_group", recording)
+        build_instances(InstanceBudget())
+        assert not [(g, h) for i, g in enumerate(groups) for h in groups[:i] if g == h]
+
 
 class TestGenerator:
     def test_soundness(self, small_budget):
