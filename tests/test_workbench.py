@@ -110,6 +110,18 @@ class TestGenerator:
             projection, inclusion = w.stages
             assert projection.cod_action == inclusion.dom_action
 
+    def test_reused_action_lists_give_the_inclusions_of_a_fresh_enumeration(self, small_budget):
+        # the inclusions read an earlier equal group's actions in place of enumerating the subgroup
+        groups = [g for _, g in group_catalog() if g.order <= small_budget.max_group_order]
+        fresh = [
+            equivariant.balanced_product(big, inner).inclusion
+            for big in groups
+            for sub in all_subgroups(big)
+            for inner in actions_of_group(subgroup(big, sub), small_budget.max_carrier_size)
+        ]
+        wes = generate_weak_equivalences(small_budget)
+        assert [w.functor for w in wes if w.kind == "inclusion"] == fresh
+
     def test_klein_projection_emitted_at_default(self):
         wes = generate_weak_equivalences(InstanceBudget())
         hits = [
