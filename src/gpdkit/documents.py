@@ -162,12 +162,17 @@ def _str_map(obj: dict, key: str, where: str) -> dict[str, str]:
     return value
 
 
-def _triple_rows(obj: dict, key: str, where: str) -> list[list[str]]:
+def _triple_rows(obj: dict, key: str, where: str) -> dict[tuple[str, str], str]:
+    """The table ``(a, b) -> c`` of the ``[a, b, c]`` rows of ``key``; a repeated ``(a, b)`` is refused."""
     value = _need(obj, key, where, list)
+    table: dict[tuple[str, str], str] = {}
     for row in value:
         if not (isinstance(row, list) and len(row) == 3 and all(isinstance(v, str) for v in row)):
             raise SchemaError(f"{where}: field {key!r} must be a list of [a, b, c] string triples")
-    return value
+        if (row[0], row[1]) in table:
+            raise SchemaError(f"{where}: field {key!r} has two rows for ({row[0]!r}, {row[1]!r})")
+        table[(row[0], row[1])] = row[2]
+    return table
 
 
 # --- encoding -------------------------------------------------------------
@@ -271,9 +276,7 @@ def parse_groupoid(obj: dict, where: str = "groupoid") -> FiniteGroupoid:
         arrows.append(str(_need(row, "id", f"{where}.arrows[{i}]", str)))
         src[arrows[-1]] = str(_need(row, "src", f"{where}.arrows[{i}]", str))
         tgt[arrows[-1]] = str(_need(row, "tgt", f"{where}.arrows[{i}]", str))
-    compose = {}
-    for a2, a1, a3 in _triple_rows(obj, "compose", where):
-        compose[(a2, a1)] = a3
+    compose = _triple_rows(obj, "compose", where)
     unit = _str_map(obj, "identity", where)
     inv = _str_map(obj, "inverse", where)
     g = FiniteGroupoid(objects, tuple(arrows), src, tgt, compose, unit, inv)
@@ -286,9 +289,7 @@ def parse_groupoid(obj: dict, where: str = "groupoid") -> FiniteGroupoid:
 
 def parse_group(obj: dict, where: str = "group") -> FiniteGroup:
     elements = tuple(_str_list(obj, "elements", where))
-    mul = {}
-    for a, b, c in _triple_rows(obj, "mul", where):
-        mul[(a, b)] = c
+    mul = _triple_rows(obj, "mul", where)
     unit = str(_need(obj, "unit", where, str))
     inv = {a: next((b for b in elements if mul.get((a, b)) == unit), None) for a in elements}
     g = FiniteGroup(elements, mul, unit, inv)
@@ -308,10 +309,7 @@ def parse_action_groupoid(obj: dict, where: str = "action_groupoid") -> ActionGr
     if not rep.ok:
         raise PreconditionError(f"{where}.group is not a group: {rep.violations[0]}")
     carrier = tuple(_str_list(obj, "set", where))
-    act = {}
-    for g, x, y in _triple_rows(obj, "action", where):
-        act[(g, x)] = y
-    return action_groupoid(group, carrier, act)
+    return action_groupoid(group, carrier, _triple_rows(obj, "action", where))
 
 
 @dataclass

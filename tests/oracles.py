@@ -160,6 +160,27 @@ def oracle_compose_rows(g) -> list[list[str]]:
     return [[a2, a1, g.compose[(a2, a1)]] for a2 in g.arrows for a1 in g.arrows if (a2, a1) in g.compose]
 
 
+def oracle_associativity(g) -> list[tuple]:
+    """Witnesses ``(a3, a2, a1)`` of every composable triple whose two
+    bracketings differ or are undefined, in the order ``validate_groupoid``
+    lists them: ``a1`` in declaration order, then each ``a2`` out of its
+    target with ``a2 ∘ a1`` in the table, then each ``a3`` out of the target
+    of ``a2``."""
+    out = []
+    for a1 in g.arrows:
+        for a2 in g.arrows:
+            if g.src[a2] != g.tgt[a1] or (a2, a1) not in g.compose:
+                continue
+            for a3 in g.arrows:
+                if g.src[a3] != g.tgt[a2]:
+                    continue
+                left = g.compose.get((a3, g.compose[(a2, a1)]))
+                right = g.compose.get((g.compose.get((a3, a2)), a1))
+                if left is None or left != right:
+                    out.append((a3, a2, a1))
+    return out
+
+
 def oracle_actions_of_group(group, max_size: int) -> list[dict]:
     """Action tables of ``group`` on carriers of size 1..max_size, up to relabeling.
 

@@ -474,3 +474,29 @@ def test_mutated_group_tables_keep_the_exit_code_contract(tmp_path_factory, muta
         ["decompose", FILE, "proj"],
     ):
         _run_keeps_the_contract([str(path) if a == FILE else a for a in argv])
+
+
+# A table row repeats the pair of an earlier row: refused when read, whichever
+# row comes first, so no row silently wins.
+
+SWAP_ACTION = docs.action_doc(action_groupoid(cyclic_group(2), ("0", "1"), {("r0", "0"): "0", ("r0", "1"): "1", ("r1", "0"): "1", ("r1", "1"): "0"}))
+LOOP_ARROW = BASE["documents"]["loop"]["arrows"][-1]["id"]
+
+# field -> (document name, document, the repeated pair, the second row's value)
+REPEATS = {
+    "compose": ("H", BASE["documents"]["loop"], (LOOP_ARROW, LOOP_ARROW), LOOP_ARROW),
+    "mul": ("G", C2_GROUP, ("r1", "r1"), "r1"),
+    "action": ("A", SWAP_ACTION, ("r1", "0"), "0"),
+}
+
+
+@pytest.mark.parametrize("second_first", [False, True], ids=["second-after", "second-before"])
+@pytest.mark.parametrize("field", sorted(REPEATS))
+def test_repeated_table_row_is_a_named_input_error(tmp_path, field, second_first):
+    name, doc, pair, value = REPEATS[field]
+    rows = [list(row) for row in doc[field]]
+    i = next(i for i, row in enumerate(rows) if tuple(row[:2]) == pair)
+    rows.insert(i if second_first else i + 1, [*pair, value])
+    path = _write(tmp_path, {name: {**doc, field: rows}})
+    message = f"error: {name}: field {field!r} has two rows for ({pair[0]!r}, {pair[1]!r})\n"
+    assert _run(["validate", path]) == (2, message)

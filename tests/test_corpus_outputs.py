@@ -28,7 +28,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus  # noqa: E402
 from worker import _call_cli  # noqa: E402
 
+import pytest  # noqa: E402
+
 from gpdkit import cli  # noqa: E402
+from gpdkit import documents as docs  # noqa: E402
 
 
 def run_corpus(directory: Path) -> dict[str, dict]:
@@ -60,6 +63,19 @@ def test_every_corpus_request_matches_its_golden(tmp_path):
     assert sorted(results) == sorted(golden)
     for rid, expected in golden.items():
         assert results[rid] == expected, f"request {rid}: {expected['argv']}"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 11])
+def test_every_corpus_bundle_and_golden_bundle_parses(seed):
+    """No bundle the benchmark or the goldens use repeats a table row's pair."""
+    bundles = [docs.loads(data) for name, data in corpus.generate(seed).files().items() if name != "requests.json"]
+    for path in sorted((ROOT / "tests" / "golden").rglob("*.json")):
+        doc = docs.loads(path.read_bytes())
+        if doc.get("kind") == "bundle":
+            bundles.append(doc)
+    assert len(bundles) > 20
+    for bundle in bundles:
+        docs.parse_bundle(bundle)
 
 
 if __name__ == "__main__":
