@@ -19,6 +19,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "corpus_seed1.json"
 SEED = 1
@@ -27,8 +29,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import corpus  # noqa: E402
 from worker import _call_cli  # noqa: E402
-
-import pytest  # noqa: E402
 
 from gpdkit import cli  # noqa: E402
 from gpdkit import documents as docs  # noqa: E402
