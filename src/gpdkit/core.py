@@ -4,7 +4,10 @@ Everything is a plain table over opaque string ids.  Constructed objects use
 deterministic structured ids (tuples rendered as ``(a,b,c)``) so re-running a
 construction yields bit-identical tables.  Product-shaped tables (action
 groupoids and the strict and weak pullbacks) are all made by
-:func:`tuple_groupoid`, which renders each of their arrow ids once.  Class
+:func:`tuple_groupoid`, which renders each of their arrow ids once and fills
+the compose table a row at a time: for each first arrow, in declaration order,
+the caller gives the composites with every arrow out of its target, in
+declaration order, and a row of any other length raises.  Class
 tables (orbits, components, cosets and the classes of the equivariant
 constructions) are all made by :func:`class_reps`, which picks each class's
 least-index member as its representative.  Values are frozen after
@@ -99,6 +102,12 @@ class FiniteGroupoid:
         for a in self.arrows:
             idx[self.src[a]].append(a)
         return idx
+
+    def composites(self) -> dict[str, list[str | None]]:
+        """arrow a -> ``c ∘ a`` for each ``c`` out of ``tgt a`` in declaration
+        order, None where the table has no entry."""
+        out = self.arrows_from()
+        return {a: [self.compose.get((c, a)) for c in out[self.tgt[a]]] for a in self.arrows}
 
 
 def check_groupoid_declarations(g: FiniteGroupoid) -> None:
@@ -195,7 +204,7 @@ def validate_groupoid(candidate: FiniteGroupoid) -> ValidationReport:
         if g.src[a2] != g.tgt[a1]:
             violations.append(Violation("composability", (a2, a1)))
     by_src = g.arrows_from()
-    composites = {a1: [g.compose.get((a2, a1)) for a2 in by_src[g.tgt[a1]]] for a1 in g.arrows}
+    composites = g.composites()
     for a1 in g.arrows:
         if None in composites[a1]:
             for a2, c in zip(by_src[g.tgt[a1]], composites[a1]):
@@ -237,11 +246,14 @@ def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple
 
     ``objects`` maps object keys to ids in declaration order; ``arrows`` lists
     arrow keys (tuples, rendered with :func:`render_id`) in declaration order.
-    ``src``, ``tgt``, ``unit``, ``inv`` and ``compose(after, first)`` are
-    functions on keys.  ``compose`` is filled for each first arrow in order,
-    then each composable after arrow in order.  Returns the groupoid and the
-    table arrow key -> id.  Raises :class:`PreconditionError` when two
-    distinct object keys, or two distinct arrow keys, have the same id.
+    ``src``, ``tgt``, ``unit`` and ``inv`` are functions on keys.
+    ``compose(first)`` is the row of ``first``: the keys of ``after ∘ first``
+    for every arrow ``after`` out of ``tgt first``, in declaration order.  The
+    table is filled one row per first arrow, in declaration order, with no
+    call per pair; a row of the wrong length raises :class:`ValueError`.
+    Returns the groupoid and the table arrow key -> id.  Raises
+    :class:`PreconditionError` when two distinct object keys, or two distinct
+    arrow keys, have the same id, or when a key has no entry.
     """
     ids = {a: render_id(a) for a in arrows}
     for table, what in ((objects, "object"), (ids, "arrow")):
@@ -250,18 +262,22 @@ def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple
             raise PreconditionError(f"tuple_groupoid: two distinct {what} keys have the id {clash!r}")
     try:
         ends = {a: (src(a), tgt(a)) for a in arrows}
-        by_src: dict = {}
+        # endpoints are looked up before any row, so an undeclared one is a
+        # missing entry, not a row of the wrong length
+        src_ids = {ids[a]: objects[x] for a, (x, _) in ends.items()}
+        tgt_ids = {ids[a]: objects[y] for a, (_, y) in ends.items()}
+        after_ids: dict = {}
         for a, (x, _) in ends.items():
-            by_src.setdefault(x, []).append(a)
+            after_ids.setdefault(x, []).append(ids[a])
         table = {}
         for a1, (_, y) in ends.items():
-            for a2 in by_src.get(y, ()):
-                table[(ids[a2], ids[a1])] = ids[compose(a2, a1)]
+            after = zip(after_ids.get(y, ()), itertools.repeat(ids[a1]))
+            table.update(zip(after, map(ids.__getitem__, compose(a1)), strict=True))
         g = FiniteGroupoid(
             objects=tuple(objects.values()),
             arrows=tuple(ids.values()),
-            src={ids[a]: objects[x] for a, (x, _) in ends.items()},
-            tgt={ids[a]: objects[y] for a, (_, y) in ends.items()},
+            src=src_ids,
+            tgt=tgt_ids,
             compose=table,
             unit={x: ids[unit(k)] for k, x in objects.items()},
             inv={ids[a]: ids[inv(a)] for a in arrows},
@@ -691,7 +707,12 @@ class ActionGroupoid:
 
 
 def action_groupoid(group: FiniteGroup, carrier, act: dict[tuple[str, str], str]) -> ActionGroupoid:
-    """Build the action groupoid, verifying the action axioms first."""
+    """Build the action groupoid, verifying the action axioms first.
+
+    ``group`` must be a group.  Compatibility with multiplication is decided
+    on a generating sequence; every triple is scanned, in order, only to name
+    the first one that fails.
+    """
     carrier = tuple(carrier)
     _check_unique(carrier, "carrier point")
     points = set(carrier)
@@ -704,9 +725,18 @@ def action_groupoid(group: FiniteGroup, carrier, act: dict[tuple[str, str], str]
     for x in carrier:
         if act[(group.unit, x)] != x:
             raise ActionAxiomError(f"unit must act trivially, moves {x!r}")
-    for g1, g2, x in itertools.product(group.elements, group.elements, carrier):
-        if act[(g1, act[(g2, x)])] != act[(group.mul[(g1, g2)], x)]:
-            raise ActionAxiomError(f"action not compatible with multiplication at ({g1!r}, {g2!r}, {x!r})")
+    # right_mul[g] lists h·g for h in declaration order
+    right_mul = {g: [group.mul[(h, g)] for h in group.elements] for g in group.elements}
+    # g2 with g1·(g2·x) = (g1g2)·x for all g1, x are closed under products,
+    # so checking a generating sequence decides the law for every g2
+    if any(
+        [act[(h, act[(g2, x)])] for h in group.elements] != [act[(hg, x)] for hg in right_mul[g2]]
+        for g2 in _generating_sequence(group)
+        for x in carrier
+    ):
+        for g1, g2, x in itertools.product(group.elements, group.elements, carrier):
+            if act[(g1, act[(g2, x)])] != act[(group.mul[(g1, g2)], x)]:
+                raise ActionAxiomError(f"action not compatible with multiplication at ({g1!r}, {g2!r}, {x!r})")
 
     induced, ids = tuple_groupoid(
         {x: x for x in carrier},
@@ -715,7 +745,7 @@ def action_groupoid(group: FiniteGroup, carrier, act: dict[tuple[str, str], str]
         tgt=lambda a: act[a],
         unit=lambda x: (group.unit, x),
         inv=lambda a: (group.inv[a[0]], act[a]),
-        compose=lambda a2, a1: (group.mul[(a2[0], a1[0])], a1[1]),
+        compose=lambda a: zip(right_mul[a[0]], itertools.repeat(a[1])),
     )
     arrow_pairs = {i: a for a, i in ids.items()}
     return ActionGroupoid(group, carrier, act, induced, arrow_pairs, ids)

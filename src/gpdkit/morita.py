@@ -8,6 +8,7 @@ finite setting both conditions are decided by exhaustive enumeration.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .core import (
@@ -62,6 +63,18 @@ class WeakEquivalenceReport:
 
 
 def weak_equivalence_report(phi: GroupoidFunctor) -> WeakEquivalenceReport:
+    """The report of ``phi``, computed once per functor object and kept on it.
+
+    Tables are frozen after construction, so a functor's report never
+    changes; an equal but distinct functor computes an equal report of its own.
+    """
+    rep = phi.__dict__.get("_weak_equivalence_report")
+    if rep is None:
+        rep = phi.__dict__["_weak_equivalence_report"] = _weak_equivalence_report(phi)
+    return rep
+
+
+def _weak_equivalence_report(phi: GroupoidFunctor) -> WeakEquivalenceReport:
     g, h = phi.dom, phi.cod
     # (x, a) with tgt(a) = phi(x) is sent to src(a); collect the image
     image_objects = set(phi.obj_map.values())
@@ -122,14 +135,20 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
         raise MismatchError("strict_pullback: functors have different codomains")
     g, h = phi.dom, psi.dom
     objects = {(x, y): render_id((x, y)) for x in g.objects for y in h.objects if phi.obj_map[x] == psi.obj_map[y]}
+    arrows = [(a, b) for a in g.arrows for b in h.arrows if phi.arr_map[a] == psi.arr_map[b]]
+    leaving: dict = {}  # object key -> the arrow keys out of it, in declaration order
+    for a, b in arrows:
+        leaving.setdefault((g.src[a], h.src[b]), []).append((a, b))
     apex, ids = tuple_groupoid(
         objects,
-        [(a, b) for a in g.arrows for b in h.arrows if phi.arr_map[a] == psi.arr_map[b]],
+        arrows,
         src=lambda p: (g.src[p[0]], h.src[p[1]]),
         tgt=lambda p: (g.tgt[p[0]], h.tgt[p[1]]),
         unit=lambda o: (g.unit[o[0]], h.unit[o[1]]),
         inv=lambda p: (g.inv[p[0]], h.inv[p[1]]),
-        compose=lambda q, p: (g.compose[(q[0], p[0])], h.compose[(q[1], p[1])]),
+        compose=lambda p: [
+            (g.compose[(q, p[0])], h.compose[(r, p[1])]) for q, r in leaving.get((g.tgt[p[0]], h.tgt[p[1]]), ())
+        ],
     )
     pr1 = GroupoidFunctor(apex, g, {o: p[0] for p, o in objects.items()}, {a: p[0] for p, a in ids.items()})
     pr2 = GroupoidFunctor(apex, h, {o: p[1] for p, o in objects.items()}, {a: p[1] for p, a in ids.items()})
@@ -178,6 +197,7 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
         for b in h.arrows
         for c in hom.get((phi.obj_map[g.src[a]], psi.obj_map[h.src[b]]), ())
     }
+    g_rows, h_rows = g.composites(), h.composites()
     apex, ids = tuple_groupoid(
         objects,
         moved,
@@ -185,7 +205,9 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
         tgt=lambda t: (g.tgt[t[0]], moved[t], h.tgt[t[2]]),
         unit=lambda o: (g.unit[o[0]], o[1], h.unit[o[2]]),
         inv=lambda t: (g.inv[t[0]], moved[t], h.inv[t[2]]),
-        compose=lambda u, t: (g.compose[(u[0], t[0])], t[1], h.compose[(u[2], t[2])]),
+        # moved lists a, then b, then c, so the arrows out of (x, c, y) are
+        # (u, c, v) for u out of x, then v out of y, in declaration order
+        compose=lambda t: itertools.product(g_rows[t[0]], (t[1],), h_rows[t[2]]),
     )
     pr1 = GroupoidFunctor(apex, g, {o: t[0] for t, o in objects.items()}, {a: t[0] for t, a in ids.items()})
     pr3 = GroupoidFunctor(apex, h, {o: t[2] for t, o in objects.items()}, {a: t[2] for t, a in ids.items()})

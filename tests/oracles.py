@@ -69,6 +69,66 @@ def oracle_components(g) -> list[frozenset]:
     return out
 
 
+def oracle_tuple_compose(ids, src, tgt, compose) -> dict:
+    """``tuple_groupoid``'s compose table filled one pair at a time.
+
+    ``ids`` maps arrow keys to ids in declaration order, and ``compose(after,
+    first)`` is the key of one composite: for each first arrow in order, each
+    after arrow out of its target in order gets ``compose(after, first)``."""
+    leaving: dict = {}
+    for a in ids:
+        leaving.setdefault(src(a), []).append(a)
+    return {(ids[a2], ids[a1]): ids[compose(a2, a1)] for a1 in ids for a2 in leaving.get(tgt(a1), ())}
+
+
+def oracle_action_compose(action) -> dict:
+    """The action groupoid's table by :func:`oracle_tuple_compose`: (h, g·x) ∘ (g, x) = (hg, x)."""
+    mul = action.group.mul
+    return oracle_tuple_compose(
+        action.arrow_ids, lambda a: a[1], lambda a: action.act[a], lambda q, p: (mul[(q[0], p[0])], p[1])
+    )
+
+
+def oracle_strict_pullback_compose(phi, psi, pullback) -> dict:
+    """The strict pullback's table by :func:`oracle_tuple_compose`: pairs compose pairwise."""
+    g, h = phi.dom, psi.dom
+    return oracle_tuple_compose(
+        pullback.arrow_ids,
+        lambda p: (g.src[p[0]], h.src[p[1]]),
+        lambda p: (g.tgt[p[0]], h.tgt[p[1]]),
+        lambda q, p: (g.compose[(q[0], p[0])], h.compose[(q[1], p[1])]),
+    )
+
+
+def oracle_weak_pullback_compose(phi, psi, pullback) -> dict:
+    """The weak pullback's table by :func:`oracle_tuple_compose`: (u, k', v) ∘ (a, k, b) = (u∘a, k, v∘b)."""
+    g, h, k = phi.dom, psi.dom, phi.cod
+
+    def moved(t):
+        return k.compose[(psi.arr_map[t[2]], k.compose[(t[1], k.inv[phi.arr_map[t[0]]])])]
+
+    return oracle_tuple_compose(
+        pullback.arrow_ids,
+        lambda t: (g.src[t[0]], t[1], h.src[t[2]]),
+        lambda t: (g.tgt[t[0]], moved(t), h.tgt[t[2]]),
+        lambda u, t: (g.compose[(u[0], t[0])], t[1], h.compose[(u[2], t[2])]),
+    )
+
+
+def oracle_action_axiom_error(group, carrier, act) -> str | None:
+    """The message ``action_groupoid`` raises for a total table ``act``, from
+    a scan of every point, then of every (g1, g2, x) in order; None for an action."""
+    for x in carrier:
+        if act[(group.unit, x)] != x:
+            return f"unit must act trivially, moves {x!r}"
+    for g1 in group.elements:
+        for g2 in group.elements:
+            for x in carrier:
+                if act[(g1, act[(g2, x)])] != act[(group.mul[(g1, g2)], x)]:
+                    return f"action not compatible with multiplication at ({g1!r}, {g2!r}, {x!r})"
+    return None
+
+
 def oracle_orbit(action, x) -> frozenset:
     return frozenset(action.act[(g, x)] for g in action.group.elements)
 

@@ -5,7 +5,8 @@
 violations.  Here its report is compared with ``oracle_associativity`` on
 every table shape ``tuple_groupoid`` builds, on one-entry mutants of each, and
 on hand-built bad tables; and the work on a large weak-pullback apex is
-counted, not timed.
+counted, not timed.  Each shape's table is also compared, key order included,
+with the one filled a pair at a time (``oracle_tuple_compose``).
 """
 
 from dataclasses import replace
@@ -27,13 +28,19 @@ from gpdkit.core import (
 from gpdkit.equivariant import quotient_action
 from gpdkit.morita import strict_pullback, weak_pullback
 
-from oracles import oracle_associativity
+from oracles import (
+    oracle_action_compose,
+    oracle_associativity,
+    oracle_strict_pullback_compose,
+    oracle_weak_pullback_compose,
+)
 
 STRUCTURE = {"unit-endpoints", "composability", "totality", "composite-endpoints"}
 BAD_TABLES = Path(__file__).parent / "golden" / "validate" / "bundle.json"
 
 
-def _shapes() -> dict[str, FiniteGroupoid]:
+def _shapes() -> dict[str, tuple[FiniteGroupoid, dict]]:
+    """Each shape's groupoid and its compose table filled one pair at a time."""
     c2 = cyclic_group(2)
     swap = action_groupoid(c2, ("0", "1"), {("r0", "0"): "0", ("r0", "1"): "1", ("r1", "0"): "1", ("r1", "1"): "0"})
     loop = action_groupoid(c2, ("p",), {("r0", "p"): "p", ("r1", "p"): "p"})
@@ -46,17 +53,21 @@ def _shapes() -> dict[str, FiniteGroupoid]:
     klein, half_turn = build_klein_example()
     proj = quotient_action(klein, half_turn).projection.functor
     loop_id = identity_functor(loop.induced)
-    return {
-        "action S3 on 3 points": on_points.induced,
-        "action klein": klein.induced,
-        "strict to_loop": strict_pullback(to_loop, to_loop).apex,
-        "strict klein quotient": strict_pullback(proj, proj).apex,
-        "weak to_loop": weak_pullback(to_loop, to_loop).apex,
-        "weak loop": weak_pullback(loop_id, loop_id).apex,
-    }
+    shapes = {}
+    for name, a in (("S3 on 3 points", on_points), ("klein", klein)):
+        shapes[f"action {name}"] = (a.induced, oracle_action_compose(a))
+    for name, f in (("to_loop", to_loop), ("klein quotient", proj)):
+        pb = strict_pullback(f, f)
+        shapes[f"strict {name}"] = (pb.apex, oracle_strict_pullback_compose(f, f, pb))
+    for name, f in (("to_loop", to_loop), ("loop", loop_id)):
+        pb = weak_pullback(f, f)
+        shapes[f"weak {name}"] = (pb.apex, oracle_weak_pullback_compose(f, f, pb))
+    return shapes
 
 
-SHAPES = _shapes()
+_BUILT = _shapes()
+SHAPES = {name: g for name, (g, _) in _BUILT.items()}
+PER_PAIR = {name: table for name, (_, table) in _BUILT.items()}
 
 
 def _mutants(g: FiniteGroupoid, limit: int = 48):
@@ -86,6 +97,11 @@ def _assert_agrees(g: FiniteGroupoid) -> set[str]:
     axioms = {v.axiom for v in report.violations}
     assert ("associativity" in axioms) == bool(expected)
     return axioms
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_every_shape_has_the_per_pair_table(name):
+    assert list(SHAPES[name].compose.items()) == list(PER_PAIR[name].items())
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -46,9 +47,15 @@ from gpdkit.core import (
     whisker,
 )
 from gpdkit.morita import weak_equivalence_report
-from gpdkit.workbench import InstanceBudget, enumerate_actions
+from gpdkit.workbench import InstanceBudget, actions_of_group, enumerate_actions
 
-from oracles import oracle_groupoid_isomorphic, oracle_orbit, oracle_stabilizer
+from oracles import (
+    oracle_action_axiom_error,
+    oracle_groupoid_isomorphic,
+    oracle_orbit,
+    oracle_stabilizer,
+    oracle_tuple_compose,
+)
 
 
 class TestGroupCatalog:
@@ -148,6 +155,41 @@ class TestActionGroupoid:
         with pytest.raises(ActionAxiomError):
             action_groupoid(c2, ("0", "1"), bad)
 
+    @staticmethod
+    def _tables(group):
+        """Each action of ``group`` on <= 3 points, with one entry redirected to
+        each other point, or with two entries of one element's row exchanged;
+        and on <= 2 points, every table in which the unit acts trivially."""
+        for action in actions_of_group(group, 3):
+            carrier, act = action.carrier, action.act
+            yield carrier, act
+            for (g, x), y in act.items():
+                yield from ((carrier, {**act, (g, x): z}) for z in carrier if z != y)
+                yield from ((carrier, {**act, (g, x): act[(g, z)], (g, z): y}) for z in carrier if z > x)
+        others = [g for g in group.elements if g != group.unit]
+        for carrier in (("p",), ("p", "q")):
+            maps = itertools.product(carrier, repeat=len(carrier))
+            for rows in itertools.product(maps, repeat=len(others)):
+                act = {(group.unit, x): x for x in carrier}
+                act.update({(g, x): y for g, row in zip(others, rows) for x, y in zip(carrier, row)})
+                yield carrier, act
+
+    def test_axioms_are_decided_as_the_full_scan_decides_them(self):
+        verdicts = Counter()
+        for _, group in group_catalog():
+            if group.order > 4:
+                continue
+            for carrier, table in self._tables(group):
+                expected = oracle_action_axiom_error(group, carrier, table)
+                verdicts[expected is None] += 1
+                if expected is None:
+                    assert action_groupoid(group, carrier, table).act == table
+                else:
+                    with pytest.raises(ActionAxiomError) as err:
+                        action_groupoid(group, carrier, table)
+                    assert str(err.value) == expected
+        assert verdicts[False] > 0 and verdicts[True] > 0
+
     def test_orbits_and_stabilizers_match_oracle(self, klein_action):
         for x in klein_action.carrier:
             assert frozenset(orbit_elems(klein_action, x)) == oracle_orbit(klein_action, x)
@@ -157,16 +199,18 @@ class TestActionGroupoid:
 
 class TestTupleGroupoid:
     @staticmethod
-    def _square(g, h, src=None):
-        # the product g × h, keyed by pairs of objects and pairs of arrows
+    def _square(g, h, src=None, tgt=None, edit_row=lambda row: row):
+        # the product g × h, keyed by pairs of objects and pairs of arrows; the
+        # arrows out of (x, y) are (q, r) for q out of x, then r out of y
+        g_rows, h_rows = g.composites(), h.composites()
         return tuple_groupoid(
             {(x, y): f"{x}{y}" for x in g.objects for y in h.objects},
             [(a, b) for a in g.arrows for b in h.arrows],
             src=src or (lambda p: (g.src[p[0]], h.src[p[1]])),
-            tgt=lambda p: (g.tgt[p[0]], h.tgt[p[1]]),
+            tgt=tgt or (lambda p: (g.tgt[p[0]], h.tgt[p[1]])),
             unit=lambda o: (g.unit[o[0]], h.unit[o[1]]),
             inv=lambda p: (g.inv[p[0]], h.inv[p[1]]),
-            compose=lambda q, p: (g.compose[(q[0], p[0])], h.compose[(q[1], p[1])]),
+            compose=lambda p: edit_row(list(itertools.product(g_rows[p[0]], h_rows[p[1]]))),
         )
 
     def test_product_is_a_groupoid_with_rendered_ids(self, swap_action, loop_action):
@@ -179,17 +223,34 @@ class TestTupleGroupoid:
         # first arrow outer, composable after arrows inner, both in declaration order
         firsts = [a1 for (_, a1) in product.compose]
         assert firsts == sorted(firsts, key=product.arrows.index)
+        per_pair = oracle_tuple_compose(
+            ids,
+            lambda p: (g.src[p[0]], h.src[p[1]]),
+            lambda p: (g.tgt[p[0]], h.tgt[p[1]]),
+            lambda q, p: (g.compose[(q[0], p[0])], h.compose[(q[1], p[1])]),
+        )
+        assert list(product.compose.items()) == list(per_pair.items())
 
     def test_undeclared_endpoint_is_a_precondition_error(self, swap_action):
         g = swap_action.induced
         with pytest.raises(PreconditionError, match="no entry"):
             self._square(g, g, src=lambda p: ("nowhere", g.src[p[1]]))
+        # no arrow leaves an undeclared target: its entry fails before its short rows do
+        with pytest.raises(PreconditionError, match="no entry"):
+            self._square(g, g, tgt=lambda p: ("nowhere", g.tgt[p[1]]))
+
+    @pytest.mark.parametrize("cut", [lambda row: row[:-1], lambda row: row + row[:1]], ids=["short", "long"])
+    def test_a_row_of_the_wrong_length_raises(self, swap_action, cut):
+        g = swap_action.induced
+        with pytest.raises(ValueError, match="zip"):
+            self._square(g, g, edit_row=cut)
 
     def test_colliding_ids_are_a_precondition_error(self):
         def build(objects, arrows):
+            # each object's only arrow out is its own: a ∘ a = a
             return tuple_groupoid(
                 objects, arrows, src=lambda a: a[0], tgt=lambda a: a[0],
-                unit=lambda x: (x, "u"), inv=lambda a: a, compose=lambda b, a: a,
+                unit=lambda x: (x, "u"), inv=lambda a: a, compose=lambda a: [a],
             )
 
         build({"p,q": "p,q", "p": "p"}, [("p,q", "u"), ("p", "u")])  # distinct ids build

@@ -1,5 +1,6 @@
 import pytest
 
+from gpdkit import morita
 from gpdkit.catalog import cyclic_group, klein_four_group
 from gpdkit.core import (
     GroupoidFunctor,
@@ -105,6 +106,23 @@ class TestWeakEquivalenceReport:
         assert not rep.is_weak_equivalence  # codomain is nonempty
         self_map = GroupoidFunctor(empty, empty, {}, {})
         assert weak_equivalence_report(self_map).is_ssw
+
+    def test_a_report_is_computed_once_per_functor_object(self, monkeypatch, swap_action, loop_action):
+        computed = []
+        compute = morita._weak_equivalence_report
+        monkeypatch.setattr(morita, "_weak_equivalence_report", lambda phi: computed.append(phi) or compute(phi))
+        pairs = swap_action.arrow_pairs
+        phi = GroupoidFunctor(
+            swap_action.induced, loop_action.induced, {x: "p" for x in swap_action.carrier},
+            {a: loop_action.arrow_id(pairs[a][0], "p") for a in swap_action.induced.arrows},
+        )
+        rep = weak_equivalence_report(phi)
+        assert weak_equivalence_report(phi) is rep
+        assert computed == [phi] and computed[0] is phi
+        twin = GroupoidFunctor(phi.dom, phi.cod, dict(phi.obj_map), dict(phi.arr_map))
+        assert twin == phi and twin is not phi
+        assert weak_equivalence_report(twin) == rep
+        assert len(computed) == 2 and computed[1] is twin
 
 
 class TestStrictPullback:
