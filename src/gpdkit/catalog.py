@@ -27,7 +27,7 @@ def klein_four_group() -> FiniteGroup:
     """Z/2 x Z/2 with elements (e,e), (e,t), (t,e), (t,t)."""
     flip = {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"}
     z2 = FiniteGroup(("e", "t"), flip, "e", {"e": "e", "t": "t"})
-    return direct_product(z2, z2)
+    return direct_product(z2, z2)[0]
 
 
 def _perm_group(points: str, generators: list[str]) -> FiniteGroup:
@@ -38,16 +38,17 @@ def _perm_group(points: str, generators: list[str]) -> FiniteGroup:
         # apply q first, then p
         return "".join(p[points.index(c)] for c in q)
 
+    # right multiplication by the generators reaches the group (see core.closure)
     members = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for a in frontier:
             for gen in generators:
-                for c in (compose(gen, a), compose(a, gen)):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
+                c = compose(a, gen)
+                if c not in members:
+                    members.add(c)
+                    nxt.append(c)
         frontier = nxt
     els = tuple(sorted(members))
     mul = {(p, q): compose(p, q) for p in els for q in els}

@@ -96,12 +96,13 @@ def _cmd_check_we(args) -> tuple[dict, int]:
 
 def _cmd_check_properties(args) -> tuple[dict, int]:
     action = _load(args.file).action(args.action)
-    requested = tuple(args.props.split(",")) if args.props else PROPERTY_NAMES
-    report = property_report(action, requested)
-    verdicts = {
-        prop: {"value": v.value, "trivial": v.trivial, "witness": list(v.witness) if v.witness else None}
-        for prop, v in report.selected().items()
-    }
+    report = property_report(action)
+    verdicts = {}
+    for name in args.props.split(",") if args.props else PROPERTY_NAMES:
+        if name not in PROPERTY_NAMES:
+            raise PreconditionError(f"unknown property {name!r}")
+        v = report.verdict(name)
+        verdicts[name] = {"value": v.value, "trivial": v.trivial, "witness": list(v.witness) if v.witness else None}
     return {"kind": "property_report", "verdicts": verdicts}, 0 if all(v["value"] for v in verdicts.values()) else 1
 
 

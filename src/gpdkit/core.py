@@ -527,18 +527,20 @@ def element_order(g: FiniteGroup, a: str) -> int:
 
 
 def closure(g: FiniteGroup, seed) -> tuple[str, ...]:
-    """Subgroup generated by ``seed``, as elements in declaration order."""
+    """Subgroup generated by ``seed``, as elements in declaration order.
+
+    Right multiples of the unit by the seed suffice: every inverse is a power.
+    """
     members = {g.unit}
-    frontier = [g.unit] + [a for a in seed if a not in members]
-    members.update(frontier)
+    frontier = [g.unit]
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(members):
-                for c in (g.mul[(a, b)], g.mul[(b, a)]):
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
+            for s in seed:
+                c = g.mul[(a, s)]
+                if c not in members:
+                    members.add(c)
+                    nxt.append(c)
         frontier = nxt
     return tuple(a for a in g.elements if a in members)
 
@@ -595,9 +597,10 @@ def all_subgroups(g: FiniteGroup) -> list[tuple[str, ...]]:
     return sorted(found, key=lambda s: (len(s), tuple(g.elements.index(a) for a in s)))
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> tuple[FiniteGroup, dict[tuple[str, str], str]]:
+    """G × H on the pairs (a, b) in declaration order, and the table pair -> element id."""
     eid = {(a, b): render_id((a, b)) for a in g.elements for b in h.elements}
-    return FiniteGroup(
+    group = FiniteGroup(
         elements=tuple(eid.values()),
         mul={
             (eid[p], eid[q]): eid[(g.mul[(p[0], q[0])], h.mul[(p[1], q[1])])]
@@ -607,6 +610,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         unit=eid[(g.unit, h.unit)],
         inv={e: eid[(g.inv[a], h.inv[b])] for (a, b), e in eid.items()},
     )
+    return group, eid
 
 
 def is_group_hom(dom: FiniteGroup, cod: FiniteGroup, mapping: dict[str, str]):

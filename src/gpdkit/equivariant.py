@@ -38,7 +38,7 @@ from .core import (
     verify_isomorphism,
 )
 from .localization import Anafunctor, GeneralizedMorphism, TwoCellDiagram, identity_filled_diagram
-from .morita import WeakPullback, strict_pullback, weak_equivalence_report, weak_pullback
+from .morita import strict_pullback, weak_equivalence_report, weak_pullback
 
 PROPERTY_NAMES = (
     "free",
@@ -53,6 +53,9 @@ PROPERTY_NAMES = (
 
 # properties that hold for every finite group action, reported with a flag
 TRIVIAL_IN_FINITE_SETTING = ("locally_free", "compact", "discrete", "proper", "orbifold")
+
+# properties every weak equivalence of actions preserves (effectiveness is not one)
+INVARIANT_PROPERTIES = ("free", "transitive")
 
 
 @dataclass(frozen=True)
@@ -72,26 +75,18 @@ class PropertyReport:
     discrete: PropertyVerdict
     proper: PropertyVerdict
     orbifold: PropertyVerdict
-    requested: tuple[str, ...] = PROPERTY_NAMES
 
     def verdict(self, name: str) -> PropertyVerdict:
         return getattr(self, name)
 
-    def selected(self) -> dict[str, PropertyVerdict]:
-        return {name: getattr(self, name) for name in self.requested}
 
-
-def property_report(a: ActionGroupoid, requested=None) -> PropertyReport:
-    """Decide each requested action property by direct enumeration.
+def property_report(a: ActionGroupoid) -> PropertyReport:
+    """Decide each action property by direct enumeration.
 
     A finite group is compact, discrete, and acts properly, and every finite
-    groupoid is proper etale (hence an orbifold groupoid); those verdicts are
-    reported true with a trivial flag instead of being omitted.
+    groupoid is proper etale (hence an orbifold groupoid); those verdicts,
+    :data:`TRIVIAL_IN_FINITE_SETTING`, are reported true with a trivial flag.
     """
-    names = PROPERTY_NAMES if requested is None else tuple(requested)
-    for name in names:
-        if name not in PROPERTY_NAMES:
-            raise PreconditionError(f"unknown property {name!r}")
     free_witness = fixed_point(a, a.group.elements)
     orbit_list = orbits(a)
     transitive_witness = None if len(orbit_list) <= 1 else (orbit_list[0][0], orbit_list[1][0])
@@ -100,17 +95,11 @@ def property_report(a: ActionGroupoid, requested=None) -> PropertyReport:
         if g != a.group.unit and all(a.act[(g, x)] == x for x in a.carrier):
             ineffective_witness = (g,)
             break
-    trivially_true = PropertyVerdict(True, trivial=True)
     return PropertyReport(
         free=PropertyVerdict(free_witness is None, witness=free_witness),
-        locally_free=trivially_true,
         transitive=PropertyVerdict(transitive_witness is None, witness=transitive_witness),
         effective=PropertyVerdict(ineffective_witness is None, witness=ineffective_witness),
-        compact=trivially_true,
-        discrete=trivially_true,
-        proper=trivially_true,
-        orbifold=trivially_true,
-        requested=names,
+        **dict.fromkeys(TRIVIAL_IN_FINITE_SETTING, PropertyVerdict(True, trivial=True)),
     )
 
 
@@ -372,7 +361,7 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
     ``phi`` and the inclusion the codomain's identity.  The codomain is
     identified with the balanced product over the image through that
     product's class table alone (:func:`_balanced_classes`), checked to be a
-    bijection [g, y] -> g·y.  Property verdicts other than effectiveness are
+    bijection [g, y] -> g·y.  The :data:`INVARIANT_PROPERTIES` verdicts are
     checked to agree across all three actions.
     """
     rep = weak_equivalence_report(phi.functor)
@@ -418,9 +407,7 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
     rep_dom = property_report(dom)
     rep_cod = rep_dom if cod is dom else property_report(cod)
     rep_mid = rep_cod if middle is cod else property_report(middle)
-    for name in PROPERTY_NAMES:
-        if name == "effective":
-            continue
+    for name in INVARIANT_PROPERTIES:
         if not (rep_dom.verdict(name).value == rep_mid.verdict(name).value == rep_cod.verdict(name).value):
             raise InternalCheckError(f"decompose: property {name!r} not preserved onto the middle")
 
@@ -460,27 +447,30 @@ def equivariant_strict_pullback(phi: EquivariantFunctor, psi: EquivariantFunctor
         for b in psi.dom_action.group.elements
         if phi.group_hom[a] == psi.group_hom[b]
     ]
-    parts = _equivariant_pullback(plain, phi.dom_action, psi.dom_action, pairs, "equivariant_strict_pullback")
+    parts = _equivariant_pullback(plain, plain.pr2, phi.dom_action, psi.dom_action, pairs, "equivariant_strict_pullback")
     return EquivariantStrictPullback(*parts, plain)
 
 
-def _equivariant_pullback(plain, left: ActionGroupoid, right: ActionGroupoid, pairs, where: str):
+def _equivariant_pullback(plain, plain_outer, left: ActionGroupoid, right: ActionGroupoid, pairs, where: str):
     """The action of ``pairs`` on the apex of ``plain``, read off its tables.
 
     ``plain`` is a strict or weak pullback of functors out of ``left.induced``
-    and ``right.induced``.  The pair (a, b) moves the object keyed (x, ..., y)
-    along the pullback arrow keyed ((a, x), ..., (b, y)), which is also the
-    canonical iso's image of the action arrow.  Returns the action, the two
-    projections and the iso, each re-verified.
+    and ``right.induced``, and ``plain_outer`` its projection to the right
+    foot.  The pair (a, b) moves the object keyed (x, ..., y) along the
+    pullback arrow keyed ((a, x), ..., (b, y)), which is also the canonical
+    iso's image of the action arrow.  Pair ids are read off
+    :func:`direct_product`'s table.  Returns the action, the two projections
+    and the iso, each re-verified.
     """
-    pair_ids = {p: render_id(p) for p in pairs}
+    product, ids = direct_product(left.group, right.group)
+    pair_ids = {p: ids[p] for p in pairs}
     moves = {
         (pid, oid): plain.arrow_ids[(left.arrow_id(a, key[0]), *key[1:-1], right.arrow_id(b, key[-1]))]
         for (a, b), pid in pair_ids.items()
         for key, oid in plain.object_ids.items()
     }
     action = action_groupoid(
-        subgroup(direct_product(left.group, right.group), pair_ids.values()),
+        subgroup(product, pair_ids.values()),
         plain.apex.objects,
         {move: plain.apex.tgt[arrow] for move, arrow in moves.items()},
     )
@@ -501,7 +491,6 @@ def _equivariant_pullback(plain, left: ActionGroupoid, right: ActionGroupoid, pa
         {pid: b for (_, b), pid in pair_ids.items()},
         {oid: key[-1] for key, oid in plain.object_ids.items()},
     )
-    plain_outer = plain.pr3 if isinstance(plain, WeakPullback) else plain.pr2
     if compose_functors(plain.pr1, iso) != pr1.functor or compose_functors(plain_outer, iso) != outer.functor:
         raise InternalCheckError(f"{where}: projections do not commute with the canonical iso")
     if not weak_equivalence_report(outer.functor).is_ssw:
@@ -538,7 +527,7 @@ def equivariant_weak_pullback(
         raise PreconditionError("equivariant_weak_pullback: first functor is not a weak equivalence")
     plain = weak_pullback(phi, psi)
     pairs = [(a, b) for a in left.group.elements for b in right.group.elements]
-    parts = _equivariant_pullback(plain, left, right, pairs, "equivariant_weak_pullback")
+    parts = _equivariant_pullback(plain, plain.pr3, left, right, pairs, "equivariant_weak_pullback")
     return EquivariantWeakPullback(*parts, plain)
 
 
@@ -598,10 +587,9 @@ def equivariant_anafunctorify(
     triple_rep = class_reps(triples, transports)
     ids = {rep: render_id(rep) for rep in dict.fromkeys(triple_rep.values())}
 
-    product = direct_product(left.group, right.group)
-    prod_decode = {render_id((g, h)): (g, h) for g in left.group.elements for h in right.group.elements}
+    product, pair_ids = direct_product(left.group, right.group)
     act = {}
-    for p, (g, h) in prod_decode.items():
+    for (g, h), p in pair_ids.items():
         for (a, z, b), rid in ids.items():
             a2 = gi.compose[(a, gi.inv[left.arrow_id(g, gi.src[a])])]
             b2 = hi.compose[(b, hi.inv[right.arrow_id(h, hi.src[b])])]
@@ -610,12 +598,12 @@ def equivariant_anafunctorify(
 
     left_leg = equivariant_functor(
         middle_action, left,
-        {p: prod_decode[p][0] for p in product.elements},
+        {p: g for (g, _), p in pair_ids.items()},
         {rid: gi.src[a] for (a, _, _), rid in ids.items()},
     )
     right_leg = equivariant_functor(
         middle_action, right,
-        {p: prod_decode[p][1] for p in product.elements},
+        {p: h for (_, h), p in pair_ids.items()},
         {rid: hi.src[b] for (_, _, b), rid in ids.items()},
     )
     left_rep = weak_equivalence_report(left_leg.functor)
@@ -630,7 +618,7 @@ def equivariant_anafunctorify(
     for m in k.arrows:
         g_part = left.arrow_pairs[phi.arr_map[m]][0]
         h_part = right.arrow_pairs[psi.arr_map[m]][0]
-        theta_arr[m] = middle_action.arrow_id(render_id((g_part, h_part)), theta_obj[k.src[m]])
+        theta_arr[m] = middle_action.arrow_id(pair_ids[(g_part, h_part)], theta_obj[k.src[m]])
     theta = GroupoidFunctor(k, middle_action.induced, theta_obj, theta_arr)
     rep = validate_functor(theta)
     if not rep.ok:
@@ -643,7 +631,7 @@ def equivariant_anafunctorify(
     rep_left = property_report(left)
     rep_right = property_report(right)
     rep_mid = property_report(middle_action)
-    for name in ("free", "transitive"):
+    for name in INVARIANT_PROPERTIES:
         if rep_mid.verdict(name).value != rep_left.verdict(name).value:
             raise InternalCheckError(f"equivariant_anafunctorify: property {name!r} not shared with the left foot")
     if rep_left.effective.value and rep_right.effective.value and not rep_mid.effective.value:

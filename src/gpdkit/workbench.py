@@ -41,6 +41,7 @@ from .core import (
 )
 from .documents import dumps
 from .equivariant import (
+    INVARIANT_PROPERTIES,
     EquivariantFunctor,
     balanced_product,
     compose_equivariant,
@@ -288,7 +289,7 @@ def _span_size(span: GeneralizedMorphism) -> int:
     return len(span.middle.arrows) + len(span.left_foot.arrows) + len(span.right_foot.arrows)
 
 
-def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInstances:
+def build_instances(budget: InstanceBudget) -> WorkbenchInstances:
     wes = generate_weak_equivalences(budget)
     actions = [w.functor.dom_action for w in wes if w.kind == "identity"]
 
@@ -368,7 +369,6 @@ def build_instances(budget: InstanceBudget, extra_groupoids=()) -> WorkbenchInst
         weak_equivalences=tuple(wes),
         functor_pairs=tuple(pairs),
         spans=tuple(spans),
-        extra_groupoids=tuple(extra_groupoids),
     )
 
 
@@ -533,7 +533,7 @@ def _self_pullback_checks(w, rep, equivariant, plain, comparison_checks, project
         equivariant_checks.append(("strict matches plain", compose_functors(sp.pr2, esp.iso) == esp.pr2.functor))
         equivariant_checks.append(("weak matches plain", compose_functors(wp.pr3, ewp.iso) == ewp.pr3.functor))
         reps = [property_report(a) for a in (foot, esp.action, ewp.action)]
-        for name in ("free", "transitive"):
+        for name in INVARIANT_PROPERTIES:
             foot_v, strict_v, weak_v = (r.verdict(name).value for r in reps)
             equivariant_checks.append((f"strict inherits {name}", strict_v == foot_v))
             equivariant_checks.append((f"weak inherits {name}", weak_v == foot_v))
@@ -661,9 +661,10 @@ def _two_cell_equality_equivalence(cell_spans):
 def _vertical_composition(cell_spans):
     for ana in cell_spans:
         iota = identity_two_cell(ana)
-        yield ("unit law", vertical_compose_ana(iota, iota).transformation == iota.transformation)
-        assoc1 = vertical_compose_ana(vertical_compose_ana(iota, iota), iota)
-        assoc2 = vertical_compose_ana(iota, vertical_compose_ana(iota, iota))
+        twice = vertical_compose_ana(iota, iota)
+        yield ("unit law", twice.transformation == iota.transformation)
+        assoc1 = vertical_compose_ana(twice, iota)
+        assoc2 = vertical_compose_ana(iota, twice)
         yield ("associativity", assoc1.transformation == assoc2.transformation)
 
 
@@ -695,7 +696,7 @@ def _property_invariance(weak_equivalences, budget: InstanceBudget):
         f = w.functor
         rep_dom = property_report(f.dom_action)
         rep_cod = property_report(f.cod_action)
-        for name in ("free", "transitive"):
+        for name in INVARIANT_PROPERTIES:
             yield (f"{w.kind}: {name}", rep_dom.verdict(name).value == rep_cod.verdict(name).value)
         if rep_dom.effective.value != rep_cod.effective.value:
             effectiveness_divergences += 1

@@ -129,6 +129,24 @@ def oracle_action_axiom_error(group, carrier, act) -> str | None:
     return None
 
 
+def oracle_closure(group, seed) -> tuple:
+    """The subgroup generated by ``seed``, in declaration order: new elements
+    are multiplied by every member on both sides until nothing new appears."""
+    members = {group.unit}
+    frontier = [group.unit] + [a for a in seed if a not in members]
+    members.update(frontier)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(members):
+                for c in (group.mul[(a, b)], group.mul[(b, a)]):
+                    if c not in members:
+                        members.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(a for a in group.elements if a in members)
+
+
 def oracle_orbit(action, x) -> frozenset:
     return frozenset(action.act[(g, x)] for g in action.group.elements)
 

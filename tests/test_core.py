@@ -23,6 +23,7 @@ from gpdkit.core import (
     PreconditionError,
     action_groupoid,
     all_subgroups,
+    closure,
     compose_functors,
     direct_product,
     element_order,
@@ -51,6 +52,7 @@ from gpdkit.workbench import InstanceBudget, actions_of_group, enumerate_actions
 
 from oracles import (
     oracle_action_axiom_error,
+    oracle_closure,
     oracle_groupoid_isomorphic,
     oracle_orbit,
     oracle_stabilizer,
@@ -99,8 +101,19 @@ class TestGroupCatalog:
 
     def test_direct_product_orders(self):
         c2, c3 = cyclic_group(2), cyclic_group(3)
-        p = direct_product(c2, c3)
+        p, _ = direct_product(c2, c3)
         assert p.order == 6 and validate_group(p).ok
+
+    def test_direct_product_table_lists_pairs_in_order_and_multiplies_pairwise(self):
+        g, h = symmetric_group_3(), cyclic_group(3)
+        p, ids = direct_product(g, h)
+        assert list(ids) == [(a, b) for a in g.elements for b in h.elements]
+        assert p.elements == tuple(ids.values())
+        assert p.unit == ids[(g.unit, h.unit)]
+        for (a, b), x in ids.items():
+            assert p.inv[x] == ids[(g.inv[a], h.inv[b])]
+            for (c, d), y in ids.items():
+                assert p.mul[(x, y)] == ids[(g.mul[(a, c)], h.mul[(b, d)])]
 
 
 class TestGroupoidValidation:
@@ -405,9 +418,19 @@ class TestIsoSearch:
         assert swapped is not None and validate_functor(swapped).ok
 
 
+def test_closure_by_right_multiplication_matches_the_two_sided_oracle():
+    seeds = 0
+    for _, g in group_catalog():
+        for size in range(4):
+            for seed in itertools.combinations(g.elements, size):
+                assert closure(g, seed) == oracle_closure(g, seed), seed
+                seeds += 1
+    assert seeds == 497
+
+
 def test_group_isomorphism_is_a_bijective_hom_or_none():
     # the catalogue lists one group per isomorphism class; the product is V4 again
-    groups = group_catalog() + [("V4", direct_product(cyclic_group(2), cyclic_group(2)))]
+    groups = group_catalog() + [("V4", direct_product(cyclic_group(2), cyclic_group(2))[0])]
     for name_g, g in groups:
         for name_h, h in groups:
             mapping = group_isomorphism(g, h)

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from gpdkit import cli
 from gpdkit import documents as docs
 from gpdkit.cli import build_klein_example, main
-from gpdkit.core import FiniteGroupoid, GroupoidFunctor, InternalCheckError, identity_functor, terminal_groupoid
+from gpdkit.catalog import cyclic_group
+from gpdkit.core import (
+    FiniteGroupoid,
+    GroupoidFunctor,
+    InternalCheckError,
+    action_groupoid,
+    identity_functor,
+    terminal_groupoid,
+)
 from gpdkit.equivariant import quotient_action
 from gpdkit.localization import Anafunctor, as_diagram, identity_two_cell
 
@@ -142,6 +150,13 @@ class TestCli:
         rep = json.loads(out.read_text())
         assert rep["verdicts"]["effective"]["witness"] == ["(e,t)"]
 
+    def test_check_properties_prints_only_the_named_verdicts(self, capsys):
+        bundle = str(Path(__file__).parent / "golden" / "constructions" / "bundle.json")
+        assert main(["check-properties", bundle, "klein", "--props", "effective,free"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert list(json.loads(out)["verdicts"]) == ["effective", "free"]
+
     def test_decompose_rejects_non_equivariant(self, tmp_path, klein_docs):
         action, _ = klein_docs
         g = action.induced
@@ -161,6 +176,26 @@ class TestCli:
         }
         path = write(tmp_path, "bundle.json", bundle)
         assert main(["decompose", path, "weird"]) == 2
+
+    def test_decompose_names_the_arrow_that_breaks_equivariance(self, tmp_path, capsys):
+        # C3 fixing a and b; phi is the identity at a and inversion at b, so
+        # r1 would have to go to r1 and to r2
+        c3 = cyclic_group(3)
+        action = action_groupoid(c3, ("a", "b"), {(g, x): x for g in c3.elements for x in ("a", "b")})
+        arr_map = {action.arrow_id(g, "a"): action.arrow_id(g, "a") for g in c3.elements}
+        arr_map.update({action.arrow_id(g, "b"): action.arrow_id(c3.inv[g], "b") for g in c3.elements})
+        bundle = {
+            "kind": "bundle",
+            "documents": {
+                "A": docs.action_doc(action),
+                "phi": {"kind": "functor", "dom": "A", "cod": "A", "obj_map": {"a": "a", "b": "b"}, "arr_map": arr_map},
+            },
+        }
+        path = write(tmp_path, "bundle.json", bundle)
+        assert main(["decompose", path, "phi"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 'phi' is not equivariant (witness arrow '(r1,b)')\n"
 
     def test_construction_outputs_revalidate(self, tmp_path, klein_docs):
         action, half_turn = klein_docs

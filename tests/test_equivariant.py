@@ -15,6 +15,8 @@ from gpdkit.core import (
     validate_groupoid,
 )
 from gpdkit.equivariant import (
+    INVARIANT_PROPERTIES,
+    PROPERTY_NAMES,
     TRIVIAL_IN_FINITE_SETTING,
     as_equivariant,
     balanced_product,
@@ -75,11 +77,9 @@ class TestPropertyReport:
         rep = property_report(action_groupoid(klein_action.group, carrier, table))
         assert rep.free.witness == ("(t,e)", "E")
 
-    def test_requested_subset(self, klein_action):
-        rep = property_report(klein_action, ("effective", "free"))
-        assert set(rep.selected()) == {"effective", "free"}
-        with pytest.raises(ValueError):
-            property_report(klein_action, ("nonsense",))
+    def test_property_lists_name_each_property_once(self):
+        named = [*INVARIANT_PROPERTIES, *TRIVIAL_IN_FINITE_SETTING, "effective"]
+        assert sorted(named) == sorted(PROPERTY_NAMES)
 
 
 class TestAsEquivariant:

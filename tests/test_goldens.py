@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gpdkit import documents as docs
 from gpdkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "constructions"
@@ -34,6 +35,18 @@ COMMANDS = {
 def test_construction_matches_its_golden_bytes(name, tmp_path):
     out = tmp_path / "out.json"
     argv = [str(GOLDEN / a) if a == "bundle.json" else a for a in COMMANDS[name]]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["decompose", "quotient-factorize"])
+def test_unannotated_functor_is_recovered_as_equivariant(name, tmp_path):
+    """Without its ``equivariant`` annotation, ``proj``'s group map is read off its arrow map."""
+    bundle = docs.loads((GOLDEN / "bundle.json").read_bytes())
+    del bundle["documents"]["proj"]["equivariant"]
+    path, out = tmp_path / "bundle.json", tmp_path / "out.json"
+    path.write_bytes(docs.dumps(bundle))
+    argv = [str(path) if a == "bundle.json" else a for a in COMMANDS[name]]
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from gpdkit.core import (
@@ -231,6 +233,25 @@ class TestValidateTwoCell:
     def test_strictification_diagram_validates(self, morita_span, loop_span):
         d = strictify_composition(morita_span, loop_span)
         assert validate_two_cell(d).ok
+
+    def test_interface_violations_are_named(self, loop_span, collapse_swap):
+        d = as_diagram(identity_two_cell(loop_span))
+        off_middle = compose_functors(collapse_swap, d.to_top)  # mediator -> terminal, not the middle
+        cases = {
+            "shared-mediator": replace(d, to_bottom=identity_functor(loop_span.middle)),
+            "to-top-interface": replace(d, to_top=off_middle),
+            "to-bottom-interface": replace(d, to_bottom=off_middle),
+        }
+        for axiom, broken in cases.items():
+            assert [v.axiom for v in validate_two_cell(broken).violations] == [axiom]
+
+    def test_cells_must_end_at_the_bottom_composites(self, swap_action, swap_functor):
+        # identity cells fill the squares over the identity mediator, not over the swap
+        g = swap_action.induced
+        span = identity_anafunctor(g)
+        unit = identity_transformation(identity_functor(g))
+        d = TwoCellDiagram(span, span, identity_functor(g), swap_functor, unit, unit)
+        assert [v.axiom for v in validate_two_cell(d).violations] == ["left-cell-target", "right-cell-target"]
 
 
 class TestNormalization:

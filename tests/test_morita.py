@@ -335,6 +335,12 @@ class TestSkeletonOracle:
     def test_loop_vs_terminal_differs(self, loop_action, terminal):
         assert not morita_oracle(loop_action.induced, terminal)
 
+    def test_component_counts_must_agree(self, klein_action, loop_action):
+        # every component has isotropy C2: only the counts (2 against 1) differ
+        two, one = skeleton_invariant(klein_action.induced), skeleton_invariant(loop_action.induced)
+        assert len(two.components) == 2 and len(one.components) == 1
+        assert not two.morita_equal(one) and not one.morita_equal(two)
+
     def test_isotropy_group_is_a_group(self, klein_action):
         from gpdkit.core import validate_group
 
