@@ -631,13 +631,19 @@ def hom_kernel(dom: FiniteGroup, cod: FiniteGroup, mapping: dict[str, str]) -> t
     return tuple(a for a in dom.elements if mapping[a] == cod.unit)
 
 
-def _generating_sequence(g: FiniteGroup) -> list[str]:
-    gens: list[str] = []
-    have = {g.unit}
-    for a in g.elements:
-        if a not in have:
-            gens.append(a)
-            have = set(closure(g, gens))
+def _generating_sequence(g: FiniteGroup) -> tuple[str, ...]:
+    """Each element, in declaration order, outside the subgroup generated by
+    those before it.  Computed once per group object and kept on it, as
+    :func:`~gpdkit.morita.weak_equivalence_report` keeps a functor's report."""
+    gens = g.__dict__.get("_generating_sequence")
+    if gens is None:
+        found: list[str] = []
+        have = {g.unit}
+        for a in g.elements:
+            if a not in have:
+                found.append(a)
+                have = set(closure(g, found))
+        gens = g.__dict__["_generating_sequence"] = tuple(found)
     return gens
 
 

@@ -14,9 +14,10 @@ serialize is the identity on canonical inputs.  :func:`dumps` writes the
 bytes the standard library's encoder gives with ``sort_keys=True``,
 ``indent=2`` and ``ensure_ascii=False``, plus a newline, in time linear in
 the output; a row of strings inside a list and a dict of string values are
-each written in one join.  A groupoid's ``compose`` rows are grouped by their
-after-arrow in declaration order, and a group is sorted by first-arrow
-position only when its table was not filled in declaration order.
+each written in one join.  A groupoid's ``compose`` rows are ordered by the
+position of the after-arrow, then of the first arrow.  A table whose entries
+are exactly its composable pairs of distinct ids is written straight from the
+table, one string a row; only other tables have their rows built and sorted.
 """
 
 from __future__ import annotations
@@ -105,8 +106,36 @@ def _write(value, newline: str, parts: list[str]) -> None:
             _write(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "]")
+    elif isinstance(value, _ComposeRows):
+        _write_compose(value.g, newline, parts)
     else:
         parts.append(json.dumps(value))
+
+
+def _write_compose(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
+    """Append the ``compose`` rows of ``g`` to ``parts``, one string a row.
+
+    When the entries are exactly the composable pairs of distinct ids, the rows
+    of each after-arrow are read off the arrows into its source, in declaration
+    order, each id encoded once; any other table is written from its sorted rows."""
+    inner, start, compose = newline + "  ", len(parts), g.compose
+    code = {a: _encode_str(a) for a in g.arrows}
+    into: dict[str, list[tuple[str, str]]] = {}
+    for a in g.arrows:
+        into.setdefault(g.tgt[a], []).append((a, f"{code[a]},{inner}  "))
+    if len(code) == len(g.arrows) and len(compose) == sum(len(into.get(g.src[a], ())) for a in g.arrows):
+        last = {a: c + inner + "]" for a, c in code.items()}
+        try:  # a composable pair with no entry, or an undeclared composite
+            for a2 in g.arrows:
+                head = f",{inner}[{inner}  {code[a2]},{inner}  "
+                parts += [f"{head}{c1}{last[compose[a2, a1]]}" for a1, c1 in into.get(g.src[a2], ())]
+        except KeyError:
+            del parts[start:]
+        if len(parts) > start:
+            parts[start] = "[" + parts[start][1:]
+            parts.append(newline + "]")
+            return
+    _write(list(_ComposeRows(g)), newline, parts)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -183,37 +212,30 @@ def groupoid_doc(g: FiniteGroupoid) -> dict:
         "kind": "groupoid",
         "objects": list(g.objects),
         "arrows": [{"id": a, "src": g.src[a], "tgt": g.tgt[a]} for a in g.arrows],
-        "compose": _compose_rows(g),
+        "compose": _ComposeRows(g),
         "identity": dict(g.unit),
         "inverse": dict(g.inv),
     }
 
 
-def _compose_rows(g: FiniteGroupoid) -> list[list[str]]:
-    """``[a2, a1, a2∘a1]`` for every pair of declared positions of a compose key,
-    ordered by the position of ``a2``, then of ``a1``.
+@dataclass(frozen=True)
+class _ComposeRows:
+    """The ``compose`` rows of ``g``: ``[a2, a1, a2∘a1]`` for every pair of
+    declared positions of a compose key, ordered by the position of ``a2``,
+    then of ``a1``.  :func:`dumps` writes them straight from the table;
+    iterating builds them as lists."""
 
-    One pass groups the entries by ``a2``.  A group is sorted only when an
-    arrow id is declared twice or its ``a1`` positions are out of order, which
-    they never are in a table filled first-arrow-major in declaration order, as
-    :func:`~gpdkit.core.tuple_groupoid` fills it."""
-    positions: dict[str, list[int]] = {}
-    for i, a in enumerate(g.arrows):
-        positions.setdefault(a, []).append(i)
-    repeated = len(positions) < len(g.arrows)
-    groups: dict[str, list[list[str]]] = {a: [] for a in positions}
-    for (a2, a1), a3 in g.compose.items():
-        group = groups.get(a2)
-        if group is not None and a1 in positions:
-            group.append([a2, a1, a3])
-    rows: list[list[str]] = []
-    for a2 in g.arrows:
-        group = groups[a2]
-        order = [positions[row[1]] for row in group]
-        if repeated or order != sorted(order):  # a repeated id: a row for every pair of its positions
-            group = [row for _, row in sorted((i1, row) for row in group for i1 in positions[row[1]])]
-        rows += group
-    return rows
+    g: FiniteGroupoid
+
+    def __iter__(self):
+        positions: dict[str, list[int]] = {}
+        for i, a in enumerate(self.g.arrows):
+            positions.setdefault(a, []).append(i)
+        keyed = sorted(
+            ((i2, i1), [a2, a1, a3]) for (a2, a1), a3 in self.g.compose.items()
+            for i2 in positions.get(a2, ()) for i1 in positions.get(a1, ())
+        )
+        return (row for _, row in keyed)
 
 
 def group_payload(g: FiniteGroup) -> dict:

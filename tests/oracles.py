@@ -147,6 +147,15 @@ def oracle_closure(group, seed) -> tuple:
     return tuple(a for a in group.elements if a in members)
 
 
+def oracle_generating_sequence(group) -> tuple:
+    """Each element, in declaration order, outside the closure of those before it."""
+    gens = []
+    for a in group.elements:
+        if a not in oracle_closure(group, gens):
+            gens.append(a)
+    return tuple(gens)
+
+
 def oracle_orbit(action, x) -> frozenset:
     return frozenset(action.act[(g, x)] for g in action.group.elements)
 

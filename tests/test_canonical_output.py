@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdkit import documents as docs
-from gpdkit.core import FiniteGroupoid
+from gpdkit.cli import build_klein_example
+from gpdkit.core import FiniteGroupoid, action_groupoid, empty_groupoid, subgroup, terminal_groupoid
+from gpdkit.equivariant import (
+    balanced_product,
+    equivariant_functor,
+    equivariant_strict_pullback,
+    equivariant_weak_pullback,
+)
 from gpdkit.morita import strict_pullback, weak_pullback
 from gpdkit.workbench import InstanceBudget, LawResult, SuiteReport
 
@@ -76,24 +83,84 @@ def _groupoids(draw):
     return FiniteGroupoid(tuple(objects), tuple(arrows), src, tgt, compose, unit, inv)
 
 
+def assert_compose_rows_match_the_oracle(g):
+    """The document of ``g`` equals its plain-list form, with the oracle's rows,
+    both as canonical bytes and as rows read from the document."""
+    doc = docs.groupoid_doc(g)
+    assert docs.dumps(doc) == reference_dumps({**doc, "compose": oracle_compose_rows(g)})
+    assert list(doc["compose"]) == oracle_compose_rows(g)
+
+
 @settings(max_examples=150, deadline=None)
 @given(g=_groupoids())
 def test_compose_rows_equal_the_all_pairs_comprehension(g):
-    assert docs.groupoid_doc(g)["compose"] == oracle_compose_rows(g)
+    assert_compose_rows_match_the_oracle(g)
 
 
-def test_compose_rows_of_fixed_tables_equal_the_oracle(klein_action, collapse_swap, swap_to_loop):
-    """Tables filled in declaration order, whose groups are written unsorted,
-    and one filled in reverse order, whose groups are sorted."""
-    groupoids = [klein_action.induced]
+def _products(klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop):
+    """Every product shape a construction builds: action groupoids, strict and weak
+    pullbacks, a balanced product, and equivariant strict and weak pullback apexes."""
+    groupoids = [klein_action.induced, swap_action.induced]
     for f in (collapse_swap, swap_to_loop):
         groupoids += [strict_pullback(f, f).apex, weak_pullback(f, f).apex]
+    half_turn = subgroup(klein_action.group, klein_half_turn)
+    act = {(g, x): klein_action.act[(g, x)] for g in half_turn.elements for x in klein_action.carrier}
+    inner = action_groupoid(half_turn, klein_action.carrier, act)
+    groupoids.append(balanced_product(klein_action.group, inner).product.induced)
+    to_point = {g: "e" for g in swap_action.group.elements}
+    collapse = equivariant_functor(swap_action, point_action, to_point, {x: "*" for x in swap_action.carrier})
+    groupoids.append(equivariant_strict_pullback(collapse, collapse).action.induced)
+    groupoids.append(equivariant_weak_pullback(swap_action, collapse_swap, swap_action, collapse_swap).action.induced)
+    return groupoids
+
+
+def test_compose_rows_of_fixed_tables_equal_the_oracle(
+    klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop
+):
+    """Product tables, the Klein table filled in reverse order, and empty tables."""
+    groupoids = _products(klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop)
     k = klein_action.induced
     reversed_table = dict(reversed(list(k.compose.items())))
     groupoids.append(FiniteGroupoid(k.objects, k.arrows, k.src, k.tgt, reversed_table, k.unit, k.inv))
     for g in groupoids:
         assert len(g.compose) > len(g.arrows)
-        assert docs.groupoid_doc(g)["compose"] == oracle_compose_rows(g)
+        assert_compose_rows_match_the_oracle(g)
+    t = terminal_groupoid()
+    for g in (empty_groupoid(), FiniteGroupoid(t.objects, t.arrows, t.src, t.tgt, {}, t.unit, t.inv)):
+        assert docs.dumps(docs.groupoid_doc(g)).count(b'"compose": []') == 1
+        assert_compose_rows_match_the_oracle(g)
+
+
+def test_compose_rows_of_tables_with_as_many_entries_as_composable_pairs():
+    """Counting entries does not decide the direct path: a composable pair's
+    entry moved to a pair that is not composable, and a repeated id whose
+    position pairs are as many as the entries, one of them stray."""
+    k = build_klein_example()[0].induced
+    moved = dict(k.compose)
+    del moved[next(pair for pair in moved if pair[0] == k.arrows[-1])]  # the last row group, after others are written
+    moved[next((b, a) for a in k.arrows for b in k.arrows if k.src[b] != k.tgt[a])] = k.arrows[0]
+    repeated = FiniteGroupoid(
+        ("x", "y", "z"), ("a", "a", "b"), {"a": "x", "b": "y"}, {"a": "x", "b": "z"},
+        {("a", "a"): "a", ("b", "a"): "a", ("a", "b"): "a", ("b", "b"): "b"},
+        {"x": "a", "y": "b", "z": "b"}, {"a": "a", "b": "b"},
+    )
+    for g in (FiniteGroupoid(k.objects, k.arrows, k.src, k.tgt, moved, k.unit, k.inv), repeated):
+        assert_compose_rows_match_the_oracle(g)
+
+
+def test_product_tables_are_written_without_sorting(
+    monkeypatch, klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop
+):
+    """A table whose entries are exactly its composable pairs is written straight
+    from the table; the sorted rows are built only for other tables."""
+    groupoids = _products(klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop)
+    expected = [docs.dumps(docs.groupoid_doc(g)) for g in groupoids]
+
+    def unsorted_only(rows):
+        raise AssertionError("a product table was sorted")
+
+    monkeypatch.setattr(docs._ComposeRows, "__iter__", unsorted_only)
+    assert [docs.dumps(docs.groupoid_doc(g)) for g in groupoids] == expected
 
 
 def test_suite_report_is_written_by_the_canonical_writer():

@@ -322,7 +322,7 @@ def test_broken_groupoid_document_is_a_named_input_error(tmp_path, broken, comma
 
 def test_broken_mediator_document_is_a_named_input_error(tmp_path):
     mediator = CELL_BUNDLE["documents"]["P"]
-    broken = {**mediator, "compose": mediator["compose"][1:]}
+    broken = {**mediator, "compose": list(mediator["compose"])[1:]}
     path = tmp_path / "cells.json"
     path.write_bytes(docs.dumps({"kind": "bundle", "documents": {**CELL_BUNDLE["documents"], "P": broken}}))
     for argv in (["normalize-2cell", str(path), "cell"], ["2cells-equal", str(path), "cell", "cell"]):
@@ -343,9 +343,9 @@ def groupoid_mutations(draw):
         rows = [dict(row) for row in doc["arrows"]]
         rows[i][end] = draw(st.sampled_from([*doc["objects"], "nowhere"]))
         return name, {**doc, "arrows": rows}
-    j = draw(st.integers(0, len(doc["compose"]) - 1))
+    compose = list(doc["compose"])
+    j = draw(st.integers(0, len(compose) - 1))
     value = draw(st.sampled_from([*arrows, None]))
-    compose = [list(row) for row in doc["compose"]]
     if value is None:
         del compose[j]
     else:

@@ -21,6 +21,7 @@ from gpdkit.core import (
     MismatchError,
     NaturalTransformation,
     PreconditionError,
+    _generating_sequence,
     action_groupoid,
     all_subgroups,
     closure,
@@ -53,6 +54,7 @@ from gpdkit.workbench import InstanceBudget, actions_of_group, enumerate_actions
 from oracles import (
     oracle_action_axiom_error,
     oracle_closure,
+    oracle_generating_sequence,
     oracle_groupoid_isomorphic,
     oracle_orbit,
     oracle_stabilizer,
@@ -426,6 +428,16 @@ def test_closure_by_right_multiplication_matches_the_two_sided_oracle():
                 assert closure(g, seed) == oracle_closure(g, seed), seed
                 seeds += 1
     assert seeds == 497
+
+
+def test_kept_generating_sequence_equals_a_fresh_computation():
+    groups = [g for _, g in group_catalog()] + [direct_product(klein_four_group(), cyclic_group(2))[0]]
+    for g in groups:
+        kept = _generating_sequence(g)
+        action_groupoid(g, ("p",), {(a, "p"): "p" for a in g.elements})
+        assert _generating_sequence(g) is kept
+        assert kept == oracle_generating_sequence(g)
+        assert closure(g, kept) == g.elements
 
 
 def test_group_isomorphism_is_a_bijective_hom_or_none():

@@ -1,13 +1,14 @@
-"""Every request of the seed-1 perfbench corpus, byte for byte.
+"""Every request of the seed-1 and seed-11 perfbench corpora, byte for byte.
 
 The corpus generator in ``perfbench/corpus.py`` writes a few dozen bundles and
 the requests the ``constructions`` workload sends.  This test runs each
 request in process through :func:`gpdkit.cli.main`, as the benchmark's worker
 does, from the directory the bundles are written to, and compares its exit
 code, the sha256 of its standard output and its standard error text with
-``tests/golden/corpus_seed1.json``.
+``tests/golden/corpus_seed<seed>.json``.  Seed 11 is the benchmark's seed, so
+its golden pins the bytes the ``constructions`` workload measures.
 
-To capture the golden again after a deliberate output change, run
+To capture the goldens again after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_corpus_outputs.py --write``.
 """
 
@@ -22,8 +23,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden" / "corpus_seed1.json"
-SEED = 1
+SEEDS = (1, 11)
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -34,9 +34,13 @@ from gpdkit import cli  # noqa: E402
 from gpdkit import documents as docs  # noqa: E402
 
 
-def run_corpus(directory: Path) -> dict[str, dict]:
-    """Write the corpus into ``directory`` and run every request from there."""
-    generated = corpus.generate(SEED)
+def golden_path(seed: int) -> Path:
+    return ROOT / "tests" / "golden" / f"corpus_seed{seed}.json"
+
+
+def run_corpus(directory: Path, seed: int) -> dict[str, dict]:
+    """Write the corpus of ``seed`` into ``directory`` and run every request from there."""
+    generated = corpus.generate(seed)
     for name, data in generated.files().items():
         (directory / name).write_bytes(data)
     results = {}
@@ -57,9 +61,10 @@ def run_corpus(directory: Path) -> dict[str, dict]:
     return results
 
 
-def test_every_corpus_request_matches_its_golden(tmp_path):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    results = run_corpus(tmp_path)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_corpus_request_matches_its_golden(tmp_path, seed):
+    golden = json.loads(golden_path(seed).read_text(encoding="utf-8"))
+    results = run_corpus(tmp_path, seed)
     assert sorted(results) == sorted(golden)
     for rid, expected in golden.items():
         assert results[rid] == expected, f"request {rid}: {expected['argv']}"
@@ -83,6 +88,7 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        results = run_corpus(Path(tmp))
-    GOLDEN.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            results = run_corpus(Path(tmp), seed)
+        golden_path(seed).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")

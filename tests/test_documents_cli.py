@@ -103,6 +103,7 @@ class TestCli:
         good = write(tmp_path, "good.json", docs.action_doc(action))
         assert main(["validate", good, "--out", str(tmp_path / "r1.json")]) == 0
         doc = docs.groupoid_doc(action.induced)
+        doc["compose"] = list(doc["compose"])
         doc["compose"][0][2] = doc["arrows"][5]["id"]
         bad = write(tmp_path, "bad.json", doc)
         assert main(["validate", bad, "--out", str(tmp_path / "r2.json")]) == 1
