@@ -218,14 +218,14 @@ def groupoid_doc(g: FiniteGroupoid) -> dict:
     }
 
 
-@dataclass(frozen=True)
 class _ComposeRows:
     """The ``compose`` rows of ``g``: ``[a2, a1, a2∘a1]`` for every pair of
     declared positions of a compose key, ordered by the position of ``a2``,
     then of ``a1``.  :func:`dumps` writes them straight from the table;
     iterating builds them as lists."""
 
-    g: FiniteGroupoid
+    def __init__(self, g: FiniteGroupoid):
+        self.g = g
 
     def __iter__(self):
         positions: dict[str, list[int]] = {}
