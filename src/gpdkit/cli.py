@@ -98,7 +98,7 @@ def _cmd_check_properties(args) -> tuple[dict, int]:
     action = _load(args.file).action(args.action)
     report = property_report(action)
     verdicts = {}
-    for name in args.props.split(",") if args.props else PROPERTY_NAMES:
+    for name in args.props.split(",") if args.props is not None else PROPERTY_NAMES:
         if name not in PROPERTY_NAMES:
             raise PreconditionError(f"unknown property {name!r}")
         v = report.verdict(name)

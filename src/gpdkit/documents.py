@@ -14,10 +14,11 @@ serialize is the identity on canonical inputs.  :func:`dumps` writes the
 bytes the standard library's encoder gives with ``sort_keys=True``,
 ``indent=2`` and ``ensure_ascii=False``, plus a newline, in time linear in
 the output; a row of strings inside a list and a dict of string values are
-each written in one join.  A groupoid's ``compose`` rows are ordered by the
-position of the after-arrow, then of the first arrow.  A table whose entries
-are exactly its composable pairs of distinct ids is written straight from the
-table, one string a row; only other tables have their rows built and sorted.
+each written in one join.  A groupoid's ``compose`` rows are written straight
+from its table, one string a row, ordered by the position of the after-arrow,
+then of the first arrow.  A table whose entries are not exactly its composable
+pairs of distinct ids, each with a declared composite, is refused with
+:class:`PreconditionError` before any byte is returned.
 """
 
 from __future__ import annotations
@@ -112,30 +113,35 @@ def _write(value, newline: str, parts: list[str]) -> None:
         parts.append(json.dumps(value))
 
 
+_MALFORMED_COMPOSE = "compose entries are not exactly the composable pairs of distinct arrows with declared composites"
+
+
 def _write_compose(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
     """Append the ``compose`` rows of ``g`` to ``parts``, one string a row.
 
-    When the entries are exactly the composable pairs of distinct ids, the rows
-    of each after-arrow are read off the arrows into its source, in declaration
-    order, each id encoded once; any other table is written from its sorted rows."""
-    inner, start, compose = newline + "  ", len(parts), g.compose
+    The rows of each after-arrow are read off the arrows into its source, in
+    declaration order, each id encoded once.  A table whose entries are not
+    exactly its composable pairs of distinct ids, each with a declared
+    composite, raises :class:`PreconditionError`."""
+    inner, compose = newline + "  ", g.compose
     code = {a: _encode_str(a) for a in g.arrows}
     into: dict[str, list[tuple[str, str]]] = {}
     for a in g.arrows:
         into.setdefault(g.tgt[a], []).append((a, f"{code[a]},{inner}  "))
-    if len(code) == len(g.arrows) and len(compose) == sum(len(into.get(g.src[a], ())) for a in g.arrows):
-        last = {a: c + inner + "]" for a, c in code.items()}
-        try:  # a composable pair with no entry, or an undeclared composite
-            for a2 in g.arrows:
-                head = f",{inner}[{inner}  {code[a2]},{inner}  "
-                parts += [f"{head}{c1}{last[compose[a2, a1]]}" for a1, c1 in into.get(g.src[a2], ())]
-        except KeyError:
-            del parts[start:]
-        if len(parts) > start:
-            parts[start] = "[" + parts[start][1:]
-            parts.append(newline + "]")
-            return
-    _write(list(_ComposeRows(g)), newline, parts)
+    if len(code) != len(g.arrows) or len(compose) != sum(len(into.get(g.src[a], ())) for a in g.arrows):
+        raise PreconditionError(_MALFORMED_COMPOSE)
+    if not compose:
+        parts.append("[]")
+        return
+    start, last = len(parts), {a: c + inner + "]" for a, c in code.items()}
+    try:
+        for a2 in g.arrows:
+            head = f",{inner}[{inner}  {code[a2]},{inner}  "
+            parts += [f"{head}{c1}{last[compose[a2, a1]]}" for a1, c1 in into.get(g.src[a2], ())]
+    except KeyError:  # a composable pair with no entry, or an undeclared composite
+        raise PreconditionError(_MALFORMED_COMPOSE) from None
+    parts[start] = "[" + parts[start][1:]
+    parts.append(newline + "]")
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -219,23 +225,12 @@ def groupoid_doc(g: FiniteGroupoid) -> dict:
 
 
 class _ComposeRows:
-    """The ``compose`` rows of ``g``: ``[a2, a1, a2∘a1]`` for every pair of
-    declared positions of a compose key, ordered by the position of ``a2``,
-    then of ``a1``.  :func:`dumps` writes them straight from the table;
-    iterating builds them as lists."""
+    """The ``compose`` rows of ``g``, which :func:`dumps` writes straight from
+    the table: ``[a2, a1, a2∘a1]`` for every composable pair, ordered by the
+    position of ``a2``, then of ``a1``."""
 
     def __init__(self, g: FiniteGroupoid):
         self.g = g
-
-    def __iter__(self):
-        positions: dict[str, list[int]] = {}
-        for i, a in enumerate(self.g.arrows):
-            positions.setdefault(a, []).append(i)
-        keyed = sorted(
-            ((i2, i1), [a2, a1, a3]) for (a2, a1), a3 in self.g.compose.items()
-            for i2 in positions.get(a2, ()) for i1 in positions.get(a1, ())
-        )
-        return (row for _, row in keyed)
 
 
 def group_payload(g: FiniteGroup) -> dict:

@@ -282,7 +282,6 @@ class WorkbenchInstances:
     weak_equivalences: tuple[GeneratedWeakEquivalence, ...]
     functor_pairs: tuple[tuple[GroupoidFunctor, GroupoidFunctor], ...]
     spans: tuple[tuple[GeneralizedMorphism, ActionGroupoid, ActionGroupoid], ...]
-    extra_groupoids: tuple[FiniteGroupoid, ...] = ()
 
 
 def _span_size(span: GeneralizedMorphism) -> int:
@@ -475,13 +474,13 @@ def _describe_functor(f: GroupoidFunctor) -> str:
     )
 
 
-def _groupoids_validate(actions, weak_equivalences, extra_groupoids):
-    """Each distinct action groupoid validates, then each extra groupoid; a failure is shrunk."""
+def _groupoids_validate(actions, weak_equivalences):
+    """Each distinct action groupoid validates; a failure is shrunk."""
     ends = (a for w in weak_equivalences for a in (w.functor.dom_action, w.functor.cod_action))
     distinct: dict[tuple, FiniteGroupoid] = {}
     for a in itertools.chain(actions, ends):
         distinct.setdefault((a.induced.objects, a.induced.arrows), a.induced)
-    for g in [*distinct.values(), *extra_groupoids]:
+    for g in distinct.values():
         try:
             rep = validate_groupoid(g)
         except Exception as exc:
@@ -749,7 +748,7 @@ def run_law_suite(budget: InstanceBudget, instances: WorkbenchInstances | None =
     spans = [span for span, _, _ in inst.spans]
     cells = [Anafunctor(span.left, span.right) for span in spans if weak_equivalence_report(span.left).is_ssw]
     laws = {
-        "core: action groupoids validate": _groupoids_validate(inst.actions, wes, inst.extra_groupoids),
+        "core: action groupoids validate": _groupoids_validate(inst.actions, wes),
         "core: whiskers and comparisons validate": comparison,
         "core: iso search symmetric": _iso_search_symmetric([a.induced for a in inst.actions[:ISO_SEARCH_GROUPOIDS]]),
         "morita: three-for-two": _three_for_two(inst.functor_pairs),

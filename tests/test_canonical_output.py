@@ -2,12 +2,20 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdkit import documents as docs
 from gpdkit.cli import build_klein_example
-from gpdkit.core import FiniteGroupoid, action_groupoid, empty_groupoid, subgroup, terminal_groupoid
+from gpdkit.core import (
+    FiniteGroupoid,
+    PreconditionError,
+    action_groupoid,
+    empty_groupoid,
+    subgroup,
+    terminal_groupoid,
+)
 from gpdkit.equivariant import (
     balanced_product,
     equivariant_functor,
@@ -83,18 +91,59 @@ def _groupoids(draw):
     return FiniteGroupoid(tuple(objects), tuple(arrows), src, tgt, compose, unit, inv)
 
 
+@st.composite
+def _well_formed_tables(draw):
+    """Tables of distinct ids whose entries are exactly the composable pairs, each
+    with a declared composite, inserted in a drawn order; not necessarily associative."""
+    ids = st.sampled_from(["a", "b", "c", "d", "e"])
+    objects = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True))
+    arrows = draw(st.lists(ids, max_size=5, unique=True))
+    ends = st.sampled_from(objects)
+    src = {a: draw(ends) for a in arrows}
+    tgt = {a: draw(ends) for a in arrows}
+    pairs = draw(st.permutations([(b, a) for a in arrows for b in arrows if src[b] == tgt[a]]))
+    compose = {pair: draw(st.sampled_from(arrows)) for pair in pairs}
+    unit = {x: draw(ids) for x in objects}
+    inv = {a: draw(ids) for a in arrows}
+    return FiniteGroupoid(tuple(objects), tuple(arrows), src, tgt, compose, unit, inv)
+
+
+def is_well_formed(g) -> bool:
+    """Distinct ids, an entry for exactly the composable pairs, and declared composites."""
+    pairs = {(b, a) for a in g.arrows for b in g.arrows if g.src[b] == g.tgt[a]}
+    return (
+        len(set(g.arrows)) == len(g.arrows)
+        and set(g.compose) == pairs
+        and all(c in g.arrows for c in g.compose.values())
+    )
+
+
 def assert_compose_rows_match_the_oracle(g):
-    """The document of ``g`` equals its plain-list form, with the oracle's rows,
-    both as canonical bytes and as rows read from the document."""
+    """The canonical bytes of the document of ``g`` equal its plain-list form, with the oracle's rows."""
     doc = docs.groupoid_doc(g)
     assert docs.dumps(doc) == reference_dumps({**doc, "compose": oracle_compose_rows(g)})
-    assert list(doc["compose"]) == oracle_compose_rows(g)
+
+
+def assert_refused(g):
+    with pytest.raises(PreconditionError, match="not exactly the composable pairs"):
+        docs.dumps(docs.groupoid_doc(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_well_formed_tables())
+def test_compose_rows_of_well_formed_tables_equal_the_oracle(g):
+    assert is_well_formed(g)
+    assert_compose_rows_match_the_oracle(g)
 
 
 @settings(max_examples=150, deadline=None)
 @given(g=_groupoids())
 def test_compose_rows_equal_the_all_pairs_comprehension(g):
-    assert_compose_rows_match_the_oracle(g)
+    """An arbitrary table is written as the oracle's rows when it is well formed, and refused otherwise."""
+    if is_well_formed(g):
+        assert_compose_rows_match_the_oracle(g)
+    else:
+        assert_refused(g)
 
 
 def _products(klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop):
@@ -117,7 +166,8 @@ def _products(klein_action, klein_half_turn, swap_action, point_action, collapse
 def test_compose_rows_of_fixed_tables_equal_the_oracle(
     klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop
 ):
-    """Product tables, the Klein table filled in reverse order, and empty tables."""
+    """Product tables, the Klein table filled in reverse order and the empty groupoid;
+    the terminal groupoid with an empty table is refused."""
     groupoids = _products(klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop)
     k = klein_action.induced
     reversed_table = dict(reversed(list(k.compose.items())))
@@ -125,16 +175,16 @@ def test_compose_rows_of_fixed_tables_equal_the_oracle(
     for g in groupoids:
         assert len(g.compose) > len(g.arrows)
         assert_compose_rows_match_the_oracle(g)
+    assert docs.dumps(docs.groupoid_doc(empty_groupoid())).count(b'"compose": []') == 1
+    assert_compose_rows_match_the_oracle(empty_groupoid())
     t = terminal_groupoid()
-    for g in (empty_groupoid(), FiniteGroupoid(t.objects, t.arrows, t.src, t.tgt, {}, t.unit, t.inv)):
-        assert docs.dumps(docs.groupoid_doc(g)).count(b'"compose": []') == 1
-        assert_compose_rows_match_the_oracle(g)
+    assert_refused(FiniteGroupoid(t.objects, t.arrows, t.src, t.tgt, {}, t.unit, t.inv))
 
 
 def test_compose_rows_of_tables_with_as_many_entries_as_composable_pairs():
-    """Counting entries does not decide the direct path: a composable pair's
-    entry moved to a pair that is not composable, and a repeated id whose
-    position pairs are as many as the entries, one of them stray."""
+    """Counting entries does not decide that a table is well formed: a composable
+    pair's entry moved to a pair that is not composable, and a repeated id whose
+    position pairs are as many as the entries, one of them stray, are refused."""
     k = build_klein_example()[0].induced
     moved = dict(k.compose)
     del moved[next(pair for pair in moved if pair[0] == k.arrows[-1])]  # the last row group, after others are written
@@ -145,22 +195,7 @@ def test_compose_rows_of_tables_with_as_many_entries_as_composable_pairs():
         {"x": "a", "y": "b", "z": "b"}, {"a": "a", "b": "b"},
     )
     for g in (FiniteGroupoid(k.objects, k.arrows, k.src, k.tgt, moved, k.unit, k.inv), repeated):
-        assert_compose_rows_match_the_oracle(g)
-
-
-def test_product_tables_are_written_without_sorting(
-    monkeypatch, klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop
-):
-    """A table whose entries are exactly its composable pairs is written straight
-    from the table; the sorted rows are built only for other tables."""
-    groupoids = _products(klein_action, klein_half_turn, swap_action, point_action, collapse_swap, swap_to_loop)
-    expected = [docs.dumps(docs.groupoid_doc(g)) for g in groupoids]
-
-    def unsorted_only(rows):
-        raise AssertionError("a product table was sorted")
-
-    monkeypatch.setattr(docs._ComposeRows, "__iter__", unsorted_only)
-    assert [docs.dumps(docs.groupoid_doc(g)) for g in groupoids] == expected
+        assert_refused(g)
 
 
 def test_suite_report_is_written_by_the_canonical_writer():

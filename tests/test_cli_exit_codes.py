@@ -39,7 +39,7 @@ def _base_bundle() -> dict:
     q = quotient_action(klein, half_turn)
     identity_swap = docs.functor_doc(identity_functor(swap.induced), "swap", "swap")
     proj = docs.functor_doc(q.projection.functor, "klein", "quotient")
-    return {
+    bundle = {
         "kind": "bundle",
         "documents": {
             "swap": docs.groupoid_doc(swap.induced),
@@ -58,6 +58,7 @@ def _base_bundle() -> dict:
             "proj_span": {"kind": "span", "left": "proj", "right": "proj_r"},
         },
     }
+    return docs.loads(docs.dumps(bundle))  # compose rows as plain lists
 
 
 BASE = _base_bundle()
@@ -161,7 +162,7 @@ def _cell_bundle() -> tuple[dict, dict]:
         ("proj_unit", "component"): quotient_arrows,
         ("proj_eq", "equivariant", "group_hom"): sorted(q.quotient.group.elements),
     }
-    return bundle, sites
+    return docs.loads(docs.dumps(bundle)), sites
 
 
 CELL_BUNDLE, CELL_SITES = _cell_bundle()
@@ -322,7 +323,7 @@ def test_broken_groupoid_document_is_a_named_input_error(tmp_path, broken, comma
 
 def test_broken_mediator_document_is_a_named_input_error(tmp_path):
     mediator = CELL_BUNDLE["documents"]["P"]
-    broken = {**mediator, "compose": list(mediator["compose"])[1:]}
+    broken = {**mediator, "compose": mediator["compose"][1:]}
     path = tmp_path / "cells.json"
     path.write_bytes(docs.dumps({"kind": "bundle", "documents": {**CELL_BUNDLE["documents"], "P": broken}}))
     for argv in (["normalize-2cell", str(path), "cell"], ["2cells-equal", str(path), "cell", "cell"]):
@@ -343,7 +344,7 @@ def groupoid_mutations(draw):
         rows = [dict(row) for row in doc["arrows"]]
         rows[i][end] = draw(st.sampled_from([*doc["objects"], "nowhere"]))
         return name, {**doc, "arrows": rows}
-    compose = list(doc["compose"])
+    compose = [list(row) for row in doc["compose"]]
     j = draw(st.integers(0, len(compose) - 1))
     value = draw(st.sampled_from([*arrows, None]))
     if value is None:

@@ -102,8 +102,7 @@ class TestCli:
         action, _ = klein_docs
         good = write(tmp_path, "good.json", docs.action_doc(action))
         assert main(["validate", good, "--out", str(tmp_path / "r1.json")]) == 0
-        doc = docs.groupoid_doc(action.induced)
-        doc["compose"] = list(doc["compose"])
+        doc = docs.loads(docs.dumps(docs.groupoid_doc(action.induced)))
         doc["compose"][0][2] = doc["arrows"][5]["id"]
         bad = write(tmp_path, "bad.json", doc)
         assert main(["validate", bad, "--out", str(tmp_path / "r2.json")]) == 1
@@ -463,7 +462,7 @@ class TestCli:
         assert "Traceback" not in err
         assert "'(p,q,r)'" in err
 
-    @pytest.mark.parametrize("props, named", [("bogus", "'bogus'"), ("free,,transitive", "''")])
+    @pytest.mark.parametrize("props, named", [("bogus", "'bogus'"), ("free,,transitive", "''"), ("", "''")])
     def test_unknown_property_is_an_input_error(self, capsys, props, named):
         bundle = str(Path(__file__).parent / "golden" / "constructions" / "bundle.json")
         assert main(["check-properties", bundle, "klein", "--props", props]) == 2

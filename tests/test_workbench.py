@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from gpdkit.core import all_subgroups, subgroup
 from gpdkit.morita import weak_equivalence_report
 from gpdkit.workbench import (
     InstanceBudget,
-    WorkbenchInstances,
     actions_of_group,
     build_instances,
     enumerate_actions,
@@ -187,14 +187,9 @@ class TestLawSuite:
         )
         corrupted = FiniteGroupoid(g.objects, g.arrows, g.src, g.tgt, compose, g.unit, g.inv)
         assert not validate_groupoid(corrupted).ok
-        instances = WorkbenchInstances(
-            budget=base.budget,
-            actions=base.actions,
-            weak_equivalences=base.weak_equivalences,
-            functor_pairs=base.functor_pairs,
-            spans=base.spans,
-            extra_groupoids=(corrupted,),
-        )
+        # the only action: the iso law searches between actions, and
+        # element_order may never stop on a corrupted isotropy table
+        instances = dataclasses.replace(base, actions=(dataclasses.replace(klein, induced=corrupted),))
         report = run_law_suite(small_budget, instances)
         law = next(l for l in report.laws if l.name == "core: action groupoids validate")
         assert not law.ok
