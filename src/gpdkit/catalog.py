@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import FiniteGroup, direct_product
+from .core import FiniteGroup, closure, direct_product, subgroup
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -32,30 +32,16 @@ def klein_four_group() -> FiniteGroup:
 
 def _perm_group(points: str, generators: list[str]) -> FiniteGroup:
     """Group of permutations (one-line strings over ``points``) generated by ``generators``."""
-    identity = points
 
     def compose(p: str, q: str) -> str:
         # apply q first, then p
         return "".join(p[points.index(c)] for c in q)
 
-    # right multiplication by the generators reaches the group (see core.closure)
-    members = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gen in generators:
-                c = compose(a, gen)
-                if c not in members:
-                    members.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    els = tuple(sorted(members))
+    els = tuple("".join(p) for p in itertools.permutations(points))
     mul = {(p, q): compose(p, q) for p in els for q in els}
-    inv = {}
-    for p in els:
-        inv[p] = "".join(points[p.index(c)] for c in points)
-    return FiniteGroup(els, mul, identity, inv)
+    inv = {p: "".join(points[p.index(c)] for c in points) for p in els}
+    sym = FiniteGroup(els, mul, points, inv)
+    return subgroup(sym, closure(sym, generators))
 
 
 def symmetric_group_3() -> FiniteGroup:

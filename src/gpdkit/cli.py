@@ -232,9 +232,7 @@ def _cmd_cells_equal(args) -> tuple[dict, int]:
     d1 = bundle.diagram(args.first)
     d2 = bundle.diagram(args.second)
     for label, d in (("first", d1), ("second", d2)):
-        rep = validate_two_cell(d)
-        if not rep.ok:
-            raise PreconditionError(f"{label} diagram does not validate: {rep.violations[0]}")
+        validate_two_cell(d).require(PreconditionError, f"{label} diagram does not validate")
     difference = two_cell_difference(d1, d2)
     witness = None
     if difference is not None:
@@ -262,7 +260,7 @@ def _cmd_skeleton(args) -> tuple[dict, int]:
 
 def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
     fields = {}
-    mapping = {"group": "max_group_order", "carrier": "max_carrier_size", "objects": "max_objects", "seed": "sample_seed"}
+    mapping = {"group": "max_group_order", "carrier": "max_carrier_size", "objects": "max_objects"}
     if spec:
         for part in spec.split(","):
             if not part:
@@ -278,7 +276,7 @@ def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
                 raise docs.SchemaError(f"budget: {key!r} needs an integer") from None
     if seed is not None:
         fields["sample_seed"] = seed
-    for key in ("group", "carrier", "objects"):
+    for key in mapping:
         if fields.get(mapping[key], 1) < 1:
             raise docs.SchemaError(f"budget: {key!r} must be at least 1, got {fields[mapping[key]]}")
     return InstanceBudget(**fields)

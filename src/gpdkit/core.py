@@ -62,6 +62,11 @@ class ValidationReport:
         vs = tuple(violations)
         return ValidationReport(not vs, vs)
 
+    def require(self, error: type[Exception], what: str) -> None:
+        """Raise ``error("<what>: <first violation>")`` unless the report is ok."""
+        if not self.ok:
+            raise error(f"{what}: {self.violations[0]}")
+
 
 def _check_unique(ids, what: str):
     seen = set()
@@ -366,9 +371,7 @@ def validate_functor(f: GroupoidFunctor) -> ValidationReport:
 
 def verify_isomorphism(iso: GroupoidFunctor, where: str) -> None:
     """Raise :class:`InternalCheckError` unless ``iso`` is a functor bijective on objects and arrows."""
-    rep = validate_functor(iso)
-    if not rep.ok:
-        raise InternalCheckError(f"{where}: isomorphism is not a functor: {rep.violations[0]}")
+    validate_functor(iso).require(InternalCheckError, f"{where}: isomorphism is not a functor")
     if len(set(iso.obj_map.values())) != len(iso.cod.objects) or len(iso.obj_map) != len(iso.cod.objects):
         raise InternalCheckError(f"{where}: isomorphism is not bijective on objects")
     if len(set(iso.arr_map.values())) != len(iso.cod.arrows) or len(iso.arr_map) != len(iso.cod.arrows):

@@ -322,9 +322,7 @@ def parse_group(obj: dict, where: str = "group") -> FiniteGroup:
 
 def parse_action_groupoid(obj: dict, where: str = "action_groupoid") -> ActionGroupoid:
     group = parse_group(_need(obj, "group", where, dict), f"{where}.group")
-    rep = validate_group(group)
-    if not rep.ok:
-        raise PreconditionError(f"{where}.group is not a group: {rep.violations[0]}")
+    validate_group(group).require(PreconditionError, f"{where}.group is not a group")
     carrier = tuple(_str_list(obj, "set", where))
     return action_groupoid(group, carrier, _triple_rows(obj, "action", where))
 
@@ -364,15 +362,13 @@ class Bundle:
             return value.group
         if not isinstance(value, FiniteGroup):
             raise SchemaError(f"{name!r} is not a group document")
-        rep = validate_group(value)
-        if not rep.ok:
-            raise PreconditionError(f"{name!r} is not a group: {rep.violations[0]}")
+        validate_group(value).require(PreconditionError, f"{name!r} is not a group")
         return value
 
     def functor(self, name: str | None) -> GroupoidFunctor:
         name, value = self._functor_entry(name)
         plain = _as_plain_functor(value)
-        require_functor(plain, repr(name))
+        validate_functor(plain).require(PreconditionError, f"{name!r} is not a functor")
         return plain
 
     def equivariant(self, name: str | None) -> EquivariantFunctor:
@@ -424,9 +420,7 @@ class Bundle:
         ``groupoids`` that breaks an axiom; action groupoids were verified when parsed."""
         for name, value in self.entries.items():
             if isinstance(value, FiniteGroupoid) and any(value is g for g in groupoids):
-                rep = validate_groupoid(value)
-                if not rep.ok:
-                    raise PreconditionError(f"{name!r} is not a groupoid: {rep.violations[0]}")
+                validate_groupoid(value).require(PreconditionError, f"{name!r} is not a groupoid")
 
     def _functor_entry(self, name: str | None) -> tuple[str, GroupoidFunctor | EquivariantFunctor]:
         """The resolved name and value of a functor document, its groupoids checked."""
@@ -497,16 +491,9 @@ class RawSpan:
     right: GroupoidFunctor
 
     def build(self) -> GeneralizedMorphism:
-        require_functor(self.left, "span left leg")
-        require_functor(self.right, "span right leg")
+        validate_functor(self.left).require(PreconditionError, "span left leg is not a functor")
+        validate_functor(self.right).require(PreconditionError, "span right leg is not a functor")
         return GeneralizedMorphism(self.left, self.right)
-
-
-def require_functor(functor: GroupoidFunctor, what: str) -> None:
-    """Raise :class:`PreconditionError` naming the first violation unless ``functor`` is a functor."""
-    rep = validate_functor(functor)
-    if not rep.ok:
-        raise PreconditionError(f"{what} is not a functor: {rep.violations[0]}")
 
 
 def legs_doc(span, middle: str) -> dict:

@@ -139,9 +139,7 @@ def equivariant_functor(
         for x in dom.carrier
     }
     functor = GroupoidFunctor(dom.induced, cod.induced, dict(obj_map), arr_map)
-    rep = validate_functor(functor)
-    if not rep.ok:
-        raise InternalCheckError(f"equivariant data produced an invalid functor: {rep.violations[0]}")
+    validate_functor(functor).require(InternalCheckError, "equivariant data produced an invalid functor")
     return EquivariantFunctor(dom, cod, dict(group_hom), dict(obj_map), functor)
 
 
@@ -177,9 +175,7 @@ def as_equivariant(dom: ActionGroupoid, cod: ActionGroupoid, f: GroupoidFunctor)
     """Recover the (unique) group map making f equivariant, if one exists."""
     if f.dom != dom.induced or f.cod != cod.induced:
         raise MismatchError("functor endpoints are not the stated action groupoids")
-    rep = validate_functor(f)
-    if not rep.ok:
-        raise PreconditionError(f"functor is invalid: {rep.violations[0]}")
+    validate_functor(f).require(PreconditionError, "functor is invalid")
     group_hom: dict[str, str] = {}
     for g in dom.group.elements:
         images = set()
@@ -259,9 +255,15 @@ def quotient_factorization(phi: EquivariantFunctor) -> QuotientFactorization:
 
     When the kernel is trivial the quotient is the domain itself and its
     projection the identity (:func:`quotient_action`), so ``phi`` is the iso.
+    Over a nonempty carrier the group map of such a functor is onto; over an
+    empty one it need not be, and then no iso exists, so it is refused.
     """
     if not weak_equivalence_report(phi.functor).is_ssw:
         raise PreconditionError("quotient_factorization: functor is not a surjective weak equivalence")
+    image = set(phi.group_hom.values())
+    missed = next((h for h in phi.cod_action.group.elements if h not in image), None)
+    if missed is not None:
+        raise PreconditionError(f"quotient_factorization: group map misses {missed!r}")
     g = phi.dom_action.group
     kernel_elements = hom_kernel(g, phi.cod_action.group, phi.group_hom)
     q = quotient_action(phi.dom_action, kernel_elements)
@@ -620,9 +622,7 @@ def equivariant_anafunctorify(
         h_part = right.arrow_pairs[psi.arr_map[m]][0]
         theta_arr[m] = middle_action.arrow_id(pair_ids[(g_part, h_part)], theta_obj[k.src[m]])
     theta = GroupoidFunctor(k, middle_action.induced, theta_obj, theta_arr)
-    rep = validate_functor(theta)
-    if not rep.ok:
-        raise InternalCheckError(f"equivariant_anafunctorify: comparison is not a functor: {rep.violations[0]}")
+    validate_functor(theta).require(InternalCheckError, "equivariant_anafunctorify: comparison is not a functor")
     if not weak_equivalence_report(theta).is_weak_equivalence:
         raise InternalCheckError("equivariant_anafunctorify: comparison is not a weak equivalence")
 

@@ -131,9 +131,7 @@ class AnaTwoCell:
             raise MismatchError("2-cell transformation source is not top.right over the pullback")
         if self.transformation.target != compose_functors(self.bottom.right, pb.pr2):
             raise MismatchError("2-cell transformation target is not bottom.right over the pullback")
-        rep = validate_nat_trans(self.transformation)
-        if not rep.ok:
-            raise PreconditionError(f"2-cell transformation is not natural: {rep.violations[0]}")
+        validate_nat_trans(self.transformation).require(PreconditionError, "2-cell transformation is not natural")
 
 
 def _ana_cell(top: Anafunctor, bottom: Anafunctor, pb: StrictPullback, candidates, where: str) -> AnaTwoCell:
@@ -255,9 +253,7 @@ def normalize_two_cell(d: TwoCellDiagram) -> AnaTwoCell:
 
 def _normalize(d: TwoCellDiagram, pb: StrictPullback | None = None) -> AnaTwoCell:
     """:func:`normalize_two_cell` over ``pb``, the left legs' strict pullback, built when not given."""
-    rep = validate_two_cell(d)
-    if not rep.ok:
-        raise PreconditionError(f"normalize_two_cell: diagram does not validate: {rep.violations[0]}")
+    validate_two_cell(d).require(PreconditionError, "normalize_two_cell: diagram does not validate")
     top, bottom = as_anafunctor(d.top), as_anafunctor(d.bottom)
     if pb is None:
         pb = strict_pullback(top.left, bottom.left)
@@ -355,9 +351,7 @@ def identity_filled_diagram(
     left_cell = identity_transformation(compose_functors(top.left, to_top))
     right_cell = identity_transformation(compose_functors(top.right, to_top))
     diagram = TwoCellDiagram(top, bottom, to_top, to_bottom, left_cell, right_cell)
-    chk = validate_two_cell(diagram)
-    if not chk.ok:
-        raise InternalCheckError(f"{what} does not validate: {chk.violations[0]}")
+    validate_two_cell(diagram).require(InternalCheckError, f"{what} does not validate")
     return diagram
 
 

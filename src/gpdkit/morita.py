@@ -217,9 +217,7 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
         {o: t[1] for t, o in objects.items()},
     )
     out = WeakPullback(apex, pr1, pr3, comparison, objects, ids)
-    rep = validate_nat_trans(comparison)
-    if not rep.ok:
-        raise InternalCheckError(f"weak pullback comparison transformation is not natural: {rep.violations[0]}")
+    validate_nat_trans(comparison).require(InternalCheckError, "weak pullback comparison transformation is not natural")
     if weak_equivalence_report(phi).is_weak_equivalence:
         if not weak_equivalence_report(pr3).is_ssw:
             raise InternalCheckError("weak pullback along a weak equivalence lost the property on pr3")
@@ -257,9 +255,7 @@ def ff_factorize(
     eta2 = NaturalTransformation(psi, psi2, component)
     if whisker(eta2, phi, "left") != eta:
         raise InternalCheckError("ff_factorize: factorisation identity failed")
-    rep2 = validate_nat_trans(eta2)
-    if not rep2.ok:
-        raise InternalCheckError(f"ff_factorize: produced transformation is invalid: {rep2.violations[0]}")
+    validate_nat_trans(eta2).require(InternalCheckError, "ff_factorize: produced transformation is invalid")
     return eta2
 
 
@@ -294,9 +290,7 @@ def coff_factorize(
     eta2 = NaturalTransformation(psi, psi2, component)
     if whisker(eta2, phi, "right") != eta:
         raise InternalCheckError("coff_factorize: factorisation identity failed")
-    rep2 = validate_nat_trans(eta2)
-    if not rep2.ok:
-        raise InternalCheckError(f"coff_factorize: produced transformation is invalid: {rep2.violations[0]}")
+    validate_nat_trans(eta2).require(InternalCheckError, "coff_factorize: produced transformation is invalid")
     return eta2
 
 

@@ -447,6 +447,19 @@ def test_non_group_table_is_refused(tmp_path):
     assert main(["validate", path, "G", "--out", os.devnull]) == 1
 
 
+@pytest.mark.parametrize("group_hom", [None, {"r0": "r0", "r1": "r0"}], ids=["recovered", "stated"])
+def test_quotient_factorize_refuses_a_group_map_that_is_not_onto(tmp_path, group_hom):
+    # over an empty carrier the identity is a surjective weak equivalence for
+    # any group map; one that misses an element has no quotient iso
+    empty = action_groupoid(cyclic_group(2), (), {})
+    identity = identity_functor(empty.induced)
+    for hom, expected in ((group_hom, (2, "error: quotient_factorization: group map misses 'r1'\n")),
+                          ({"r0": "r0", "r1": "r1"}, (0, ""))):
+        path = _write(tmp_path, {"E": docs.action_doc(empty), "F": docs.functor_doc(identity, "E", "E", hom)})
+        assert _run(["quotient-factorize", path, "F"]) == expected, hom
+        assert _run(["decompose", path, "F"]) == (0, ""), hom
+
+
 GOLDEN_ACTIONS = sorted(name for name, doc in GOLDEN_DOCUMENTS.items() if doc["kind"] == "action_groupoid")
 
 

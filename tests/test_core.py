@@ -18,9 +18,12 @@ from gpdkit.core import (
     DanglingIdError,
     FiniteGroupoid,
     GroupoidFunctor,
+    InternalCheckError,
     MismatchError,
     NaturalTransformation,
     PreconditionError,
+    ValidationReport,
+    Violation,
     _generating_sequence,
     action_groupoid,
     all_subgroups,
@@ -150,6 +153,15 @@ class TestGroupoidValidation:
         g = FiniteGroupoid(("x",), ("u",), {"u": "x"}, {"u": "x"}, {}, {"x": "u"}, {"u": "u"})
         report = validate_groupoid(g)
         assert any(v.axiom == "totality" for v in report.violations)
+
+    @pytest.mark.parametrize("error", [PreconditionError, InternalCheckError])
+    def test_require_raises_the_first_violation_or_returns_none(self, terminal, error):
+        assert validate_groupoid(terminal).require(error, "unused") is None
+        report = ValidationReport.collect([Violation("composability", ("ux", "uy")), Violation("totality", ("u",))])
+        with pytest.raises(error) as info:
+            report.require(error, "'g' is not a groupoid")
+        assert type(info.value) is error
+        assert str(info.value) == "'g' is not a groupoid: Violation(axiom='composability', witness=('ux', 'uy'))"
 
 
 class TestActionGroupoid:

@@ -308,6 +308,21 @@ class TestCli:
         assert err.startswith(f"error: budget: {named} must be at least 1")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("group", "expected key=value, got 'group'"),
+            ("size=3", "unknown key 'size'"),
+            ("group=x", "'group' needs an integer"),
+            ("seed=1", "unknown key 'seed'"),  # the sample seed is set by --seed alone
+        ],
+    )
+    def test_malformed_suite_budget_is_an_input_error(self, capsys, spec, message):
+        assert main(["suite", "--budget", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: budget: {message}\n"
+
     def test_balanced_product_output(self, tmp_path, klein_docs):
         action, half_turn = klein_docs
         from gpdkit.core import action_groupoid, subgroup

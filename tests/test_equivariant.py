@@ -1,5 +1,6 @@
 import pytest
 
+from gpdkit.catalog import cyclic_group
 from gpdkit.core import (
     GroupoidFunctor,
     PreconditionError,
@@ -147,6 +148,17 @@ class TestQuotient:
         embed = equivariant_functor(one, swap_action, {"e": "r0"}, {"z": "0"})
         with pytest.raises(PreconditionError):
             quotient_factorization(embed)
+
+    def test_group_map_not_onto_over_an_empty_carrier_is_refused(self):
+        # full faithfulness and surjectivity on objects hold vacuously, so the
+        # functor is a surjective weak equivalence, yet no iso to the codomain exists
+        empty = action_groupoid(cyclic_group(2), (), {})
+        trivial = equivariant_functor(empty, empty, {"r0": "r0", "r1": "r0"}, {})
+        with pytest.raises(PreconditionError, match=r"^quotient_factorization: group map misses 'r1'$"):
+            quotient_factorization(trivial)
+        assert decompose(trivial).kernel.elements == ("r0", "r1")
+        onto = equivariant_functor(empty, empty, {"r0": "r0", "r1": "r1"}, {})
+        assert quotient_factorization(onto).kernel.elements == ("r0",)
 
 
 class TestBalancedProduct:
