@@ -23,11 +23,15 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(els, mul, "r0", inv)
 
 
+def flip_group() -> FiniteGroup:
+    """Z/2 with elements e and t."""
+    mul = {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"}
+    return FiniteGroup(("e", "t"), mul, "e", {"e": "e", "t": "t"})
+
+
 def klein_four_group() -> FiniteGroup:
     """Z/2 x Z/2 with elements (e,e), (e,t), (t,e), (t,t)."""
-    flip = {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"}
-    z2 = FiniteGroup(("e", "t"), flip, "e", {"e": "e", "t": "t"})
-    return direct_product(z2, z2)[0]
+    return direct_product(flip_group(), flip_group())[0]
 
 
 def _perm_group(points: str, generators: list[str]) -> FiniteGroup:

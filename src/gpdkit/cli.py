@@ -17,13 +17,14 @@ import functools
 import sys
 
 from . import documents as docs
-from .catalog import klein_four_group
+from .catalog import flip_group
 from .core import (
     ActionGroupoid,
     DanglingIdError,
     MismatchError,
     PreconditionError,
     action_groupoid,
+    direct_product,
     fixed_point,
     stabilizer,
     subgroup,
@@ -288,22 +289,16 @@ def _cmd_suite(args) -> tuple[bytes, int]:
 
 
 def build_klein_example() -> tuple[ActionGroupoid, tuple[str, str]]:
-    """The two-reflection action of the Klein four-group on the compass points."""
-    group = klein_four_group()
+    """The two-reflection Klein action on the compass points, and its half-turn subgroup."""
+    flip = flip_group()
+    e, t = flip.elements
+    group, pair_ids = direct_product(flip, flip)
     points = ("N", "S", "E", "W")
-    swap_ns = {"N": "S", "S": "N", "E": "E", "W": "W"}
-    swap_ew = {"N": "N", "S": "S", "E": "W", "W": "E"}
-
-    def act(element: str, x: str) -> str:
-        first, second = element[1:-1].split(",")
-        if first == "t":
-            x = swap_ns[x]
-        if second == "t":
-            x = swap_ew[x]
-        return x
-
-    table = {(g, x): act(g, x) for g in group.elements for x in points}
-    return action_groupoid(group, points, table), ("(e,e)", "(t,t)")
+    # the first factor's t swaps N and S, the second's swaps E and W
+    ns = {e: dict(zip(points, points)), t: dict(zip(points, ("S", "N", "E", "W")))}
+    ew = {e: ns[e], t: dict(zip(points, ("N", "S", "W", "E")))}
+    table = {(g, x): ew[b][ns[a][x]] for (a, b), g in pair_ids.items() for x in points}
+    return action_groupoid(group, points, table), (pair_ids[(e, e)], pair_ids[(t, t)])
 
 
 def _cmd_demo_klein(args) -> tuple[dict, int]:

@@ -10,7 +10,8 @@ the caller gives the composites with every arrow out of its target, in
 declaration order, and a row of any other length raises.  Class
 tables (orbits, components, cosets and the classes of the equivariant
 constructions) are all made by :func:`class_reps`, which picks each class's
-least-index member as its representative.  Values are frozen after
+least-index member as its representative; :func:`classes` lists them, and
+:func:`fibers` groups items by key in item order.  Values are frozen after
 construction and every operation is a pure function.
 """
 
@@ -309,6 +310,19 @@ def class_reps(items, members) -> dict:
             for member in members(item):
                 reps[member] = item
     return reps
+
+
+def fibers(items, key) -> dict:
+    """``key(item)`` -> the items with that key in item order; keys in order of first appearance."""
+    out: dict = {}
+    for item in items:
+        out.setdefault(key(item), []).append(item)
+    return out
+
+
+def classes(items, members) -> list[tuple]:
+    """The classes of :func:`class_reps` over the sequence ``items``, as tuples in item order."""
+    return [tuple(c) for c in fibers(items, class_reps(items, members).__getitem__).values()]
 
 
 def terminal_groupoid() -> FiniteGroupoid:
@@ -662,9 +676,7 @@ def group_isomorphism(g: FiniteGroup, h: FiniteGroup) -> dict[str, str] | None:
     if g_profile != h_profile:
         return None
     gens = _generating_sequence(g)
-    by_order: dict[int, list[str]] = {}
-    for b in h.elements:
-        by_order.setdefault(element_order(h, b), []).append(b)
+    by_order = fibers(h.elements, lambda b: element_order(h, b))
 
     def extend(images: list[str]) -> dict[str, str] | None:
         mapping = {g.unit: h.unit}
@@ -771,11 +783,7 @@ def orbit(a: ActionGroupoid, x: str) -> tuple[str, ...]:
 
 def orbits(a: ActionGroupoid) -> list[tuple[str, ...]]:
     """Orbit partition; each orbit listed once, keyed by its least-index point."""
-    reps = class_reps(a.carrier, lambda x: orbit(a, x))
-    out: dict[str, list[str]] = {}
-    for x in a.carrier:
-        out.setdefault(reps[x], []).append(x)
-    return [tuple(o) for o in out.values()]
+    return classes(a.carrier, lambda x: orbit(a, x))
 
 
 def stabilizer(a: ActionGroupoid, x: str) -> tuple[str, ...]:
@@ -807,11 +815,7 @@ def connected_components(g: FiniteGroupoid) -> list[tuple[str, ...]]:
             frontier = nxt
         return comp
 
-    reps = class_reps(g.objects, component)
-    out: dict[str, list[str]] = {}
-    for x in g.objects:
-        out.setdefault(reps[x], []).append(x)
-    return [tuple(c) for c in out.values()]
+    return classes(g.objects, component)
 
 
 def isotropy_group(g: FiniteGroupoid, x: str) -> FiniteGroup:

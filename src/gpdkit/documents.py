@@ -433,16 +433,17 @@ class Bundle:
 
     def _lookup(self, name: str | None, what: str) -> tuple[str, object]:
         """The name and value of document ``name``, or of the only document when
-        ``name`` is ``None``; ``what`` names the kind expected in the refusal."""
+        ``name`` is ``None``; ``what`` names the kind expected in the refusal.
+        The value is ``None`` for a document of a kind not parsed yet."""
         if name is None:
             if len(self.entries) == 1:
                 return next(iter(self.entries.items()))
             if not self.entries:
                 raise SchemaError(f"no documents in the bundle; expected a {what}")
             raise SchemaError(f"several documents in the bundle; name the {what} explicitly")
-        if name not in self.entries:
+        if name not in self.docs:
             raise SchemaError(f"no document named {name!r} in the bundle")
-        return name, self.entries[name]
+        return name, self.entries.get(name)
 
 
 def _ref(bundle: Bundle, obj: dict, key: str, where: str, kind: str):

@@ -25,6 +25,7 @@ from .core import (
     class_reps,
     compose_functors,
     direct_product,
+    fibers,
     fixed_point,
     hom_kernel,
     identity_functor,
@@ -287,7 +288,6 @@ class BalancedProduct:
 
     product: ActionGroupoid
     inclusion: EquivariantFunctor  # inner action -> product action
-    rep_pairs: dict[str, tuple[str, str]] = field(repr=False)  # class id -> least-index (g, x)
 
 
 def _balanced_classes(big: FiniteGroup, inner: ActionGroupoid) -> tuple[dict, dict]:
@@ -332,7 +332,7 @@ def balanced_product(big: FiniteGroup, inner: ActionGroupoid) -> BalancedProduct
     )
     if not weak_equivalence_report(inclusion.functor).is_weak_equivalence:
         raise InternalCheckError("balanced_product: inclusion is not a weak equivalence")
-    return BalancedProduct(product, inclusion, rep_pairs)
+    return BalancedProduct(product, inclusion)
 
 
 @dataclass(frozen=True)
@@ -562,12 +562,9 @@ def equivariant_anafunctorify(
     gi, hi, k = left.induced, right.induced, f.middle
     phi, psi = f.left, f.right
 
-    gi_into: dict[str, list[str]] = {x: [] for x in gi.objects}
-    for a in gi.arrows:
-        gi_into[gi.tgt[a]].append(a)
-    hi_into: dict[str, list[str]] = {y: [] for y in hi.objects}
-    for b in hi.arrows:
-        hi_into[hi.tgt[b]].append(b)
+    # every object is the target of its unit arrow, so every key is present
+    gi_into = fibers(gi.arrows, gi.tgt.__getitem__)
+    hi_into = fibers(hi.arrows, hi.tgt.__getitem__)
 
     triples = []
     for z in k.objects:

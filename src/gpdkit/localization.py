@@ -27,6 +27,7 @@ from .core import (
     ValidationReport,
     Violation,
     compose_functors,
+    fibers,
     identity_functor,
     identity_transformation,
     validate_nat_trans,
@@ -312,9 +313,7 @@ def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
     if c1.bottom != c2.top:
         raise MismatchError("vertical_compose_ana: cells do not share a middle span")
     f, g, h = c1.top, c1.bottom, c2.bottom
-    over: dict[str, list[str]] = {}
-    for y in g.middle.objects:
-        over.setdefault(g.left.obj_map[y], []).append(y)
+    over = fibers(g.middle.objects, g.left.obj_map.__getitem__)
     first, second = c1.transformation.component, c2.transformation.component
     first_id, second_id = c1.pullback.object_ids, c2.pullback.object_ids
     cod = f.right_foot

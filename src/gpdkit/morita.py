@@ -21,6 +21,7 @@ from .core import (
     PreconditionError,
     compose_functors,
     connected_components,
+    fibers,
     group_isomorphism,
     identity_functor,
     isotropy_group,
@@ -136,9 +137,7 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
     g, h = phi.dom, psi.dom
     objects = {(x, y): render_id((x, y)) for x in g.objects for y in h.objects if phi.obj_map[x] == psi.obj_map[y]}
     arrows = [(a, b) for a in g.arrows for b in h.arrows if phi.arr_map[a] == psi.arr_map[b]]
-    leaving: dict = {}  # object key -> the arrow keys out of it, in declaration order
-    for a, b in arrows:
-        leaving.setdefault((g.src[a], h.src[b]), []).append((a, b))
+    leaving = fibers(arrows, lambda p: (g.src[p[0]], h.src[p[1]]))  # object key -> the arrow keys out of it
     apex, ids = tuple_groupoid(
         objects,
         arrows,
@@ -277,12 +276,10 @@ def coff_factorize(
         raise MismatchError("coff_factorize: functors do not share the required interfaces")
     if eta.source != compose_functors(psi, phi) or eta.target != compose_functors(psi2, phi):
         raise MismatchError("coff_factorize: transformation endpoints are not the stated composites")
-    fibers: dict[str, list[str]] = {y: [] for y in phi.cod.objects}
-    for x in phi.dom.objects:
-        fibers[phi.obj_map[x]].append(x)
+    over = fibers(phi.dom.objects, phi.obj_map.__getitem__)
     component = {}
     for y in phi.cod.objects:
-        fiber = fibers[y]
+        fiber = over[y]
         values = {eta.component[x] for x in fiber}
         if len(values) != 1:
             raise FiberDisagreementError(f"transformation takes {len(values)} values over the fiber of {y!r}")

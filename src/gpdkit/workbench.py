@@ -24,6 +24,7 @@ from .core import (
     all_subgroups,
     class_reps,
     compose_functors,
+    fibers,
     fixed_point,
     groupoid_iso_search,
     identity_functor,
@@ -32,7 +33,6 @@ from .core import (
     is_normal,
     is_subgroup_of,
     subgroup,
-    terminal_groupoid,
     trivial_group,
     validate_groupoid,
     validate_nat_trans,
@@ -60,6 +60,7 @@ from .localization import (
     anafunctorify,
     as_diagram,
     compose_generalized,
+    identity_anafunctor,
     identity_two_cell,
     normalize_two_cell,
     strictify_composition,
@@ -307,27 +308,17 @@ def build_instances(budget: InstanceBudget) -> WorkbenchInstances:
     # functors to feed composability-style laws: the generated weak
     # equivalences plus collapse-to-a-point functors, which often are not
     # weak equivalences
-    terminal = action_groupoid(trivial_group(), ("*",), {("e", "*"): "*"})
+    point = _one_point()
     pool: list[tuple[GroupoidFunctor, ActionGroupoid, ActionGroupoid]] = []
     for w in wes:
         pool.append((w.functor.functor, w.functor.dom_action, w.functor.cod_action))
     for a in actions:
-        collapse = GroupoidFunctor(
-            a.induced,
-            terminal.induced,
-            {x: "*" for x in a.carrier},
-            {arrow: terminal.arrow_id("e", "*") for arrow in a.induced.arrows},
-        )
-        pool.append((collapse, a, terminal))
+        pool.append((_collapse_to_point(a.induced, point), a, point))
 
-    buckets: dict[tuple, list[int]] = {}
-    for i, (f, dom_a, _) in enumerate(pool):
-        buckets.setdefault((dom_a.group.elements, dom_a.carrier), []).append(i)
+    buckets = fibers(pool, lambda entry: (entry[1].group.elements, entry[1].carrier))
     pairs = []
-    for i, (f, _, cod_a) in enumerate(pool):
-        key = (cod_a.group.elements, cod_a.carrier)
-        for j in buckets.get(key, ()):
-            g2, dom2, _ = pool[j]
+    for f, _, cod_a in pool:
+        for g2, dom2, _ in buckets.get((cod_a.group.elements, cod_a.carrier), ()):
             if dom2.induced == f.cod:
                 pairs.append((f, g2))
     pairs = maybe_sample(pairs, "functor_pairs")
@@ -336,8 +327,7 @@ def build_instances(budget: InstanceBudget) -> WorkbenchInstances:
     # projections, and inclusion spans whose left leg is not surjective
     spans: list[tuple[GeneralizedMorphism, ActionGroupoid, ActionGroupoid]] = []
     for a in actions[:IDENTITY_SPANS]:
-        i = identity_functor(a.induced)
-        spans.append((Anafunctor(i, i), a, a))
+        spans.append((identity_anafunctor(a.induced), a, a))
     for w in wes:
         if w.kind == "projection":
             f = w.functor
@@ -669,9 +659,7 @@ def _vertical_composition(cell_spans):
 
 def _composable_spans(spans):
     """Each pair ``(f, g)`` of spans where ``g`` leaves ``f``'s right foot by a surjective left leg."""
-    by_foot: dict[tuple, list[GeneralizedMorphism]] = {}
-    for s in spans:
-        by_foot.setdefault((s.left_foot.objects, s.left_foot.arrows), []).append(s)
+    by_foot = fibers(spans, lambda s: (s.left_foot.objects, s.left_foot.arrows))
     for f in spans:
         for g in by_foot.get((f.right_foot.objects, f.right_foot.arrows), ()):
             if g.left_foot == f.right_foot and weak_equivalence_report(g.left).is_ssw:
@@ -775,9 +763,16 @@ def run_law_suite(budget: InstanceBudget, instances: WorkbenchInstances | None =
     return SuiteReport(budget, tuple(_law(name, checks) for name, checks in laws.items()))
 
 
-def _collapse_to_terminal(g: FiniteGroupoid) -> GroupoidFunctor:
-    t = terminal_groupoid()
-    return GroupoidFunctor(g, t, {x: "*" for x in g.objects}, {a: "u" for a in g.arrows})
+def _one_point() -> ActionGroupoid:
+    """The trivial group acting on one point."""
+    return action_groupoid(trivial_group(), ("*",), {("e", "*"): "*"})
+
+
+def _collapse_to_point(g: FiniteGroupoid, point: ActionGroupoid) -> GroupoidFunctor:
+    """The functor from ``g`` onto the one object of ``point`` and its unit arrow."""
+    (x,) = point.carrier
+    unit = point.arrow_id(point.group.unit, x)
+    return GroupoidFunctor(g, point.induced, {y: x for y in g.objects}, {a: unit for a in g.arrows})
 
 
 def _perturb_diagram(d: TwoCellDiagram) -> TwoCellDiagram:
@@ -788,7 +783,8 @@ def _perturb_diagram(d: TwoCellDiagram) -> TwoCellDiagram:
     """
     swap = {("r0", "0"): "0", ("r0", "1"): "1", ("r1", "0"): "1", ("r1", "1"): "0"}
     pair = action_groupoid(catalog.cyclic_group(2), ("0", "1"), swap).induced
-    doubled = strict_pullback(_collapse_to_terminal(d.mediator), _collapse_to_terminal(pair))
+    point = _one_point()
+    doubled = strict_pullback(_collapse_to_point(d.mediator, point), _collapse_to_point(pair, point))
     sigma = doubled.pr1
     return TwoCellDiagram(
         top=d.top,

@@ -3,15 +3,17 @@
 Every class table in the library (orbits, components, cosets, balanced-product
 pairs, anchored triples) names each class after the item that opened it in a
 walk over the items.  These tests check that this item is the class's
-least-index member, and that ``orbits`` and ``connected_components`` agree
-with the hand-written walks they replaced (kept in ``oracles``).
+least-index member, that :func:`gpdkit.core.fibers` and
+:func:`gpdkit.core.classes` keep item order, and that ``orbits`` and
+``connected_components`` agree with the hand-written walks they replaced
+(kept in ``oracles``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdkit.catalog import group_catalog
-from gpdkit.core import FiniteGroupoid, all_subgroups, class_reps, orbits, subgroup
+from gpdkit.core import FiniteGroupoid, all_subgroups, class_reps, classes, fibers, orbits, subgroup
 from gpdkit.morita import connected_components
 from gpdkit.workbench import actions_of_group
 
@@ -26,17 +28,22 @@ def partitions(draw):
     return list(items), labels, draw(st.randoms(use_true_random=False))
 
 
-@settings(max_examples=100, deadline=None)
-@given(partition=partitions())
-def test_each_item_maps_to_the_least_index_member_of_its_class(partition):
-    items, labels, rng = partition
+def _shuffled_members(items, labels, rng):
+    """Each item's whole class, in a random order."""
 
     def members(item):
         same = [other for other in items if labels[other] == labels[item]]
         rng.shuffle(same)
         return same
 
-    reps = class_reps(items, members)
+    return members
+
+
+@settings(max_examples=100, deadline=None)
+@given(partition=partitions())
+def test_each_item_maps_to_the_least_index_member_of_its_class(partition):
+    items, labels, rng = partition
+    reps = class_reps(items, _shuffled_members(items, labels, rng))
     position = {item: i for i, item in enumerate(items)}
     assert set(reps) == set(items)
     for item in items:
@@ -44,6 +51,30 @@ def test_each_item_maps_to_the_least_index_member_of_its_class(partition):
     firsts = list(dict.fromkeys(reps.values()))
     assert firsts == sorted(firsts, key=position.get)
     assert len(firsts) == len(set(labels.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(partition=partitions())
+def test_fibers_keep_item_order_with_keys_in_first_appearance_order(partition):
+    items, labels, _ = partition
+    out = fibers(items, labels.__getitem__)
+    assert sorted(item for fiber in out.values() for item in fiber) == sorted(items)
+    for key, fiber in out.items():
+        assert fiber == [item for item in items if labels[item] == key]
+    assert list(out) == list(dict.fromkeys(labels[item] for item in items))
+
+
+@settings(max_examples=100, deadline=None)
+@given(partition=partitions())
+def test_classes_are_the_classes_of_the_walk_in_opening_order(partition):
+    items, labels, rng = partition
+    walk, seen = [], set()
+    for item in items:
+        if item not in seen:
+            opened = tuple(other for other in items if labels[other] == labels[item])
+            walk.append(opened)
+            seen.update(opened)
+    assert classes(items, _shuffled_members(items, labels, rng)) == walk
 
 
 def _catalogue_actions():

@@ -442,6 +442,52 @@ class TestCli:
         assert main([command, path]) == 2
         assert capsys.readouterr() == ("", f"error: several documents in the bundle; name the {what} explicitly\n")
 
+    @staticmethod
+    def _point_cells() -> dict:
+        """Identity cells of the identity span "s" on the one-point groupoid "t":
+        "d2" over the mediator "P", and "d1" naming "d2" as its mediator."""
+        i = identity_functor(terminal_groupoid())
+        d = as_diagram(identity_two_cell(Anafunctor(i, i)))
+
+        def cell(mediator: str) -> dict:
+            return {
+                "kind": "two_cell_diagram",
+                "top": "s", "bottom": "s", "mediator": mediator,
+                "alpha": docs.functor_doc(d.to_top, "P", "t"),
+                "alpha_prime": docs.functor_doc(d.to_bottom, "P", "t"),
+                "eta1": {"component": dict(d.left_cell.component)},
+                "eta2": {"component": dict(d.right_cell.component)},
+            }
+
+        return {"P": docs.groupoid_doc(d.mediator), "d1": cell("d2"), "d2": cell("P")}
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("span-left-names-a-later-span", "s1: 'left' does not name a functor document"),
+            ("functor-dom-names-a-span", "'s' is not a groupoid document"),
+            ("mediator-names-a-later-diagram", "'d2' is not a groupoid document"),
+            ("span-left-names-nothing", "no document named 'nowhere' in the bundle"),
+        ],
+    )
+    def test_a_name_of_another_kind_is_refused_by_its_kind(self, tmp_path, capsys, case, message):
+        # a document of a kind parsed in a later phase used to be called missing
+        t = terminal_groupoid()
+        documents = {
+            "t": docs.groupoid_doc(t),
+            "f": docs.functor_doc(identity_functor(t), "t", "t"),
+            "s": docs.span_doc("f", "f"),
+        }
+        documents.update({
+            "span-left-names-a-later-span": {"s1": docs.span_doc("s2", "f"), "s2": docs.span_doc("f", "f")},
+            "functor-dom-names-a-span": {"g": docs.functor_doc(identity_functor(t), "s", "t")},
+            "mediator-names-a-later-diagram": self._point_cells(),
+            "span-left-names-nothing": {"s1": docs.span_doc("nowhere", "f")},
+        }[case])
+        path = write(tmp_path, "bundle.json", {"kind": "bundle", "documents": documents})
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [["demo-klein"], ["check-we", str(Path(__file__).parent / "golden" / "constructions" / "bundle.json"), "proj"]],
