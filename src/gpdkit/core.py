@@ -13,6 +13,14 @@ constructions) are all made by :func:`class_reps`, which picks each class's
 least-index member as its representative; :func:`classes` lists them, and
 :func:`fibers` groups items by key in item order.  Values are frozen after
 construction and every operation is a pure function.
+
+A groupoid proven valid keeps a generating set of its arrows in
+``FiniteGroupoid._kept_generators``: the induced groupoid of
+:func:`action_groupoid`, whose action axioms were verified, and a groupoid
+that passed :func:`validate_groupoid`.  :func:`validate_functor` then checks
+composition on generators only, as :func:`validate_groupoid` and
+:func:`validate_group` check associativity; each runs its full scan when a
+fast check fails, so every report is the one the full scan gives.
 """
 
 from __future__ import annotations
@@ -94,6 +102,13 @@ class FiniteGroupoid:
     compose: dict[tuple[str, str], str] = field(repr=False)
     unit: dict[str, str] = field(repr=False)
     inv: dict[str, str] = field(repr=False)
+    # arrows generating the groupoid, kept once it is proven a groupoid: by
+    # action_groupoid, whose action axioms were verified, and by a passing
+    # validate_groupoid.  None otherwise, so pullback apexes, shrunk tables and
+    # parsed documents not yet validated are checked in full.  A declared
+    # field, set with object.__setattr__, keeps attribute access on the fast
+    # path that an entry added to the instance __dict__ would leave.
+    _kept_generators: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def hom_index(self) -> dict[tuple[str, str], list[str]]:
         """(src, tgt) -> arrows, for enumeration-heavy callers."""
@@ -170,7 +185,7 @@ def _generators(g: FiniteGroupoid) -> list[str]:
     return gens
 
 
-def _associative(g: FiniteGroupoid, by_src: dict[str, list[str]], composites: dict[str, list[str]]) -> bool:
+def _associative(g: FiniteGroupoid, gens, by_src: dict[str, list[str]], composites: dict[str, list[str]]) -> bool:
     """Light's associativity test (Clifford and Preston, *The Algebraic Theory
     of Semigroups* I, §1.2), for a table that is total with every composite at
     the right endpoints.
@@ -178,11 +193,12 @@ def _associative(g: FiniteGroupoid, by_src: dict[str, list[str]], composites: di
     ``composites[a]`` lists ``c ∘ a`` for ``c`` in ``by_src[tgt a]``.  The
     arrows ``a1`` with ``(a3∘a2)∘a1 = a3∘(a2∘a1)`` for all composable
     ``a3, a2`` are closed under composition, so the law holds once it holds
-    for each ``a1`` in :func:`_generators`.  ``composites[a2∘a1]`` and
-    ``composites[a2]`` both run over the ``a3`` in ``by_src[tgt a2]``, so the
-    two lists compare ``a3∘(a2∘a1)`` with ``(a3∘a2)∘a1`` term by term.
+    for each ``a1`` in ``gens``, the arrows of :func:`_generators`.
+    ``composites[a2∘a1]`` and ``composites[a2]`` both run over the ``a3`` in
+    ``by_src[tgt a2]``, so the two lists compare ``a3∘(a2∘a1)`` with
+    ``(a3∘a2)∘a1`` term by term.
     """
-    for a1 in _generators(g):
+    for a1 in gens:
         with_a1 = dict(zip(by_src[g.tgt[a1]], composites[a1]))  # c -> c ∘ a1
         for a2, b in zip(by_src[g.tgt[a1]], composites[a1]):
             if composites[b] != [with_a1[c] for c in composites[a2]]:
@@ -195,9 +211,10 @@ def validate_groupoid(candidate: FiniteGroupoid) -> ValidationReport:
 
     Associativity is decided by :func:`_associative` on a generating set; all
     composable triples are scanned only to list the violations, or when an
-    earlier check has already failed.  Raises :class:`DanglingIdError` for
-    malformed tables (undeclared ids, duplicate declarations); axiom failures
-    are reported, not raised.
+    earlier check has already failed.  A groupoid that passes keeps that
+    generating set (``_kept_generators``).  Raises
+    :class:`DanglingIdError` for malformed tables (undeclared ids, duplicate
+    declarations); axiom failures are reported, not raised.
     """
     check_groupoid_declarations(candidate)
     g = candidate
@@ -219,7 +236,8 @@ def validate_groupoid(candidate: FiniteGroupoid) -> ValidationReport:
     for (a2, a1), a3 in g.compose.items():
         if g.src[a3] != g.src[a1] or g.tgt[a3] != g.tgt[a2]:
             violations.append(Violation("composite-endpoints", (a2, a1, a3)))
-    if violations or not _associative(g, by_src, composites):
+    gens = None if violations else _generators(g)
+    if gens is None or not _associative(g, gens, by_src, composites):
         for a1 in g.arrows:
             for a2 in by_src.get(g.tgt[a1], ()):
                 b = g.compose.get((a2, a1))
@@ -240,7 +258,10 @@ def validate_groupoid(candidate: FiniteGroupoid) -> ValidationReport:
             violations.append(Violation("left-inverse", (a,)))
         if g.compose.get((a, g.inv[a])) != g.unit[g.tgt[a]]:
             violations.append(Violation("right-inverse", (a,)))
-    return ValidationReport.collect(violations)
+    report = ValidationReport.collect(violations)
+    if report.ok:
+        object.__setattr__(g, "_kept_generators", tuple(gens))
+    return report
 
 
 def empty_groupoid() -> FiniteGroupoid:
@@ -363,7 +384,21 @@ def check_functor_declarations(f: GroupoidFunctor) -> None:
 
 
 def validate_functor(f: GroupoidFunctor) -> ValidationReport:
-    """Check that the maps commute with src, tgt, unit, inv, and compose."""
+    """Check that the maps commute with src, tgt, unit, inv, and compose.
+
+    Endpoints, units and inverses are checked on every arrow.  When both ends
+    keep generating arrows (``_kept_generators``), composition is first
+    checked only on the pairs ``(a, s)`` with ``s`` a generator of the domain
+    and ``a`` out of ``tgt s``.  That decides every composable pair
+    ``(a2, a1)``: induct on the length of ``a1`` as a word
+    ``s_k ∘ (… ∘ s_1)`` in the generators.  For ``a1 = s`` the pair is
+    checked.  Otherwise ``a1 = b ∘ s`` with ``b`` shorter, and both ends are
+    associative, so ``F(a2∘a1) = F((a2∘b)∘s) = F(a2∘b)∘F(s) =
+    (F(a2)∘F(b))∘F(s) = F(a2)∘F(b∘s)``, by the checked pair ``(a2∘b, s)``,
+    the hypothesis for ``b`` and the checked pair ``(b, s)``.  Every
+    composable pair is scanned when that check or an earlier one fails, to
+    list the violations, so the report is the one the full scan gives.
+    """
     check_functor_declarations(f)
     dom, cod = f.dom, f.cod
     violations = []
@@ -377,10 +412,19 @@ def validate_functor(f: GroupoidFunctor) -> ValidationReport:
     for a in dom.arrows:
         if f.arr_map[dom.inv[a]] != cod.inv[f.arr_map[a]]:
             violations.append(Violation("inverse preservation", (a,)))
-    for (a2, a1), a3 in dom.compose.items():
-        if cod.compose.get((f.arr_map[a2], f.arr_map[a1])) != f.arr_map[a3]:
-            violations.append(Violation("composition preservation", (a2, a1)))
+    gens = dom._kept_generators
+    if violations or gens is None or cod._kept_generators is None or not _preserves_composites_at(f, gens):
+        for (a2, a1), a3 in dom.compose.items():
+            if cod.compose.get((f.arr_map[a2], f.arr_map[a1])) != f.arr_map[a3]:
+                violations.append(Violation("composition preservation", (a2, a1)))
     return ValidationReport.collect(violations)
+
+
+def _preserves_composites_at(f: GroupoidFunctor, gens) -> bool:
+    """``F(a∘s) = F(a)∘F(s)`` for each ``s`` in ``gens`` and each ``a`` out of ``tgt s``."""
+    arr, image, composite, tgt = f.arr_map, f.cod.compose.get, f.dom.compose, f.dom.tgt
+    by_src = f.dom.arrows_from()
+    return all(image((arr[a], arr[s])) == arr[composite[(a, s)]] for s in gens for a in by_src[tgt[s]])
 
 
 def verify_isomorphism(iso: GroupoidFunctor, where: str) -> None:
@@ -517,18 +561,38 @@ def check_group_declarations(g: FiniteGroup) -> None:
 
 
 def validate_group(g: FiniteGroup) -> ValidationReport:
+    """Check every group axiom, naming each failure with a witness tuple.
+
+    Units and inverses are checked on every element.  Associativity is then
+    checked as ``(a·b)·s = a·(b·s)`` only for ``s`` in
+    :func:`_generating_sequence`: the ``c`` with ``(a·b)·c = a·(b·c)`` for
+    all ``a, b`` are closed under products (Light's test, as for
+    groupoids), the unit is one of them once it is a right unit, and every
+    element is a product of the unit and the sequence.  Every triple is
+    scanned when a check fails, to list the violations.
+    """
     check_group_declarations(g)
     elements = set(g.elements)
-    violations = []
-    for a, b, c in itertools.product(g.elements, repeat=3):
-        if g.mul[(g.mul[(a, b)], c)] != g.mul[(a, g.mul[(b, c)])]:
-            violations.append(Violation("associativity", (a, b, c)))
+    mul = g.mul
+    units_and_inverses = []
     for a in g.elements:
-        if g.mul[(g.unit, a)] != a or g.mul[(a, g.unit)] != a:
-            violations.append(Violation("unit", (a,)))
-        if g.inv[a] not in elements or g.mul[(g.inv[a], a)] != g.unit or g.mul[(a, g.inv[a])] != g.unit:
-            violations.append(Violation("inverse", (a,)))
-    return ValidationReport.collect(violations)
+        if mul[(g.unit, a)] != a or mul[(a, g.unit)] != a:
+            units_and_inverses.append(Violation("unit", (a,)))
+        if g.inv[a] not in elements or mul[(g.inv[a], a)] != g.unit or mul[(a, g.inv[a])] != g.unit:
+            units_and_inverses.append(Violation("inverse", (a,)))
+    associativity = []
+    if units_and_inverses or any(
+        mul[(mul[(a, b)], s)] != mul[(a, mul[(b, s)])]
+        for s in _generating_sequence(g)
+        for a in g.elements
+        for b in g.elements
+    ):
+        associativity = [
+            Violation("associativity", (a, b, c))
+            for a, b, c in itertools.product(g.elements, repeat=3)
+            if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]
+        ]
+    return ValidationReport.collect(associativity + units_and_inverses)
 
 
 def trivial_group() -> FiniteGroup:
@@ -772,6 +836,9 @@ def action_groupoid(group: FiniteGroup, carrier, act: dict[tuple[str, str], str]
         inv=lambda a: (group.inv[a[0]], act[a]),
         compose=lambda a: zip(right_mul[a[0]], itertools.repeat(a[1])),
     )
+    # the axioms hold, so the (s, x) for s in a generating sequence generate the groupoid
+    gens = _generating_sequence(group) or (group.unit,)
+    object.__setattr__(induced, "_kept_generators", tuple(ids[(s, x)] for s in gens for x in carrier))
     arrow_pairs = {i: a for a, i in ids.items()}
     return ActionGroupoid(group, carrier, act, induced, arrow_pairs, ids)
 

@@ -14,11 +14,12 @@ serialize is the identity on canonical inputs.  :func:`dumps` writes the
 bytes the standard library's encoder gives with ``sort_keys=True``,
 ``indent=2`` and ``ensure_ascii=False``, plus a newline, in time linear in
 the output; a row of strings inside a list and a dict of string values are
-each written in one join.  A groupoid's ``compose`` rows are written straight
-from its table, one string a row, ordered by the position of the after-arrow,
-then of the first arrow.  A table whose entries are not exactly its composable
-pairs of distinct ids, each with a declared composite, is refused with
-:class:`PreconditionError` before any byte is returned.
+each written in one join.  A groupoid's ``arrows`` and ``compose`` rows are
+written straight from its tables, one string a row: the arrows in declaration
+order, each id encoded once, and the composites ordered by the position of the
+after-arrow, then of the first arrow.  A table whose entries are not exactly
+its composable pairs of distinct ids, each with a declared composite, is
+refused with :class:`PreconditionError` before any byte is returned.
 """
 
 from __future__ import annotations
@@ -107,10 +108,23 @@ def _write(value, newline: str, parts: list[str]) -> None:
             _write(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "]")
-    elif isinstance(value, _ComposeRows):
-        _write_compose(value.g, newline, parts)
+    elif isinstance(value, _TableRows):
+        value.write(value.g, newline, parts)
     else:
         parts.append(json.dumps(value))
+
+
+def _write_arrows(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
+    """Append the ``arrows`` rows of ``g`` to ``parts``: one join an arrow, each id encoded once."""
+    if not g.arrows:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    field = inner + "  "
+    code = {x: _encode_str(x) for x in {*g.arrows, *g.src.values(), *g.tgt.values()}}
+    src, tgt = f',{field}"src": ', f',{field}"tgt": '
+    rows = [f'{{{field}"id": {code[a]}{src}{code[g.src[a]]}{tgt}{code[g.tgt[a]]}{inner}}}' for a in g.arrows]
+    parts.append("[" + inner + ("," + inner).join(rows) + newline + "]")
 
 
 _MALFORMED_COMPOSE = "compose entries are not exactly the composable pairs of distinct arrows with declared composites"
@@ -217,20 +231,22 @@ def groupoid_doc(g: FiniteGroupoid) -> dict:
     return {
         "kind": "groupoid",
         "objects": list(g.objects),
-        "arrows": [{"id": a, "src": g.src[a], "tgt": g.tgt[a]} for a in g.arrows],
-        "compose": _ComposeRows(g),
+        "arrows": _TableRows(g, _write_arrows),
+        "compose": _TableRows(g, _write_compose),
         "identity": dict(g.unit),
         "inverse": dict(g.inv),
     }
 
 
-class _ComposeRows:
-    """The ``compose`` rows of ``g``, which :func:`dumps` writes straight from
-    the table: ``[a2, a1, a2∘a1]`` for every composable pair, ordered by the
-    position of ``a2``, then of ``a1``."""
+class _TableRows:
+    """Rows of ``g`` that :func:`dumps` writes straight from its tables with
+    ``write(g, newline, parts)``: :func:`_write_arrows` gives ``{"id": a,
+    "src": src a, "tgt": tgt a}`` for every arrow in declaration order, and
+    :func:`_write_compose` gives ``[a2, a1, a2∘a1]`` for every composable
+    pair, ordered by the position of ``a2``, then of ``a1``."""
 
-    def __init__(self, g: FiniteGroupoid):
-        self.g = g
+    def __init__(self, g: FiniteGroupoid, write: Callable[[FiniteGroupoid, str, list[str]], None]):
+        self.g, self.write = g, write
 
 
 def group_payload(g: FiniteGroup) -> dict:

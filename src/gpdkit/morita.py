@@ -131,13 +131,37 @@ class StrictPullback:
 
 
 def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullback:
-    """Objectwise and arrowwise fibered product of two functors into one groupoid."""
+    """Objectwise and arrowwise fibered product of two functors into one groupoid.
+
+    The row of an arrow ``(a, b)`` is read off the factor rows of ``a`` and
+    ``b`` (:meth:`~gpdkit.core.FiniteGroupoid.composites`) at the positions,
+    stored once per object key, of each leaving pair's legs among the arrows
+    out of the factor objects.  A factor table with no entry for a pair the
+    apex needs is refused with :class:`PreconditionError` naming that pair.
+    """
     if phi.cod != psi.cod:
         raise MismatchError("strict_pullback: functors have different codomains")
     g, h = phi.dom, psi.dom
     objects = {(x, y): render_id((x, y)) for x in g.objects for y in h.objects if phi.obj_map[x] == psi.obj_map[y]}
     arrows = [(a, b) for a in g.arrows for b in h.arrows if phi.arr_map[a] == psi.arr_map[b]]
-    leaving = fibers(arrows, lambda p: (g.src[p[0]], h.src[p[1]]))  # object key -> the arrow keys out of it
+    g_at, h_at = ({c: i for out in k.arrows_from().values() for i, c in enumerate(out)} for k in (g, h))
+    # object key -> the positions of the legs of each arrow key out of it, and those keys
+    legs = {
+        key: ([g_at[q] for q, _ in pairs], [h_at[r] for _, r in pairs], pairs)
+        for key, pairs in fibers(arrows, lambda p: (g.src[p[0]], h.src[p[1]])).items()
+    }
+    g_rows, h_rows = g.composites(), h.composites()
+
+    def row(p):
+        a, b = p
+        g_pos, h_pos, pairs = legs.get((g.tgt[a], h.tgt[b]), ((), (), ()))
+        firsts = list(map(g_rows[a].__getitem__, g_pos))
+        seconds = list(map(h_rows[b].__getitem__, h_pos))
+        if None in firsts or None in seconds:
+            k = next(k for k, ends in enumerate(zip(firsts, seconds)) if None in ends)
+            raise KeyError((pairs[k][0], a) if firsts[k] is None else (pairs[k][1], b))
+        return zip(firsts, seconds)
+
     apex, ids = tuple_groupoid(
         objects,
         arrows,
@@ -145,9 +169,7 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
         tgt=lambda p: (g.tgt[p[0]], h.tgt[p[1]]),
         unit=lambda o: (g.unit[o[0]], h.unit[o[1]]),
         inv=lambda p: (g.inv[p[0]], h.inv[p[1]]),
-        compose=lambda p: [
-            (g.compose[(q, p[0])], h.compose[(r, p[1])]) for q, r in leaving.get((g.tgt[p[0]], h.tgt[p[1]]), ())
-        ],
+        compose=row,
     )
     pr1 = GroupoidFunctor(apex, g, {o: p[0] for p, o in objects.items()}, {a: p[0] for p, a in ids.items()})
     pr2 = GroupoidFunctor(apex, h, {o: p[1] for p, o in objects.items()}, {a: p[1] for p, a in ids.items()})
@@ -178,6 +200,15 @@ class WeakPullback:
     arrow_ids: dict[tuple[str, str, str], str] = field(repr=False)
 
 
+def _factor_row(g: FiniteGroupoid, rows: dict[str, list[str | None]], a: str) -> list[str | None]:
+    """``rows[a]``, the composites ``c ∘ a`` in ``g``; raises :class:`KeyError`
+    naming the first pair ``(c, a)`` that has no entry."""
+    row = rows[a]
+    if None in row:
+        raise KeyError((g.arrows_from()[g.tgt[a]][row.index(None)], a))
+    return row
+
+
 def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
     if phi.cod != psi.cod:
         raise MismatchError("weak_pullback: functors have different codomains")
@@ -206,7 +237,7 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
         inv=lambda t: (g.inv[t[0]], moved[t], h.inv[t[2]]),
         # moved lists a, then b, then c, so the arrows out of (x, c, y) are
         # (u, c, v) for u out of x, then v out of y, in declaration order
-        compose=lambda t: itertools.product(g_rows[t[0]], (t[1],), h_rows[t[2]]),
+        compose=lambda t: itertools.product(_factor_row(g, g_rows, t[0]), (t[1],), _factor_row(h, h_rows, t[2])),
     )
     pr1 = GroupoidFunctor(apex, g, {o: t[0] for t, o in objects.items()}, {a: t[0] for t, a in ids.items()})
     pr3 = GroupoidFunctor(apex, h, {o: t[2] for t, o in objects.items()}, {a: t[2] for t, a in ids.items()})

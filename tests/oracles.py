@@ -115,6 +115,47 @@ def oracle_weak_pullback_compose(phi, psi, pullback) -> dict:
     )
 
 
+def oracle_validate_functor(f) -> list[tuple]:
+    """``validate_functor``'s violations as ``(axiom, witness)`` pairs, by a scan
+    of every arrow, every object and every entry of the domain's table."""
+    dom, cod = f.dom, f.cod
+    out = []
+    for a in dom.arrows:
+        b = f.arr_map[a]
+        if cod.src[b] != f.obj_map[dom.src[a]] or cod.tgt[b] != f.obj_map[dom.tgt[a]]:
+            out.append(("endpoint preservation", (a, b)))
+    for x in dom.objects:
+        if f.arr_map[dom.unit[x]] != cod.unit[f.obj_map[x]]:
+            out.append(("unit preservation", (x,)))
+    for a in dom.arrows:
+        if f.arr_map[dom.inv[a]] != cod.inv[f.arr_map[a]]:
+            out.append(("inverse preservation", (a,)))
+    for (a2, a1), a3 in dom.compose.items():
+        if cod.compose.get((f.arr_map[a2], f.arr_map[a1])) != f.arr_map[a3]:
+            out.append(("composition preservation", (a2, a1)))
+    return out
+
+
+def oracle_validate_group(g) -> list[tuple]:
+    """``validate_group``'s violations as ``(axiom, witness)`` pairs: every
+    triple in order, then the unit and inverse laws at each element."""
+    mul = g.mul
+    out = [
+        ("associativity", (a, b, c))
+        for a in g.elements
+        for b in g.elements
+        for c in g.elements
+        if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]
+    ]
+    for a in g.elements:
+        if mul[(g.unit, a)] != a or mul[(a, g.unit)] != a:
+            out.append(("unit", (a,)))
+        b = g.inv[a]
+        if b not in g.elements or mul[(b, a)] != g.unit or mul[(a, b)] != g.unit:
+            out.append(("inverse", (a,)))
+    return out
+
+
 def oracle_action_axiom_error(group, carrier, act) -> str | None:
     """The message ``action_groupoid`` raises for a total table ``act``, from
     a scan of every point, then of every (g1, g2, x) in order; None for an action."""
@@ -245,6 +286,11 @@ def oracle_normalize_two_cell(d):
 def oracle_compose_rows(g) -> list[list[str]]:
     """The ``compose`` rows of a groupoid document: every ordered pair of declared arrows, tested."""
     return [[a2, a1, g.compose[(a2, a1)]] for a2 in g.arrows for a1 in g.arrows if (a2, a1) in g.compose]
+
+
+def oracle_arrow_rows(g) -> list[dict]:
+    """The ``arrows`` rows of a groupoid document: one ``{id, src, tgt}`` object per declared arrow."""
+    return [{"id": a, "src": g.src[a], "tgt": g.tgt[a]} for a in g.arrows]
 
 
 def oracle_associativity(g) -> list[tuple]:

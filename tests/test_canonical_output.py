@@ -25,7 +25,7 @@ from gpdkit.equivariant import (
 from gpdkit.morita import strict_pullback, weak_pullback
 from gpdkit.workbench import InstanceBudget, LawResult, SuiteReport
 
-from oracles import oracle_compose_rows
+from oracles import oracle_arrow_rows, oracle_compose_rows
 
 
 def reference_dumps(doc) -> bytes:
@@ -119,9 +119,10 @@ def is_well_formed(g) -> bool:
 
 
 def assert_compose_rows_match_the_oracle(g):
-    """The canonical bytes of the document of ``g`` equal its plain-list form, with the oracle's rows."""
+    """The canonical bytes of the document of ``g`` equal its plain-list form, with the oracles' rows."""
     doc = docs.groupoid_doc(g)
-    assert docs.dumps(doc) == reference_dumps({**doc, "compose": oracle_compose_rows(g)})
+    plain = {**doc, "arrows": oracle_arrow_rows(g), "compose": oracle_compose_rows(g)}
+    assert docs.dumps(doc) == reference_dumps(plain)
 
 
 def assert_refused(g):

@@ -114,6 +114,27 @@ def test_each_suite_cap_cuts_exactly_the_laws_that_read_it(cap, small_population
     assert {name for name in counts if capped[name] != counts[name]} == SUITE_CAPS[cap]
 
 
+def test_a_factorization_past_the_candidate_cap_is_skipped_as_a_pass(small_population, monkeypatch):
+    """Neither budget reaches ``FACTORIZATION_CANDIDATES``, so the skip is
+    forced with a cap of 1, which a span with more than one candidate passes."""
+    budget, instances, _ = small_population
+    recorded = {}
+    run = workbench._law
+
+    def recording(name, checks):
+        recorded[name] = list(checks)
+        return run(name, iter(recorded[name]))
+
+    monkeypatch.setattr(workbench, "FACTORIZATION_CANDIDATES", 1)
+    monkeypatch.setattr(workbench, "_law", recording)
+    laws = workbench.run_law_suite(budget, instances).laws
+    law = next(law for law in laws if law.name == "morita: factorizations are unique")
+    checks = recorded[law.name]
+    assert ("skipped: too many candidates", True) in checks
+    assert all(ok for _, ok in checks)
+    assert law.ok and law.instances == len(checks)
+
+
 @pytest.mark.parametrize("cap", sorted(BUILD_CAPS))
 def test_each_build_cap_cuts_exactly_the_populations_that_read_it(cap, monkeypatch):
     # the sampled budget: in an exhaustive run the round trips do not survive the span cut

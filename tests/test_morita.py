@@ -3,15 +3,18 @@ import pytest
 from gpdkit import morita
 from gpdkit.catalog import cyclic_group, klein_four_group
 from gpdkit.core import (
+    FiniteGroupoid,
     GroupoidFunctor,
     MismatchError,
     NaturalTransformation,
+    PreconditionError,
     action_groupoid,
     compose_functors,
     empty_groupoid,
     groupoid_iso_search,
     identity_functor,
     identity_transformation,
+    terminal_groupoid,
     validate_groupoid,
     validate_nat_trans,
     whisker,
@@ -213,6 +216,33 @@ class TestWeakPullback:
         wp = weak_pullback(swap_to_loop, swap_to_loop)
         assert validate_groupoid(wp.apex).ok
         assert validate_nat_trans(wp.comparison).ok
+
+
+def _c2_to_point(unit: str, flip: str, *, complete: bool) -> GroupoidFunctor:
+    """C2 on one object, arrows ``unit`` and ``flip``, collapsed onto the
+    terminal groupoid; without ``flip ∘ flip`` in the table unless ``complete``."""
+    compose = {(unit, unit): unit, (flip, unit): flip, (unit, flip): flip}
+    if complete:
+        compose[(flip, flip)] = unit
+    c2 = FiniteGroupoid(
+        ("x",), (unit, flip), {unit: "x", flip: "x"}, {unit: "x", flip: "x"},
+        compose, {"x": unit}, {unit: unit, flip: flip},
+    )
+    return GroupoidFunctor(c2, terminal_groupoid(), {"x": "*"}, {unit: "u", flip: "u"})
+
+
+@pytest.mark.parametrize("construction", [strict_pullback, weak_pullback])
+def test_a_missing_factor_composite_is_refused_naming_the_factor_pair(construction):
+    """Either factor may lack the composite; both pullbacks name the pair of
+    that factor's table, not a key of the apex."""
+    whole, broken = _c2_to_point("u", "a", complete=True), _c2_to_point("v", "b", complete=False)
+    tail = "; endpoints, units, inverses and composites must be declared"
+    cases = (((broken, whole), "('b', 'b')"), ((whole, broken), "('b', 'b')"), ((broken, broken), "('b', 'b')"))
+    for (phi, psi), pair in cases:
+        with pytest.raises(PreconditionError) as exc:
+            construction(phi, psi)
+        assert str(exc.value) == f"tuple_groupoid: no entry for {pair}{tail}"
+    assert validate_groupoid(construction(whole, whole).apex).ok
 
 
 class TestFactorizations:
