@@ -231,17 +231,16 @@ def _c2_to_point(unit: str, flip: str, *, complete: bool) -> GroupoidFunctor:
     return GroupoidFunctor(c2, terminal_groupoid(), {"x": "*"}, {unit: "u", flip: "u"})
 
 
-@pytest.mark.parametrize("construction", [strict_pullback, weak_pullback])
+@pytest.mark.parametrize("construction", [strict_pullback, weak_pullback], ids=["strict", "weak"])
 def test_a_missing_factor_composite_is_refused_naming_the_factor_pair(construction):
     """Either factor may lack the composite; both pullbacks name the pair of
     that factor's table, not a key of the apex."""
     whole, broken = _c2_to_point("u", "a", complete=True), _c2_to_point("v", "b", complete=False)
-    tail = "; endpoints, units, inverses and composites must be declared"
-    cases = (((broken, whole), "('b', 'b')"), ((whole, broken), "('b', 'b')"), ((broken, broken), "('b', 'b')"))
-    for (phi, psi), pair in cases:
+    message = "tuple_groupoid: no entry for ('b', 'b'); endpoints, units, inverses and composites must be declared"
+    for phi, psi in ((broken, whole), (whole, broken), (broken, broken)):
         with pytest.raises(PreconditionError) as exc:
             construction(phi, psi)
-        assert str(exc.value) == f"tuple_groupoid: no entry for {pair}{tail}"
+        assert str(exc.value) == message
     assert validate_groupoid(construction(whole, whole).apex).ok
 
 
