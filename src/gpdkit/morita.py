@@ -158,8 +158,8 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
         firsts = list(map(g_rows[a].__getitem__, g_pos))
         seconds = list(map(h_rows[b].__getitem__, h_pos))
         if None in firsts or None in seconds:
-            k = next(k for k, ends in enumerate(zip(firsts, seconds)) if None in ends)
-            raise KeyError((pairs[k][0], a) if firsts[k] is None else (pairs[k][1], b))
+            i = next(i for i, ends in enumerate(zip(firsts, seconds)) if None in ends)
+            raise KeyError((pairs[i][0], a) if firsts[i] is None else (pairs[i][1], b))
         return zip(firsts, seconds)
 
     apex, ids = tuple_groupoid(
