@@ -4,10 +4,12 @@ Everything is a plain table over opaque string ids.  Constructed objects use
 deterministic structured ids (tuples rendered as ``(a,b,c)``) so re-running a
 construction yields bit-identical tables.  Product-shaped tables (action
 groupoids and the strict and weak pullbacks) are all made by
-:func:`tuple_groupoid`, which renders each of their arrow ids once and fills
-the compose table a row at a time: for each first arrow, in declaration order,
-the caller gives the composites with every arrow out of its target, in
-declaration order, and a row of any other length raises.  Class
+:func:`tuple_groupoid`, which renders each of their arrow ids once and keeps
+the compose table as rows: for each first arrow, in declaration order, the
+caller gives the composites with every arrow out of its target, in
+declaration order, and a row of any other length raises.  The table is a
+:class:`RowTable`, a dict that answers lookups from the rows and fills in its
+pairs only when a reader walks it whole.  Class
 tables (orbits, components, cosets and the classes of the equivariant
 constructions) are all made by :func:`class_reps`, which picks each class's
 least-index member as its representative; :func:`classes` lists them, and
@@ -86,6 +88,79 @@ def _check_unique(ids, what: str):
     return seen
 
 
+class RowTable(dict):
+    """A compose table kept as rows, read as a plain dict once its pairs are filled.
+
+    ``rows[first]`` lists ``after ∘ first`` for each ``after`` in
+    ``out[tgt[first]]``, the arrows out of ``first``'s target in declaration
+    order, and ``pos[after]`` is the place of ``after`` in its list.
+    :func:`tuple_groupoid` returns an unfilled table, which answers ``[]``,
+    ``get``, ``in`` and ``len`` from the rows.  Anything else that reads it,
+    ``==`` included, first fills its pairs, first arrow by first arrow, so
+    they come in the order a pair-by-pair fill gives; after that it is an
+    instance of this class, which adds nothing to :class:`dict`.
+    """
+
+    __slots__ = ("rows", "out", "pos", "src", "tgt")
+
+
+class _UnfilledRowTable(RowTable):
+    __slots__ = ()
+
+    def __init__(self, rows: dict, out: dict, src: dict, tgt: dict):
+        self.rows, self.out, self.src, self.tgt = rows, out, src, tgt
+        self.pos = {a: i for arrows in out.values() for i, a in enumerate(arrows)}
+
+    def _at(self, key):
+        """The composite at ``key``, or None where the table has no entry."""
+        if type(key) is tuple and len(key) == 2:
+            after, first = key
+            row = self.rows.get(first)
+            if row is not None and self.src.get(after) == self.tgt[first]:
+                return row[self.pos[after]]
+        return None
+
+    def __getitem__(self, key):
+        c = self._at(key)
+        return dict.__getitem__(self, key) if c is None else c  # raises as a plain dict would
+
+    def get(self, key, default=None):
+        c = self._at(key)
+        return dict.get(self, key, default) if c is None else c
+
+    def __contains__(self, key):
+        return self._at(key) is not None or dict.__contains__(self, key)
+
+    def __len__(self):
+        return sum(map(len, self.rows.values()))
+
+    def _fill(self):
+        out, tgt = self.out, self.tgt
+        for first, row in self.rows.items():
+            dict.update(self, zip(zip(out.get(tgt[first], ()), itertools.repeat(first)), row))
+        self.__class__ = RowTable
+
+
+def _filling(name: str):
+    """``dict.<name>``, called once every unfilled table among the operands is filled."""
+    method = getattr(dict, name)
+
+    def filled(*args, **kwargs):
+        for t in args:
+            if type(t) is _UnfilledRowTable:
+                t._fill()
+        return method(*args, **kwargs)
+
+    return filled
+
+
+for _name in (
+    "__iter__", "__reversed__", "keys", "values", "items", "copy", "__repr__", "__eq__", "__ne__", "__or__",
+    "__ror__", "__ior__", "__setitem__", "__delitem__", "pop", "popitem", "setdefault", "update", "clear",
+):
+    setattr(_UnfilledRowTable, _name, _filling(_name))
+
+
 @dataclass(frozen=True)
 class FiniteGroupoid:
     """A finite groupoid as explicit source/target/compose/unit/inverse tables.
@@ -126,7 +201,10 @@ class FiniteGroupoid:
 
     def composites(self) -> dict[str, list[str | None]]:
         """arrow a -> ``c ∘ a`` for each ``c`` out of ``tgt a`` in declaration
-        order, None where the table has no entry."""
+        order, None where the table has no entry.  A :class:`RowTable` gives
+        its own rows, which callers must not change."""
+        if isinstance(self.compose, RowTable):
+            return self.compose.rows
         out = self.arrows_from()
         return {a: [self.compose.get((c, a)) for c in out[self.tgt[a]]] for a in self.arrows}
 
@@ -275,10 +353,11 @@ def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple
     arrow keys (tuples, rendered with :func:`render_id`) in declaration order.
     ``src``, ``tgt``, ``unit`` and ``inv`` are functions on keys.
     ``compose(first)`` is the row of ``first``: the keys of ``after ∘ first``
-    for every arrow ``after`` out of ``tgt first``, in declaration order.  The
-    table is filled one row per first arrow, in declaration order, with no
-    call per pair; a row of the wrong length raises :class:`ValueError`.
-    Returns the groupoid and the table arrow key -> id.  Raises
+    for every arrow ``after`` out of ``tgt first``, in declaration order.  Each
+    row is rendered to ids and kept, one per first arrow in declaration order,
+    with no call per pair, in a :class:`RowTable`; a row of the wrong length
+    raises :class:`ValueError`.  Returns the groupoid and the table arrow key
+    -> id.  Raises
     :class:`PreconditionError` when two distinct object keys, or two distinct
     arrow keys, have the same id, or when a key has no entry.
     """
@@ -294,18 +373,18 @@ def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple
         src_ids = {ids[a]: objects[x] for a, (x, _) in ends.items()}
         tgt_ids = {ids[a]: objects[y] for a, (_, y) in ends.items()}
         after_ids: dict = {}
-        for a, (x, _) in ends.items():
-            after_ids.setdefault(x, []).append(ids[a])
-        table = {}
-        for a1, (_, y) in ends.items():
-            after = zip(after_ids.get(y, ()), itertools.repeat(ids[a1]))
-            table.update(zip(after, map(ids.__getitem__, compose(a1)), strict=True))
+        for a, x in src_ids.items():
+            after_ids.setdefault(x, []).append(a)
+        rows = {
+            a: [c for _, c in zip(after_ids.get(tgt_ids[a], ()), map(ids.__getitem__, compose(k)), strict=True)]
+            for k, a in ids.items()
+        }
         g = FiniteGroupoid(
             objects=tuple(objects.values()),
             arrows=tuple(ids.values()),
             src=src_ids,
             tgt=tgt_ids,
-            compose=table,
+            compose=_UnfilledRowTable(rows, after_ids, src_ids, tgt_ids),
             unit={x: ids[unit(k)] for k, x in objects.items()},
             inv={ids[a]: ids[inv(a)] for a in arrows},
         )
@@ -365,6 +444,9 @@ class GroupoidFunctor:
     cod: FiniteGroupoid
     obj_map: dict[str, str] = field(repr=False)
     arr_map: dict[str, str] = field(repr=False)
+    # kept by morita.weak_equivalence_report, set with object.__setattr__ as
+    # FiniteGroupoid._kept_generators is
+    _kept_report: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def check_functor_declarations(f: GroupoidFunctor) -> None:
@@ -539,6 +621,9 @@ class FiniteGroup:
     mul: dict[tuple[str, str], str] = field(repr=False)
     unit: str
     inv: dict[str, str] = field(repr=False)
+    # kept by _generating_sequence, set with object.__setattr__ as
+    # FiniteGroupoid._kept_generators is
+    _kept_sequence: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -716,16 +801,15 @@ def _generating_sequence(g: FiniteGroup) -> tuple[str, ...]:
     """Each element, in declaration order, outside the subgroup generated by
     those before it.  Computed once per group object and kept on it, as
     :func:`~gpdkit.morita.weak_equivalence_report` keeps a functor's report."""
-    gens = g.__dict__.get("_generating_sequence")
-    if gens is None:
+    if g._kept_sequence is None:
         found: list[str] = []
         have = {g.unit}
         for a in g.elements:
             if a not in have:
                 found.append(a)
                 have = set(closure(g, found))
-        gens = g.__dict__["_generating_sequence"] = tuple(found)
-    return gens
+        object.__setattr__(g, "_kept_sequence", tuple(found))
+    return g._kept_sequence
 
 
 def group_isomorphism(g: FiniteGroup, h: FiniteGroup) -> dict[str, str] | None:

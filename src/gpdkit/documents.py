@@ -133,10 +133,12 @@ _MALFORMED_COMPOSE = "compose entries are not exactly the composable pairs of di
 def _write_compose(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
     """Append the ``compose`` rows of ``g`` to ``parts``, one string a row.
 
-    The rows of each after-arrow are read off the arrows into its source, in
-    declaration order, each id encoded once.  A table whose entries are not
-    exactly its composable pairs of distinct ids, each with a declared
-    composite, raises :class:`PreconditionError`."""
+    The rows of each after-arrow ``a2`` are read off the arrows ``a1`` into
+    its source, in declaration order, each id encoded once; ``a2 ∘ a1`` is
+    the entry of ``a1``'s row (:meth:`~gpdkit.core.FiniteGroupoid.composites`)
+    at the place of ``a2`` among the arrows out of its source.  A table whose
+    entries are not exactly its composable pairs of distinct ids, each with a
+    declared composite, raises :class:`PreconditionError`."""
     inner, compose = newline + "  ", g.compose
     code = {a: _encode_str(a) for a in g.arrows}
     into: dict[str, list[tuple[str, str]]] = {}
@@ -149,9 +151,11 @@ def _write_compose(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
         return
     start, last = len(parts), {a: c + inner + "]" for a, c in code.items()}
     try:
+        rows = g.composites()
+        at = {a: i for out in g.arrows_from().values() for i, a in enumerate(out)}
         for a2 in g.arrows:
-            head = f",{inner}[{inner}  {code[a2]},{inner}  "
-            parts += [f"{head}{c1}{last[compose[a2, a1]]}" for a1, c1 in into.get(g.src[a2], ())]
+            head, i = f",{inner}[{inner}  {code[a2]},{inner}  ", at[a2]
+            parts += [f"{head}{c1}{last[rows[a1][i]]}" for a1, c1 in into.get(g.src[a2], ())]
     except KeyError:  # a composable pair with no entry, or an undeclared composite
         raise PreconditionError(_MALFORMED_COMPOSE) from None
     parts[start] = "[" + parts[start][1:]

@@ -69,10 +69,9 @@ def weak_equivalence_report(phi: GroupoidFunctor) -> WeakEquivalenceReport:
     Tables are frozen after construction, so a functor's report never
     changes; an equal but distinct functor computes an equal report of its own.
     """
-    rep = phi.__dict__.get("_weak_equivalence_report")
-    if rep is None:
-        rep = phi.__dict__["_weak_equivalence_report"] = _weak_equivalence_report(phi)
-    return rep
+    if phi._kept_report is None:
+        object.__setattr__(phi, "_kept_report", _weak_equivalence_report(phi))
+    return phi._kept_report
 
 
 def _weak_equivalence_report(phi: GroupoidFunctor) -> WeakEquivalenceReport:

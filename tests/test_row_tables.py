@@ -1,0 +1,142 @@
+"""Compose tables kept as rows read as the plain dicts they stand for.
+
+``tuple_groupoid`` keeps each product table as rows (``core.RowTable``): an
+unfilled table answers ``[]``, ``get``, ``in`` and ``len`` from its rows, and
+anything else that reads it fills its pairs first.  Here each shape's pairs
+are compared, key order included, with the table filled one pair at a time;
+each lookup with the same lookup on a plain dict; equality in every order
+between plain, unfilled and filled tables; and fills are counted: building
+both pullbacks, reading their rows and writing them as a document fill
+nothing.
+"""
+
+import pytest
+
+from gpdkit import documents as docs
+from gpdkit.core import RowTable, _UnfilledRowTable
+from gpdkit.morita import strict_pullback, weak_pullback
+from gpdkit.workbench import InstanceBudget, generate_weak_equivalences
+
+from oracles import oracle_action_compose, oracle_strict_pullback_compose, oracle_weak_pullback_compose
+from test_associativity import _shapes
+
+SHAPE_NAMES = list(_shapes())
+
+
+def _fresh(name: str):
+    """A newly built shape's groupoid, with its table unfilled, and that table filled one pair at a time."""
+    g, per_pair = _shapes()[name]
+    assert type(g.compose) is _UnfilledRowTable
+    return g, per_pair
+
+
+@pytest.mark.parametrize("name", SHAPE_NAMES)
+def test_a_kept_table_fills_as_the_per_pair_table(name):
+    g, per_pair = _fresh(name)
+    assert list(g.compose.items()) == list(per_pair.items())
+    assert type(g.compose) is RowTable
+
+
+def test_the_pullbacks_of_the_generated_weak_equivalences_fill_as_their_per_pair_tables():
+    wes = generate_weak_equivalences(InstanceBudget(4, 3))
+    assert len(wes) > 100
+    for w in wes:
+        f = w.functor.functor
+        for action in (w.functor.dom_action, w.functor.cod_action):
+            assert list(action.induced.compose.items()) == list(oracle_action_compose(action).items())
+        strict, weak = strict_pullback(f, f), weak_pullback(f, f)
+        assert list(strict.apex.compose.items()) == list(oracle_strict_pullback_compose(f, f, strict).items())
+        assert list(weak.apex.compose.items()) == list(oracle_weak_pullback_compose(f, f, weak).items())
+
+
+def _outcome(lookup):
+    try:
+        return ("value", lookup())
+    except Exception as exc:
+        return (type(exc), exc.args)
+
+
+@pytest.mark.parametrize("name", SHAPE_NAMES)
+def test_lookups_agree_with_a_plain_dict_and_fill_nothing(name):
+    g, plain = _fresh(name)
+    table = g.compose
+    composable = list(plain)
+    not_composable = [(a2, a1) for a2 in g.arrows for a1 in g.arrows if g.src[a2] != g.tgt[a1]]
+    a2, a1 = composable[-1]
+    unknown = [("nope", a1), (a2, "nope"), ("nope", "nope"), (a1, None)]
+    not_pairs = [a1, (a1,), (a2, a1, a1), (a2, a1, "x"), None, 0, "", (), [a2, a1], ([a2], a1), (a2, [a1]), {a2: a1}]
+    assert not_composable
+    for key in composable + not_composable + unknown + not_pairs:
+        for lookup in (
+            lambda t: t[key],
+            lambda t: t.get(key),
+            lambda t: t.get(key, "default"),
+            lambda t: key in t,
+        ):
+            assert _outcome(lambda: lookup(table)) == _outcome(lambda: lookup(plain)), key
+    assert len(table) == len(plain)
+    assert bool(table)
+    assert type(table) is _UnfilledRowTable
+
+
+def _tables():
+    """Builds unfilled copies of one strict apex's table; the table filled one
+    pair at a time; and that table with one entry pointed elsewhere."""
+    shapes = _shapes()
+    name = "strict klein quotient"
+    _, plain = shapes[name]
+    key = next(iter(plain))
+    other = next(c for c in plain.values() if c != plain[key])
+
+    def unfilled():
+        return _fresh(name)[0].compose
+
+    def filled():
+        table = unfilled()
+        list(table.items())
+        assert type(table) is RowTable
+        return table
+
+    return unfilled, filled, plain, {**plain, key: other}
+
+
+def test_equality_holds_in_every_order():
+    unfilled, filled, plain, changed = _tables()
+    makers = {"plain": lambda: dict(plain), "unfilled": unfilled, "filled": filled}
+    for left_kind, left in makers.items():
+        for right_kind, right in makers.items():
+            kinds = (left_kind, right_kind)
+            assert left() == right(), kinds
+            assert not left() != right(), kinds
+            assert right() != changed and changed != right() and not right() == changed, kinds
+
+
+def test_copies_and_merges_are_the_table():
+    unfilled, _, plain, _ = _tables()
+    for copy in (unfilled().copy(), dict(unfilled()), {**unfilled()}, {} | unfilled(), unfilled() | {}):
+        assert type(copy) is dict
+        assert list(copy.items()) == list(plain.items())
+    assert list(unfilled()) == list(plain)
+    assert list(unfilled().values()) == list(plain.values())
+    assert list(reversed(unfilled())) == list(reversed(plain))
+    assert repr(unfilled()) == repr(plain)
+
+
+def test_building_reading_rows_and_writing_fill_nothing(monkeypatch, klein_action, klein_half_turn):
+    from gpdkit.equivariant import quotient_action
+
+    proj = quotient_action(klein_action, klein_half_turn).projection.functor
+    fills = []
+    fill = _UnfilledRowTable._fill
+    monkeypatch.setattr(_UnfilledRowTable, "_fill", lambda t: fills.append(t) or fill(t))
+    strict = strict_pullback(proj, proj)
+    # the last apex's factor rows are read off an apex's kept rows
+    apexes = [strict.apex, weak_pullback(proj, proj).apex, strict_pullback(strict.pr1, strict.pr1).apex]
+    for apex in apexes:
+        rows = apex.composites()
+        assert rows is apex.compose.rows and list(rows) == list(apex.arrows)
+        assert docs.dumps(docs.groupoid_doc(apex))
+    assert fills == []
+    apexes[0].compose.items()
+    assert len(fills) == 1 and fills[0] is apexes[0].compose
+    assert type(apexes[0].compose) is RowTable
