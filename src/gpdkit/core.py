@@ -8,8 +8,8 @@ groupoids and the strict and weak pullbacks) are all made by
 the compose table as rows: for each first arrow, in declaration order, the
 caller gives the composites with every arrow out of its target, in
 declaration order, and a row of any other length raises.  The table is a
-:class:`RowTable`, a dict that answers lookups from the rows and fills in its
-pairs only when a reader walks it whole.  Class
+:class:`RowTable`, a read-only mapping that answers every read from the rows
+and never stores a pair.  Class
 tables (orbits, components, cosets and the classes of the equivariant
 constructions) are all made by :func:`class_reps`, which picks each class's
 least-index member as its representative; :func:`classes` lists them, and
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 
@@ -88,77 +89,60 @@ def _check_unique(ids, what: str):
     return seen
 
 
-class RowTable(dict):
-    """A compose table kept as rows, read as a plain dict once its pairs are filled.
+class RowTable(Mapping):
+    """A compose table kept as rows: a read-only mapping that stores no pair.
 
     ``rows[first]`` lists ``after ∘ first`` for each ``after`` in
     ``out[tgt[first]]``, the arrows out of ``first``'s target in declaration
-    order, and ``pos[after]`` is the place of ``after`` in its list.
-    :func:`tuple_groupoid` returns an unfilled table, which answers ``[]``,
-    ``get``, ``in`` and ``len`` from the rows.  Anything else that reads it,
-    ``==`` included, first fills its pairs, first arrow by first arrow, so
-    they come in the order a pair-by-pair fill gives; after that it is an
-    instance of this class, which adds nothing to :class:`dict`.
+    order, and ``pos[after]`` is the place of ``after`` in its list.  Every
+    read (``[]``, ``get``, ``in``, ``len``, iteration, ``==``) is answered
+    from the rows; the pairs come first arrow by first arrow, then
+    after-arrow.  A key that is not a composable pair of the table misses as
+    it would in a plain dict.  ``dict(t)`` gives a plain copy.
     """
 
     __slots__ = ("rows", "out", "pos", "src", "tgt")
-
-
-class _UnfilledRowTable(RowTable):
-    __slots__ = ()
 
     def __init__(self, rows: dict, out: dict, src: dict, tgt: dict):
         self.rows, self.out, self.src, self.tgt = rows, out, src, tgt
         self.pos = {a: i for arrows in out.values() for i, a in enumerate(arrows)}
 
-    def _at(self, key):
-        """The composite at ``key``, or None where the table has no entry."""
-        if type(key) is tuple and len(key) == 2:
-            after, first = key
-            row = self.rows.get(first)
-            if row is not None and self.src.get(after) == self.tgt[first]:
-                return row[self.pos[after]]
-        return None
-
     def __getitem__(self, key):
-        c = self._at(key)
-        return dict.__getitem__(self, key) if c is None else c  # raises as a plain dict would
+        if type(key) is tuple:
+            try:
+                after, first = key
+                if self.src[after] == self.tgt[first]:
+                    return self.rows[first][self.pos[after]]
+            except (ValueError, KeyError, TypeError):
+                pass
+        return {}[key]  # raises as a plain dict would
 
     def get(self, key, default=None):
-        c = self._at(key)
-        return dict.get(self, key, default) if c is None else c
+        if type(key) is tuple:
+            try:
+                after, first = key
+                if self.src[after] == self.tgt[first]:
+                    return self.rows[first][self.pos[after]]
+            except (ValueError, KeyError, TypeError):
+                pass
+        return {}.get(key, default)
 
     def __contains__(self, key):
-        return self._at(key) is not None or dict.__contains__(self, key)
+        return self.get(key) is not None
 
     def __len__(self):
         return sum(map(len, self.rows.values()))
 
-    def _fill(self):
+    def __iter__(self):
+        out, tgt = self.out, self.tgt
+        for first in self.rows:
+            for after in out.get(tgt[first], ()):
+                yield after, first
+
+    def items(self):
         out, tgt = self.out, self.tgt
         for first, row in self.rows.items():
-            dict.update(self, zip(zip(out.get(tgt[first], ()), itertools.repeat(first)), row))
-        self.__class__ = RowTable
-
-
-def _filling(name: str):
-    """``dict.<name>``, called once every unfilled table among the operands is filled."""
-    method = getattr(dict, name)
-
-    def filled(*args, **kwargs):
-        for t in args:
-            if type(t) is _UnfilledRowTable:
-                t._fill()
-        return method(*args, **kwargs)
-
-    return filled
-
-
-for _name in (
-    "__iter__", "__reversed__", "keys", "values", "items", "copy", "__repr__", "__eq__", "__ne__", "__or__",
-    "__ror__", "__ior__", "__setitem__", "__delitem__", "pop", "popitem", "setdefault", "update", "clear",
-):
-    setattr(_UnfilledRowTable, _name, _filling(_name))
+            yield from zip(zip(out.get(tgt[first], ()), itertools.repeat(first)), row)
 
 
 @dataclass(frozen=True)
@@ -174,7 +158,7 @@ class FiniteGroupoid:
     arrows: tuple[str, ...]
     src: dict[str, str] = field(repr=False)
     tgt: dict[str, str] = field(repr=False)
-    compose: dict[tuple[str, str], str] = field(repr=False)
+    compose: Mapping[tuple[str, str], str] = field(repr=False)
     unit: dict[str, str] = field(repr=False)
     inv: dict[str, str] = field(repr=False)
     # arrows generating the groupoid, kept once it is proven a groupoid: by
@@ -202,7 +186,7 @@ class FiniteGroupoid:
     def composites(self) -> dict[str, list[str | None]]:
         """arrow a -> ``c ∘ a`` for each ``c`` out of ``tgt a`` in declaration
         order, None where the table has no entry.  A :class:`RowTable` gives
-        its own rows, which callers must not change."""
+        the rows it reads every pair from, which callers must not change."""
         if isinstance(self.compose, RowTable):
             return self.compose.rows
         out = self.arrows_from()
@@ -355,9 +339,9 @@ def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple
     ``compose(first)`` is the row of ``first``: the keys of ``after ∘ first``
     for every arrow ``after`` out of ``tgt first``, in declaration order.  Each
     row is rendered to ids and kept, one per first arrow in declaration order,
-    with no call per pair, in a :class:`RowTable`; a row of the wrong length
-    raises :class:`ValueError`.  Returns the groupoid and the table arrow key
-    -> id.  Raises
+    with no call per pair, in a read-only :class:`RowTable` that stores no
+    pair; a row of the wrong length raises :class:`ValueError`.  Returns the
+    groupoid and the table arrow key -> id.  Raises
     :class:`PreconditionError` when two distinct object keys, or two distinct
     arrow keys, have the same id, or when a key has no entry.
     """
@@ -384,7 +368,7 @@ def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple
             arrows=tuple(ids.values()),
             src=src_ids,
             tgt=tgt_ids,
-            compose=_UnfilledRowTable(rows, after_ids, src_ids, tgt_ids),
+            compose=RowTable(rows, after_ids, src_ids, tgt_ids),
             unit={x: ids[unit(k)] for k, x in objects.items()},
             inv={ids[a]: ids[inv(a)] for a in arrows},
         )

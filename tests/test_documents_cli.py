@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -356,7 +357,7 @@ class TestCli:
         for mode in ("strict", "weak"):
             run = subprocess.run(
                 [sys.executable, "-m", "gpdkit.cli", "pullback", "--mode", mode, path, "phi", "phi"],
-                capture_output=True, text=True, env={"PYTHONPATH": src},
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
             )
             assert run.returncode == 2, (mode, run.stderr)
             assert "Traceback" not in run.stderr
@@ -382,7 +383,7 @@ class TestCli:
         for command in (["compose-gen", path, "span", "span"], ["anafunctorify", path, "span"], ["check-we", path, "phi"]):
             run = subprocess.run(
                 [sys.executable, "-m", "gpdkit.cli", *command],
-                capture_output=True, text=True, env={"PYTHONPATH": src},
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
             )
             assert run.returncode == 2, (command, run.stderr)
             assert "Traceback" not in run.stderr

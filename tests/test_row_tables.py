@@ -1,19 +1,19 @@
 """Compose tables kept as rows read as the plain dicts they stand for.
 
-``tuple_groupoid`` keeps each product table as rows (``core.RowTable``): an
-unfilled table answers ``[]``, ``get``, ``in`` and ``len`` from its rows, and
-anything else that reads it fills its pairs first.  Here each shape's pairs
-are compared, key order included, with the table filled one pair at a time;
-each lookup with the same lookup on a plain dict; equality in every order
-between plain, unfilled and filled tables; and fills are counted: building
-both pullbacks, reading their rows and writing them as a document fill
-nothing.
+``tuple_groupoid`` keeps each product table as rows in a ``core.RowTable``, a
+read-only mapping that answers every read from its rows and stores no pair.
+Here each shape's pairs are compared, key order included, with the table
+filled one pair at a time; each lookup with the same lookup on a plain dict;
+equality in every order between plain dicts and row tables; plain copies
+with the table; and building both pullbacks, reading their rows, writing them
+as a document, walking them and comparing them leave each a row table, not a
+dict, that refuses writes.
 """
 
 import pytest
 
 from gpdkit import documents as docs
-from gpdkit.core import RowTable, _UnfilledRowTable
+from gpdkit.core import RowTable
 from gpdkit.morita import strict_pullback, weak_pullback
 from gpdkit.workbench import InstanceBudget, generate_weak_equivalences
 
@@ -24,9 +24,9 @@ SHAPE_NAMES = list(_shapes())
 
 
 def _fresh(name: str):
-    """A newly built shape's groupoid, with its table unfilled, and that table filled one pair at a time."""
+    """A newly built shape's groupoid, with its row table, and that table filled one pair at a time."""
     g, per_pair = _shapes()[name]
-    assert type(g.compose) is _UnfilledRowTable
+    assert type(g.compose) is RowTable
     return g, per_pair
 
 
@@ -34,7 +34,6 @@ def _fresh(name: str):
 def test_a_kept_table_fills_as_the_per_pair_table(name):
     g, per_pair = _fresh(name)
     assert list(g.compose.items()) == list(per_pair.items())
-    assert type(g.compose) is RowTable
 
 
 def test_the_pullbacks_of_the_generated_weak_equivalences_fill_as_their_per_pair_tables():
@@ -76,33 +75,27 @@ def test_lookups_agree_with_a_plain_dict_and_fill_nothing(name):
             assert _outcome(lambda: lookup(table)) == _outcome(lambda: lookup(plain)), key
     assert len(table) == len(plain)
     assert bool(table)
-    assert type(table) is _UnfilledRowTable
+    assert type(table) is RowTable
 
 
 def _tables():
-    """Builds unfilled copies of one strict apex's table; the table filled one
-    pair at a time; and that table with one entry pointed elsewhere."""
+    """Builds fresh row tables of one strict apex; the table filled one pair
+    at a time; and that table with one entry pointed elsewhere."""
     shapes = _shapes()
     name = "strict klein quotient"
     _, plain = shapes[name]
     key = next(iter(plain))
     other = next(c for c in plain.values() if c != plain[key])
 
-    def unfilled():
+    def rows():
         return _fresh(name)[0].compose
 
-    def filled():
-        table = unfilled()
-        list(table.items())
-        assert type(table) is RowTable
-        return table
-
-    return unfilled, filled, plain, {**plain, key: other}
+    return rows, plain, {**plain, key: other}
 
 
 def test_equality_holds_in_every_order():
-    unfilled, filled, plain, changed = _tables()
-    makers = {"plain": lambda: dict(plain), "unfilled": unfilled, "filled": filled}
+    rows, plain, changed = _tables()
+    makers = {"plain": lambda: dict(plain), "rows": rows}
     for left_kind, left in makers.items():
         for right_kind, right in makers.items():
             kinds = (left_kind, right_kind)
@@ -112,23 +105,18 @@ def test_equality_holds_in_every_order():
 
 
 def test_copies_and_merges_are_the_table():
-    unfilled, _, plain, _ = _tables()
-    for copy in (unfilled().copy(), dict(unfilled()), {**unfilled()}, {} | unfilled(), unfilled() | {}):
+    rows, plain, _ = _tables()
+    for copy in (dict(rows()), {**rows()}):
         assert type(copy) is dict
         assert list(copy.items()) == list(plain.items())
-    assert list(unfilled()) == list(plain)
-    assert list(unfilled().values()) == list(plain.values())
-    assert list(reversed(unfilled())) == list(reversed(plain))
-    assert repr(unfilled()) == repr(plain)
+    assert list(rows()) == list(plain)
+    assert list(rows().values()) == list(plain.values())
 
 
-def test_building_reading_rows_and_writing_fill_nothing(monkeypatch, klein_action, klein_half_turn):
+def test_building_reading_rows_and_writing_fill_nothing(klein_action, klein_half_turn):
     from gpdkit.equivariant import quotient_action
 
     proj = quotient_action(klein_action, klein_half_turn).projection.functor
-    fills = []
-    fill = _UnfilledRowTable._fill
-    monkeypatch.setattr(_UnfilledRowTable, "_fill", lambda t: fills.append(t) or fill(t))
     strict = strict_pullback(proj, proj)
     # the last apex's factor rows are read off an apex's kept rows
     apexes = [strict.apex, weak_pullback(proj, proj).apex, strict_pullback(strict.pr1, strict.pr1).apex]
@@ -136,7 +124,10 @@ def test_building_reading_rows_and_writing_fill_nothing(monkeypatch, klein_actio
         rows = apex.composites()
         assert rows is apex.compose.rows and list(rows) == list(apex.arrows)
         assert docs.dumps(docs.groupoid_doc(apex))
-    assert fills == []
-    apexes[0].compose.items()
-    assert len(fills) == 1 and fills[0] is apexes[0].compose
-    assert type(apexes[0].compose) is RowTable
+        table = apex.compose
+        assert list(table.items()) and table == dict(table)
+        assert type(table) is RowTable and not isinstance(table, dict)
+        key, value = next(iter(table.items()))
+        with pytest.raises(TypeError):
+            table[key] = value
+        assert table[key] == value
