@@ -7,12 +7,13 @@ from gpdkit import (
     FiniteGroupoid,
     action_groupoid,
     cyclic_group,
+    direct_product,
     group_catalog,
-    klein_four_group,
     orbits,
     stabilizer,
     validate_groupoid,
 )
+from gpdkit.catalog import flip_group
 
 # The built-in catalog covers every group the workbench enumerates.
 print("catalog groups:")
@@ -31,15 +32,18 @@ swap = action_groupoid(
 print("\nswap groupoid:", len(swap.induced.objects), "objects,", len(swap.induced.arrows), "arrows")
 print("validates:", validate_groupoid(swap.induced).ok)
 
-# The Klein four-group acting on the compass points by its two reflections.
-v4 = klein_four_group()
+# The Klein four-group acting on the compass points by its two reflections;
+# direct_product also returns its table (first, second) -> element id.
+flip = flip_group()
+v4, pair_ids = direct_product(flip, flip)
 compass = ("N", "S", "E", "W")
 
 
-def reflect(element, point):
+def reflect(pair, point):
+    """The first factor's t swaps N and S, the second's swaps E and W."""
     ns = {"N": "S", "S": "N"}
     ew = {"E": "W", "W": "E"}
-    first, second = element[1:-1].split(",")
+    first, second = pair
     if first == "t":
         point = ns.get(point, point)
     if second == "t":
@@ -47,7 +51,7 @@ def reflect(element, point):
     return point
 
 
-klein = action_groupoid(v4, compass, {(g, x): reflect(g, x) for g in v4.elements for x in compass})
+klein = action_groupoid(v4, compass, {(g, x): reflect(pair, x) for pair, g in pair_ids.items() for x in compass})
 print("\nklein groupoid orbits:", orbits(klein))
 print("stabilizer of N:", stabilizer(klein, "N"))
 

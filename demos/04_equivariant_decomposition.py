@@ -13,7 +13,7 @@ from gpdkit import (
     balanced_product,
     compose_equivariant,
     decompose,
-    klein_four_group,
+    direct_product,
     morita_oracle,
     property_report,
     quotient_action,
@@ -21,23 +21,28 @@ from gpdkit import (
     subgroup,
     weak_equivalence_report,
 )
+from gpdkit.catalog import flip_group
 
-v4 = klein_four_group()
+flip = flip_group()
+e, t = flip.elements
+# the Klein four-group and its table (first, second) -> element id
+v4, pair_ids = direct_product(flip, flip)
 compass = ("N", "S", "E", "W")
 
 
-def reflect(element, point):
+def reflect(pair, point):
+    """The first factor's t swaps N and S, the second's swaps E and W."""
     ns = {"N": "S", "S": "N"}
     ew = {"E": "W", "W": "E"}
-    first, second = element[1:-1].split(",")
-    if first == "t":
+    first, second = pair
+    if first == t:
         point = ns.get(point, point)
-    if second == "t":
+    if second == t:
         point = ew.get(point, point)
     return point
 
 
-klein = action_groupoid(v4, compass, {(g, x): reflect(g, x) for g in v4.elements for x in compass})
+klein = action_groupoid(v4, compass, {(g, x): reflect(pair, x) for pair, g in pair_ids.items() for x in compass})
 
 report = property_report(klein)
 print("original action:")
@@ -47,7 +52,7 @@ print("  transitive:", report.transitive.value)
 
 # The half-turn subgroup acts freely, so the quotient is again an action
 # groupoid; its two points each keep an isotropy group of order two.
-half_turn = ("(e,e)", "(t,t)")
+half_turn = (pair_ids[(e, e)], pair_ids[(t, t)])
 q = quotient_action(klein, half_turn)
 print("\nquotient by the half-turn subgroup:")
 print("  points:", q.quotient.carrier)

@@ -12,7 +12,7 @@ class is named after its least-index member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import (
     ActionGroupoid,
@@ -41,17 +41,6 @@ from .core import (
 from .localization import Anafunctor, GeneralizedMorphism, TwoCellDiagram, identity_filled_diagram
 from .morita import strict_pullback, weak_equivalence_report, weak_pullback
 
-PROPERTY_NAMES = (
-    "free",
-    "locally_free",
-    "transitive",
-    "effective",
-    "compact",
-    "discrete",
-    "proper",
-    "orbifold",
-)
-
 # properties that hold for every finite group action, reported with a flag
 TRIVIAL_IN_FINITE_SETTING = ("locally_free", "compact", "discrete", "proper", "orbifold")
 
@@ -79,6 +68,9 @@ class PropertyReport:
 
     def verdict(self, name: str) -> PropertyVerdict:
         return getattr(self, name)
+
+
+PROPERTY_NAMES = tuple(f.name for f in fields(PropertyReport))
 
 
 def property_report(a: ActionGroupoid) -> PropertyReport:
@@ -188,9 +180,6 @@ def as_equivariant(dom: ActionGroupoid, cod: ActionGroupoid, f: GroupoidFunctor)
                 return EquivariantCheck(None, witness=aid)
         # an empty carrier leaves the group map unconstrained; use the trivial one
         group_hom[g] = next(iter(images)) if images else cod.group.unit
-    if is_group_hom(dom.group, cod.group, group_hom) is not None:
-        # unreachable for valid functors over a nonempty carrier
-        return EquivariantCheck(None, witness=dom.arrow_id(dom.group.elements[0], dom.carrier[0]))
     return EquivariantCheck(equivariant_functor(dom, cod, group_hom, dict(f.obj_map)))
 
 
@@ -233,8 +222,7 @@ def quotient_action(a: ActionGroupoid, kernel_elements) -> QuotientConstruction:
     qact = {(r, p): orbit_rep[a.act[(r, p)]] for r in reps for p in qcarrier}
     quotient = action_groupoid(qgroup, qcarrier, qact)
     projection = equivariant_functor(a, quotient, dict(coset_rep), {x: orbit_rep[x] for x in a.carrier})
-    if not weak_equivalence_report(projection.functor).is_ssw:
-        raise InternalCheckError("quotient projection is not a surjective weak equivalence")
+    weak_equivalence_report(projection.functor).require_ssw(InternalCheckError, "quotient projection")
     return QuotientConstruction(k, quotient, projection)
 
 
@@ -259,8 +247,7 @@ def quotient_factorization(phi: EquivariantFunctor) -> QuotientFactorization:
     Over a nonempty carrier the group map of such a functor is onto; over an
     empty one it need not be, and then no iso exists, so it is refused.
     """
-    if not weak_equivalence_report(phi.functor).is_ssw:
-        raise PreconditionError("quotient_factorization: functor is not a surjective weak equivalence")
+    weak_equivalence_report(phi.functor).require_ssw(PreconditionError, "quotient_factorization: functor")
     image = set(phi.group_hom.values())
     missed = next((h for h in phi.cod_action.group.elements if h not in image), None)
     if missed is not None:
@@ -330,8 +317,9 @@ def balanced_product(big: FiniteGroup, inner: ActionGroupoid) -> BalancedProduct
         {s: s for s in k.elements},
         {x: ids[pair_rep[(big.unit, x)]] for x in inner.carrier},
     )
-    if not weak_equivalence_report(inclusion.functor).is_weak_equivalence:
-        raise InternalCheckError("balanced_product: inclusion is not a weak equivalence")
+    weak_equivalence_report(inclusion.functor).require_weak_equivalence(
+        InternalCheckError, "balanced_product: inclusion"
+    )
     return BalancedProduct(product, inclusion)
 
 
@@ -366,11 +354,7 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
     bijection [g, y] -> g·y.  The :data:`INVARIANT_PROPERTIES` verdicts are
     checked to agree across all three actions.
     """
-    rep = weak_equivalence_report(phi.functor)
-    if not rep.is_weak_equivalence:
-        raise PreconditionError(
-            f"decompose: functor is not a weak equivalence (es {rep.es_witness!r}, ff {rep.ff_witness!r})"
-        )
+    weak_equivalence_report(phi.functor).require_weak_equivalence(PreconditionError, "decompose: functor")
     dom, cod = phi.dom_action, phi.cod_action
     h = cod.group
     image = set(phi.group_hom.values())
@@ -392,8 +376,9 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
             {el: el for el in image_elements},
             {y: y for y in image_carrier},
         )
-        if not weak_equivalence_report(inclusion.functor).is_weak_equivalence:
-            raise InternalCheckError("decompose: inclusion stage is not a weak equivalence")
+        weak_equivalence_report(inclusion.functor).require_weak_equivalence(
+            InternalCheckError, "decompose: inclusion stage"
+        )
         if compose_functors(inclusion.functor, projection.functor) != phi.functor:
             raise InternalCheckError("decompose: stages do not compose to the input functor")
     try:
@@ -440,8 +425,7 @@ def equivariant_strict_pullback(phi: EquivariantFunctor, psi: EquivariantFunctor
     """
     if phi.cod_action != psi.cod_action:
         raise MismatchError("equivariant_strict_pullback: functors have different codomains")
-    if not weak_equivalence_report(phi.functor).is_ssw:
-        raise PreconditionError("equivariant_strict_pullback: first functor is not a surjective weak equivalence")
+    weak_equivalence_report(phi.functor).require_ssw(PreconditionError, "equivariant_strict_pullback: first functor")
     plain = strict_pullback(phi.functor, psi.functor)
     pairs = [
         (a, b)
@@ -495,8 +479,7 @@ def _equivariant_pullback(plain, plain_outer, left: ActionGroupoid, right: Actio
     )
     if compose_functors(plain.pr1, iso) != pr1.functor or compose_functors(plain_outer, iso) != outer.functor:
         raise InternalCheckError(f"{where}: projections do not commute with the canonical iso")
-    if not weak_equivalence_report(outer.functor).is_ssw:
-        raise InternalCheckError(f"{where}: outer projection is not a surjective weak equivalence")
+    weak_equivalence_report(outer.functor).require_ssw(InternalCheckError, f"{where}: outer projection")
     return action, pr1, outer, iso
 
 
@@ -525,8 +508,7 @@ def equivariant_weak_pullback(
         raise MismatchError("equivariant_weak_pullback: functor domains are not the stated action groupoids")
     if phi.cod != psi.cod:
         raise MismatchError("equivariant_weak_pullback: functors have different codomains")
-    if not weak_equivalence_report(phi).is_weak_equivalence:
-        raise PreconditionError("equivariant_weak_pullback: first functor is not a weak equivalence")
+    weak_equivalence_report(phi).require_weak_equivalence(PreconditionError, "equivariant_weak_pullback: first functor")
     plain = weak_pullback(phi, psi)
     pairs = [(a, b) for a in left.group.elements for b in right.group.elements]
     parts = _equivariant_pullback(plain, plain.pr3, left, right, pairs, "equivariant_weak_pullback")
@@ -605,9 +587,9 @@ def equivariant_anafunctorify(
         {p: h for (_, h), p in pair_ids.items()},
         {rid: hi.src[b] for (_, _, b), rid in ids.items()},
     )
-    left_rep = weak_equivalence_report(left_leg.functor)
-    if not left_rep.is_ssw:
-        raise InternalCheckError("equivariant_anafunctorify: replacement left leg is not a surjective weak equivalence")
+    weak_equivalence_report(left_leg.functor).require_ssw(
+        InternalCheckError, "equivariant_anafunctorify: replacement left leg"
+    )
     ana = Anafunctor(left_leg.functor, right_leg.functor)
 
     theta_obj = {}
@@ -620,8 +602,7 @@ def equivariant_anafunctorify(
         theta_arr[m] = middle_action.arrow_id(pair_ids[(g_part, h_part)], theta_obj[k.src[m]])
     theta = GroupoidFunctor(k, middle_action.induced, theta_obj, theta_arr)
     validate_functor(theta).require(InternalCheckError, "equivariant_anafunctorify: comparison is not a functor")
-    if not weak_equivalence_report(theta).is_weak_equivalence:
-        raise InternalCheckError("equivariant_anafunctorify: comparison is not a weak equivalence")
+    weak_equivalence_report(theta).require_weak_equivalence(InternalCheckError, "equivariant_anafunctorify: comparison")
 
     witness = identity_filled_diagram(f, ana, identity_functor(k), theta, "equivariant_anafunctorify: witness diagram")
 

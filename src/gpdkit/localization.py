@@ -55,11 +55,7 @@ class GeneralizedMorphism:
         self._check_left_leg(weak_equivalence_report(self.left))
 
     def _check_left_leg(self, rep: WeakEquivalenceReport) -> None:
-        if not rep.is_weak_equivalence:
-            raise PreconditionError(
-                f"left leg of a span must be a weak equivalence "
-                f"(es witness {rep.es_witness!r}, ff witness {rep.ff_witness!r})"
-            )
+        rep.require_weak_equivalence(PreconditionError, "left leg of a span")
 
     @property
     def middle(self) -> FiniteGroupoid:
@@ -79,11 +75,7 @@ class Anafunctor(GeneralizedMorphism):
     """A span whose left leg is additionally surjective on objects."""
 
     def _check_left_leg(self, rep: WeakEquivalenceReport) -> None:
-        super()._check_left_leg(rep)
-        if not rep.is_ssw:
-            raise PreconditionError(
-                f"left leg of an anafunctor must be surjective on objects (witness {rep.obj_witness!r})"
-            )
+        rep.require_ssw(PreconditionError, "left leg of an anafunctor")
 
 
 def as_anafunctor(f: GeneralizedMorphism) -> Anafunctor:
@@ -375,9 +367,9 @@ def strictify_composition(f: GeneralizedMorphism, g: GeneralizedMorphism) -> Two
     for (k, l), aid in sp.arrow_ids.items():
         arr_map[aid] = wp.arrow_ids[(k, mid_of.unit[f.right.obj_map[f.right.dom.src[k]]], l)]
     inclusion = GroupoidFunctor(sp.apex, wp.apex, obj_map, arr_map)
-    rep = weak_equivalence_report(inclusion)
-    if not rep.is_weak_equivalence:
-        raise InternalCheckError("strictify_composition: unit-anchored inclusion is not a weak equivalence")
+    weak_equivalence_report(inclusion).require_weak_equivalence(
+        InternalCheckError, "strictify_composition: unit-anchored inclusion"
+    )
 
     return identity_filled_diagram(
         weak_comp, strict_comp, inclusion, identity_functor(sp.apex), "strictify_composition: diagram"

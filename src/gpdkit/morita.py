@@ -62,6 +62,21 @@ class WeakEquivalenceReport:
     def is_ssw(self) -> bool:
         return self.is_weak_equivalence and self.object_map_surjective
 
+    def require_weak_equivalence(self, error: type[Exception], what: str) -> None:
+        """Raise ``error`` naming ``what`` and the es and ff witnesses unless the map is a weak equivalence."""
+        if not self.is_weak_equivalence:
+            raise error(
+                f"{what} is not a weak equivalence (es witness {self.es_witness!r}, ff witness {self.ff_witness!r})"
+            )
+
+    def require_ssw(self, error: type[Exception], what: str) -> None:
+        """Raise ``error`` naming ``what`` and all three witnesses unless the map is a surjective weak equivalence."""
+        if not self.is_ssw:
+            raise error(
+                f"{what} is not a surjective weak equivalence (es witness {self.es_witness!r}, "
+                f"ff witness {self.ff_witness!r}, object witness {self.obj_witness!r})"
+            )
+
 
 def weak_equivalence_report(phi: GroupoidFunctor) -> WeakEquivalenceReport:
     """The report of ``phi``, computed once per functor object and kept on it.
@@ -174,9 +189,7 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
     pr2 = GroupoidFunctor(apex, h, {o: p[1] for p, o in objects.items()}, {a: p[1] for p, a in ids.items()})
     out = StrictPullback(apex, pr1, pr2, objects, ids)
     if weak_equivalence_report(phi).is_ssw:
-        rep = weak_equivalence_report(pr2)
-        if not rep.is_ssw:
-            raise InternalCheckError("strict pullback along a surjective weak equivalence lost the property on pr2")
+        weak_equivalence_report(pr2).require_ssw(InternalCheckError, "strict_pullback: pr2")
     return out
 
 
@@ -248,8 +261,7 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
     out = WeakPullback(apex, pr1, pr3, comparison, objects, ids)
     validate_nat_trans(comparison).require(InternalCheckError, "weak pullback comparison transformation is not natural")
     if weak_equivalence_report(phi).is_weak_equivalence:
-        if not weak_equivalence_report(pr3).is_ssw:
-            raise InternalCheckError("weak pullback along a weak equivalence lost the property on pr3")
+        weak_equivalence_report(pr3).require_ssw(InternalCheckError, "weak_pullback: pr3")
     return out
 
 
@@ -299,9 +311,7 @@ def coff_factorize(
     The component at y is read off any point of the fiber over y (least index
     first), then re-verified to agree across the whole fiber.
     """
-    rep = weak_equivalence_report(phi)
-    if not rep.is_ssw:
-        raise PreconditionError("coff_factorize: functor is not a surjective weak equivalence")
+    weak_equivalence_report(phi).require_ssw(PreconditionError, "coff_factorize: functor")
     if psi.dom != phi.cod or psi2.dom != phi.cod or psi.cod != psi2.cod:
         raise MismatchError("coff_factorize: functors do not share the required interfaces")
     if eta.source != compose_functors(psi, phi) or eta.target != compose_functors(psi2, phi):
@@ -332,9 +342,7 @@ class LocallySplitWitness:
 
 
 def locally_split_witness(phi: GroupoidFunctor) -> LocallySplitWitness:
-    rep = weak_equivalence_report(phi)
-    if not rep.is_weak_equivalence:
-        raise PreconditionError("locally_split_witness: functor is not a weak equivalence")
+    weak_equivalence_report(phi).require_weak_equivalence(PreconditionError, "locally_split_witness: functor")
     # weak_pullback re-verifies that pr3 is a surjective weak equivalence
     wp = weak_pullback(phi, identity_functor(phi.cod))
     return LocallySplitWitness(wp.apex, wp.pr3, wp.pr1, wp.comparison)

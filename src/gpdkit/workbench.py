@@ -79,13 +79,12 @@ DEFAULT_GROUP_ORDER = 8
 DEFAULT_CARRIER_SIZE = 4
 DEFAULT_OBJECTS = 6
 
-# per-category subsample caps, applied only in the sampled (over-default) regime
-SAMPLE_CAPS = {
-    "actions": 150,
-    "weak_equivalences": 300,
-    "functor_pairs": 400,
-    "spans": 40,
-}
+# Per-category subsample caps, applied only in the sampled (over-default)
+# regime; the span cap also cuts the smallest spans at every budget.
+SAMPLED_ACTIONS = 150
+SAMPLED_WEAK_EQUIVALENCES = 300
+SAMPLED_FUNCTOR_PAIRS = 400
+KEPT_SPANS = 40
 
 # Every other population cap.  Each fixes which instances the build or a law
 # takes, and so the suite report.
@@ -98,7 +97,7 @@ SAMPLE_CAPS = {
 LARGER_COMPOSITE_HOSTS = 1
 IDENTITY_SPANS = 12
 ROUND_TRIPS = 4
-SPAN_POOL = 3 * SAMPLE_CAPS["spans"]
+SPAN_POOL = 3 * KEPT_SPANS
 # The shared (f, f) pullback pass: plain pullbacks of the first weak
 # equivalences, equivariant ones of the first surjective ones.
 PULLBACK_PLAIN_WES = 40
@@ -125,8 +124,8 @@ class InstanceBudget:
 
     ``max_group_order`` and ``max_carrier_size`` bound the enumerated catalog
     groups and carriers.  While every field is at most its default the run is
-    exhaustive; above any default it subsamples each instance category to
-    ``SAMPLE_CAPS`` with ``sample_seed``.
+    exhaustive; above any default it subsamples each instance category to its
+    cap (``SAMPLED_ACTIONS`` and the others) with ``sample_seed``.
 
     ``max_objects`` bounds no groupoid size: it only takes part in that
     regime switch.  It stays all the same, since the benchmark worker builds a
@@ -295,15 +294,14 @@ def build_instances(budget: InstanceBudget) -> WorkbenchInstances:
 
     rng = random.Random(budget.sample_seed)
 
-    def maybe_sample(items: list, cap_key: str) -> list:
-        cap = SAMPLE_CAPS[cap_key]
+    def maybe_sample(items: list, cap: int) -> list:
         if budget.exhaustive or len(items) <= cap:
             return items
         picked = sorted(rng.sample(range(len(items)), cap))
         return [items[i] for i in picked]
 
-    actions = maybe_sample(actions, "actions")
-    wes = maybe_sample(wes, "weak_equivalences")
+    actions = maybe_sample(actions, SAMPLED_ACTIONS)
+    wes = maybe_sample(wes, SAMPLED_WEAK_EQUIVALENCES)
 
     # functors to feed composability-style laws: the generated weak
     # equivalences plus collapse-to-a-point functors, which often are not
@@ -321,7 +319,7 @@ def build_instances(budget: InstanceBudget) -> WorkbenchInstances:
         for g2, dom2, _ in buckets.get((cod_a.group.elements, cod_a.carrier), ()):
             if dom2.induced == f.cod:
                 pairs.append((f, g2))
-    pairs = maybe_sample(pairs, "functor_pairs")
+    pairs = maybe_sample(pairs, SAMPLED_FUNCTOR_PAIRS)
 
     # spans between action groupoids: identity spans, Morita spans built from
     # projections, and inclusion spans whose left leg is not surjective
@@ -350,7 +348,7 @@ def build_instances(budget: InstanceBudget) -> WorkbenchInstances:
     # smallest spans first; the cut below fixes the span population
     spans.sort(key=lambda s: _span_size(s[0]))
     spans = spans[:SPAN_POOL]
-    spans = spans[: SAMPLE_CAPS["spans"]] if budget.exhaustive else maybe_sample(spans, "spans")
+    spans = spans[:KEPT_SPANS] if budget.exhaustive else maybe_sample(spans, KEPT_SPANS)
 
     return WorkbenchInstances(
         budget=budget,

@@ -81,6 +81,10 @@ SUITE_CAPS = {
 
 # each cap the instance build reads, and the populations it cuts
 BUILD_CAPS = {
+    "SAMPLED_ACTIONS": {"actions", "functor_pairs", "spans"},
+    "SAMPLED_WEAK_EQUIVALENCES": {"weak_equivalences", "functor_pairs", "spans"},
+    "SAMPLED_FUNCTOR_PAIRS": {"functor_pairs"},
+    "KEPT_SPANS": {"spans"},
     "LARGER_COMPOSITE_HOSTS": {"weak_equivalences", "functor_pairs"},
     "IDENTITY_SPANS": {"spans"},
     "ROUND_TRIPS": {"spans"},
