@@ -4,12 +4,14 @@ Everything is a plain table over opaque string ids.  Constructed objects use
 deterministic structured ids (tuples rendered as ``(a,b,c)``) so re-running a
 construction yields bit-identical tables.  Product-shaped tables (action
 groupoids and the strict and weak pullbacks) are all made by
-:func:`tuple_groupoid`, which renders each of their arrow ids once and keeps
-the compose table as rows: for each first arrow, in declaration order, the
-caller gives the composites with every arrow out of its target, in
-declaration order, and a row of any other length raises.  The table is a
+:func:`tuple_groupoid`, which renders each of their arrow ids once and builds
+from whole tables: the caller gives each arrow's endpoints, inverse and row of
+composites, and each object's unit, as lists aligned with the declaration,
+naming an arrow by its position among the arrows out of its source, and a row
+of the wrong length raises.  The compose table is kept as those rows in a
 :class:`RowTable`, a read-only mapping that answers every read from the rows
-and never stores a pair.  Class
+and never stores a pair.  :func:`action_groupoid` hands over whole columns of
+its action table, so no Python function runs per arrow or per pair.  Class
 tables (orbits, components, cosets and the classes of the equivariant
 constructions) are all made by :func:`class_reps`, which picks each class's
 least-index member as its representative; :func:`classes` lists them, and
@@ -213,7 +215,14 @@ def check_groupoid_declarations(g: FiniteGroupoid) -> None:
     for a, b in g.inv.items():
         if b not in arrows:
             raise DanglingIdError(f"inverse[{a!r}] = {b!r} is not a declared arrow")
-    for (a2, a1), a3 in g.compose.items():
+    compose, every = g.compose, itertools.chain.from_iterable
+    # a row table is decided on its first arrows, out lists and composites;
+    # the walk over its pairs runs only to name an undeclared entry
+    if isinstance(compose, RowTable) and arrows.issuperset(
+        itertools.chain(compose.rows, every(compose.out.values()), every(compose.rows.values()))
+    ):
+        return
+    for (a2, a1), a3 in compose.items():
         if a2 not in arrows or a1 not in arrows or a3 not in arrows:
             raise DanglingIdError(f"compose entry ({a2!r}, {a1!r}) -> {a3!r} references undeclared arrows")
 
@@ -330,52 +339,57 @@ def empty_groupoid() -> FiniteGroupoid:
     return FiniteGroupoid((), (), {}, {}, {}, {}, {})
 
 
-def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, compose) -> tuple[FiniteGroupoid, dict]:
-    """The groupoid on keyed objects and tuple-keyed arrows, each arrow id rendered once.
+def tuple_groupoid(objects: dict, arrows, src, tgt, unit, inv, rows) -> tuple[FiniteGroupoid, dict]:
+    """The groupoid on keyed objects and tuple-keyed arrows, built from whole tables.
 
-    ``objects`` maps object keys to ids in declaration order; ``arrows`` lists
-    arrow keys (tuples, rendered with :func:`render_id`) in declaration order.
-    ``src``, ``tgt``, ``unit`` and ``inv`` are functions on keys.
-    ``compose(first)`` is the row of ``first``: the keys of ``after ∘ first``
-    for every arrow ``after`` out of ``tgt first``, in declaration order.  Each
-    row is rendered to ids and kept, one per first arrow in declaration order,
-    with no call per pair, in a read-only :class:`RowTable` that stores no
-    pair; a row of the wrong length raises :class:`ValueError`.  Returns the
-    groupoid and the table arrow key -> id.  Raises
-    :class:`PreconditionError` when two distinct object keys, or two distinct
-    arrow keys, have the same id, or when a key has no entry.
+    ``objects`` maps object keys to ids and ``arrows`` lists arrow keys
+    (rendered with :func:`render_id`, each once), both in declaration order.
+    Aligned with them, ``src`` and ``tgt`` give each arrow's endpoint keys,
+    ``unit`` each object's unit, ``inv`` each arrow's inverse and ``rows``
+    each arrow's row: ``after ∘ first`` for every ``after`` out of
+    ``tgt first``, in declaration order.  These name an arrow by its position
+    among the arrows out of its source, so a row is a permutation of the
+    positions out of ``src first``.  The inputs are read once, in that
+    order, and mapped to ids whole; the rows are kept in a read-only
+    :class:`RowTable` that stores no pair, and a row of the wrong length
+    raises :class:`ValueError`.  A :class:`KeyError` met while reading an
+    input, which may be lazy, is refused as a key with no entry.  Returns
+    the groupoid and the table arrow key -> id.  Raises
+    :class:`PreconditionError` when two distinct object keys, or two
+    distinct arrow keys, have the same id, or when a key has no entry.
     """
-    ids = {a: render_id(a) for a in arrows}
+    id_list = [render_id(a) for a in arrows]
+    ids = dict(zip(arrows, id_list))
     for table, what in ((objects, "object"), (ids, "arrow")):
         if len(set(table.values())) != len(table):
             clash = next(i for i, n in Counter(table.values()).items() if n > 1)
             raise PreconditionError(f"tuple_groupoid: two distinct {what} keys have the id {clash!r}")
     try:
-        ends = {a: (src(a), tgt(a)) for a in arrows}
-        # endpoints are looked up before any row, so an undeclared one is a
-        # missing entry, not a row of the wrong length
-        src_ids = {ids[a]: objects[x] for a, (x, _) in ends.items()}
-        tgt_ids = {ids[a]: objects[y] for a, (_, y) in ends.items()}
-        after_ids: dict = {}
+        src_ids = dict(zip(id_list, map(objects.__getitem__, src), strict=True))
+        tgt_ids = dict(zip(id_list, map(objects.__getitem__, tgt), strict=True))
+        out: dict = {}
         for a, x in src_ids.items():
-            after_ids.setdefault(x, []).append(a)
-        rows = {
-            a: [c for _, c in zip(after_ids.get(tgt_ids[a], ()), map(ids.__getitem__, compose(k)), strict=True)]
-            for k, a in ids.items()
-        }
-        g = FiniteGroupoid(
-            objects=tuple(objects.values()),
-            arrows=tuple(ids.values()),
-            src=src_ids,
-            tgt=tgt_ids,
-            compose=RowTable(rows, after_ids, src_ids, tgt_ids),
-            unit={x: ids[unit(k)] for k, x in objects.items()},
-            inv={ids[a]: ids[inv(a)] for a in arrows},
-        )
+            out.setdefault(x, []).append(a)
+        id_rows = [list(map(out[x].__getitem__, row)) for x, row in zip(src_ids.values(), rows, strict=True)]
+        unit_ids = {x: out[x][i] for x, i in zip(objects.values(), unit, strict=True)}
+        inv_ids = {a: out[y][i] for a, y, i in zip(id_list, tgt_ids.values(), inv, strict=True)}
     except KeyError as exc:
         raise PreconditionError(
             f"tuple_groupoid: no entry for {exc.args[0]!r}; endpoints, units, inverses and composites must be declared"
         ) from None
+    wanted = [len(out.get(y, ())) for y in tgt_ids.values()]
+    if list(map(len, id_rows)) != wanted:
+        a, row, n = next((a, row, n) for a, row, n in zip(id_list, id_rows, wanted) if len(row) != n)
+        raise ValueError(f"tuple_groupoid: the row of {a!r} has {len(row)} composites, not {n}")
+    g = FiniteGroupoid(
+        objects=tuple(objects.values()),
+        arrows=tuple(id_list),
+        src=src_ids,
+        tgt=tgt_ids,
+        compose=RowTable(dict(zip(id_list, id_rows)), out, src_ids, tgt_ids),
+        unit=unit_ids,
+        inv=inv_ids,
+    )
     return g, ids
 
 
@@ -864,51 +878,65 @@ class ActionGroupoid:
 
 
 def action_groupoid(group: FiniteGroup, carrier, act: dict[tuple[str, str], str]) -> ActionGroupoid:
-    """Build the action groupoid, verifying the action axioms first.
+    """Build the action groupoid from whole columns of ``act``, verifying the action axioms first.
 
-    ``group`` must be a group.  Compatibility with multiplication is decided
-    on a generating sequence; every triple is scanned, in order, only to name
-    the first one that fails.
+    ``group`` must be a group.  Totality, declared values, the unit law and
+    compatibility with multiplication (on a generating sequence) are decided
+    by comparing whole lists; the table is scanned in order only to name the
+    first entry, or triple, that fails.  The arrows out of ``x`` are its
+    column, ``(g, x)`` in element order, and as ``(h, g·x) ∘ (g, x)`` is
+    ``(hg, x)`` the row of ``(g, x)`` is that column permuted by right
+    multiplication by ``g``.
     """
     carrier = tuple(carrier)
     _check_unique(carrier, "carrier point")
     points = set(carrier)
-    for g in group.elements:
-        for x in carrier:
+    elements, n = group.elements, len(carrier)
+    keys = list(itertools.product(elements, carrier))
+    try:
+        values = list(map(act.__getitem__, keys))
+    except KeyError:
+        values = None
+    if values is None or not points.issuperset(values):
+        for g, x in keys:
             if (g, x) not in act:
                 raise DanglingIdError(f"action table is missing ({g!r}, {x!r})")
             if act[(g, x)] not in points:
                 raise DanglingIdError(f"action value act[({g!r}, {x!r})] is undeclared")
-    for x in carrier:
-        if act[(group.unit, x)] != x:
-            raise ActionAxiomError(f"unit must act trivially, moves {x!r}")
-    # right_mul[g] lists h·g for h in declaration order
-    right_mul = {g: [group.mul[(h, g)] for h in group.elements] for g in group.elements}
+    index = {g: k for k, g in enumerate(elements)}
+    u = index[group.unit] * n
+    if values[u:u + n] != list(carrier):
+        moved = next(x for x, y in zip(carrier, values[u:]) if x != y)
+        raise ActionAxiomError(f"unit must act trivially, moves {moved!r}")
+    # right[g] lists the index of h·g for h in declaration order
+    right = {g: [index[group.mul[(h, g)]] for h in elements] for g in elements}
+    column = {x: values[i::n] for i, x in enumerate(carrier)}  # g·x for g in declaration order
     # g2 with g1·(g2·x) = (g1g2)·x for all g1, x are closed under products,
     # so checking a generating sequence decides the law for every g2
     if any(
-        [act[(h, act[(g2, x)])] for h in group.elements] != [act[(hg, x)] for hg in right_mul[g2]]
+        column[column[x][index[g2]]] != list(map(column[x].__getitem__, right[g2]))
         for g2 in _generating_sequence(group)
         for x in carrier
     ):
-        for g1, g2, x in itertools.product(group.elements, group.elements, carrier):
+        for g1, g2, x in itertools.product(elements, elements, carrier):
             if act[(g1, act[(g2, x)])] != act[(group.mul[(g1, g2)], x)]:
                 raise ActionAxiomError(f"action not compatible with multiplication at ({g1!r}, {g2!r}, {x!r})")
 
+    # (g, x) is at index[g] among the arrows out of x
     induced, ids = tuple_groupoid(
         {x: x for x in carrier},
-        [(g, x) for g in group.elements for x in carrier],
-        src=lambda a: a[1],
-        tgt=lambda a: act[a],
-        unit=lambda x: (group.unit, x),
-        inv=lambda a: (group.inv[a[0]], act[a]),
-        compose=lambda a: zip(right_mul[a[0]], itertools.repeat(a[1])),
+        keys,
+        src=carrier * len(elements),
+        tgt=values,
+        unit=[index[group.unit]] * n,
+        # (g, x)⁻¹ = (g⁻¹, g·x)
+        inv=[index[group.inv[g]] for g in elements for _ in carrier],
+        rows=[right[g] for g in elements for _ in carrier],
     )
     # the axioms hold, so the (s, x) for s in a generating sequence generate the groupoid
     gens = _generating_sequence(group) or (group.unit,)
     object.__setattr__(induced, "_kept_generators", tuple(ids[(s, x)] for s in gens for x in carrier))
-    arrow_pairs = {i: a for a, i in ids.items()}
-    return ActionGroupoid(group, carrier, act, induced, arrow_pairs, ids)
+    return ActionGroupoid(group, carrier, act, induced, dict(zip(induced.arrows, keys)), ids)
 
 
 def orbit(a: ActionGroupoid, x: str) -> tuple[str, ...]:

@@ -144,6 +144,12 @@ class StrictPullback:
     arrow_ids: dict[tuple[str, str], str] = field(repr=False)
 
 
+def _out_positions(out: dict[str, list[str]]) -> dict[str, int]:
+    """Each arrow's position among the arrows out of its source, from
+    :meth:`~gpdkit.core.FiniteGroupoid.arrows_from`."""
+    return {c: i for leaving in out.values() for i, c in enumerate(leaving)}
+
+
 def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullback:
     """Objectwise and arrowwise fibered product of two functors into one groupoid.
 
@@ -158,12 +164,14 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
     g, h = phi.dom, psi.dom
     objects = {(x, y): render_id((x, y)) for x in g.objects for y in h.objects if phi.obj_map[x] == psi.obj_map[y]}
     arrows = [(a, b) for a in g.arrows for b in h.arrows if phi.arr_map[a] == psi.arr_map[b]]
-    g_at, h_at = ({c: i for out in k.arrows_from().values() for i, c in enumerate(out)} for k in (g, h))
+    g_at, h_at = _out_positions(g.arrows_from()), _out_positions(h.arrows_from())
+    leaving = fibers(arrows, lambda p: (g.src[p[0]], h.src[p[1]]))
     # object key -> the positions of the legs of each arrow key out of it, and those keys
     legs = {
         key: ([g_at[q] for q, _ in pairs], [h_at[r] for _, r in pairs], pairs)
-        for key, pairs in fibers(arrows, lambda p: (g.src[p[0]], h.src[p[1]])).items()
+        for key, pairs in leaving.items()
     }
+    at = {p: i for pairs in leaving.values() for i, p in enumerate(pairs)}
     g_rows, h_rows = g.composites(), h.composites()
 
     def row(p):
@@ -174,16 +182,18 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
         if None in firsts or None in seconds:
             i = next(i for i, ends in enumerate(zip(firsts, seconds)) if None in ends)
             raise KeyError((pairs[i][0], a) if firsts[i] is None else (pairs[i][1], b))
-        return zip(firsts, seconds)
+        return map(at.__getitem__, zip(firsts, seconds))
 
+    # every input is read lazily, endpoints first, so a missing key is named
+    # in the order tuple_groupoid reads them and no whole input is held
     apex, ids = tuple_groupoid(
         objects,
         arrows,
-        src=lambda p: (g.src[p[0]], h.src[p[1]]),
-        tgt=lambda p: (g.tgt[p[0]], h.tgt[p[1]]),
-        unit=lambda o: (g.unit[o[0]], h.unit[o[1]]),
-        inv=lambda p: (g.inv[p[0]], h.inv[p[1]]),
-        compose=row,
+        src=((g.src[a], h.src[b]) for a, b in arrows),
+        tgt=((g.tgt[a], h.tgt[b]) for a, b in arrows),
+        unit=(at[(g.unit[x], h.unit[y])] for x, y in objects),
+        inv=(at[(g.inv[a], h.inv[b])] for a, b in arrows),
+        rows=map(row, arrows),
     )
     pr1 = GroupoidFunctor(apex, g, {o: p[0] for p, o in objects.items()}, {a: p[0] for p, a in ids.items()})
     pr2 = GroupoidFunctor(apex, h, {o: p[1] for p, o in objects.items()}, {a: p[1] for p, a in ids.items()})
@@ -240,17 +250,25 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
         for c in hom.get((phi.obj_map[g.src[a]], psi.obj_map[h.src[b]]), ())
     }
     g_rows, h_rows = g.composites(), h.composites()
+    h_out = h.arrows_from()
+    g_at, h_at = _out_positions(g.arrows_from()), _out_positions(h_out)
+    # moved lists a, then b, then c, so the arrows out of (x, c, y) are
+    # (u, c, v) for u out of x, then v out of y, in declaration order
+    at = {t: g_at[t[0]] * len(h_out[h.src[t[2]]]) + h_at[t[2]] for t in moved}
+    # read lazily, as in strict_pullback
     apex, ids = tuple_groupoid(
         objects,
         moved,
-        src=lambda t: (g.src[t[0]], t[1], h.src[t[2]]),
-        tgt=lambda t: (g.tgt[t[0]], moved[t], h.tgt[t[2]]),
-        unit=lambda o: (g.unit[o[0]], o[1], h.unit[o[2]]),
-        inv=lambda t: (g.inv[t[0]], moved[t], h.inv[t[2]]),
-        # moved lists a, then b, then c, so the arrows out of (x, c, y) are
-        # (u, c, v) for u out of x, then v out of y, in declaration order
-        compose=lambda t: itertools.product(_factor_row(g, g_rows, t[0]), (t[1],), _factor_row(h, h_rows, t[2])),
+        src=((g.src[a], c, h.src[b]) for a, c, b in moved),
+        tgt=((g.tgt[a], m, h.tgt[b]) for (a, _, b), m in moved.items()),
+        unit=(at[(g.unit[x], c, h.unit[y])] for x, c, y in objects),
+        inv=(at[(g.inv[a], m, h.inv[b])] for (a, _, b), m in moved.items()),
+        rows=(
+            map(at.__getitem__, itertools.product(_factor_row(g, g_rows, a), (c,), _factor_row(h, h_rows, b)))
+            for a, c, b in moved
+        ),
     )
+    del at  # freed before the postconditions, which set a large apex's peak memory
     pr1 = GroupoidFunctor(apex, g, {o: t[0] for t, o in objects.items()}, {a: t[0] for t, a in ids.items()})
     pr3 = GroupoidFunctor(apex, h, {o: t[2] for t, o in objects.items()}, {a: t[2] for t, a in ids.items()})
     comparison = NaturalTransformation(

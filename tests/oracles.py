@@ -170,6 +170,61 @@ def oracle_action_axiom_error(group, carrier, act) -> str | None:
     return None
 
 
+def oracle_action_groupoid(group, carrier, act):
+    """``action_groupoid`` built one key at a time: the axioms by ordered
+    scans, each raising what ``action_groupoid`` raises, then every id,
+    endpoint, unit, inverse and composite looked up by its arrow key."""
+    from gpdkit.core import (
+        ActionAxiomError,
+        ActionGroupoid,
+        DanglingIdError,
+        FiniteGroupoid,
+        PreconditionError,
+        RowTable,
+    )
+
+    carrier = tuple(carrier)
+    for i, x in enumerate(carrier):
+        if x in carrier[:i]:
+            raise DanglingIdError(f"duplicate carrier point id {x!r}")
+    for g in group.elements:
+        for x in carrier:
+            if (g, x) not in act:
+                raise DanglingIdError(f"action table is missing ({g!r}, {x!r})")
+            if act[(g, x)] not in carrier:
+                raise DanglingIdError(f"action value act[({g!r}, {x!r})] is undeclared")
+    message = oracle_action_axiom_error(group, carrier, act)
+    if message is not None:
+        raise ActionAxiomError(message)
+    ids = {(g, x): "(" + g + "," + x + ")" for g in group.elements for x in carrier}
+    if len(set(ids.values())) != len(ids):
+        clash = next(i for i in ids.values() if list(ids.values()).count(i) > 1)
+        raise PreconditionError(f"tuple_groupoid: two distinct arrow keys have the id {clash!r}")
+    src = {i: x for (g, x), i in ids.items()}
+    tgt = {i: act[key] for key, i in ids.items()}
+    out: dict = {}
+    for i in ids.values():
+        out.setdefault(src[i], []).append(i)
+    pairs = {i: key for key, i in ids.items()}
+    # (h, g·x) ∘ (g, x) = (hg, x), for each arrow (h, g·x) out of g·x in order
+    rows = {
+        i: [ids[(group.mul[(pairs[after][0], g)], x)] for after in out[act[(g, x)]]]
+        for (g, x), i in ids.items()
+    }
+    induced = FiniteGroupoid(
+        objects=carrier,
+        arrows=tuple(ids.values()),
+        src=src,
+        tgt=tgt,
+        compose=RowTable(rows, out, src, tgt),
+        unit={x: ids[(group.unit, x)] for x in carrier},
+        inv={i: ids[(group.inv[g], act[(g, x)])] for (g, x), i in ids.items()},
+    )
+    gens = oracle_generating_sequence(group) or (group.unit,)
+    object.__setattr__(induced, "_kept_generators", tuple(ids[(s, x)] for s in gens for x in carrier))
+    return ActionGroupoid(group, carrier, act, induced, pairs, ids)
+
+
 def oracle_closure(group, seed) -> tuple:
     """The subgroup generated by ``seed``, in declaration order: new elements
     are multiplied by every member on both sides until nothing new appears."""

@@ -1,10 +1,12 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpdkit import core
 from gpdkit.catalog import (
     cyclic_group,
     dihedral_group_8,
@@ -22,6 +24,7 @@ from gpdkit.core import (
     MismatchError,
     NaturalTransformation,
     PreconditionError,
+    RowTable,
     ValidationReport,
     Violation,
     _generating_sequence,
@@ -52,10 +55,11 @@ from gpdkit.core import (
     whisker,
 )
 from gpdkit.morita import weak_equivalence_report
-from gpdkit.workbench import InstanceBudget, actions_of_group, enumerate_actions
+from gpdkit.workbench import InstanceBudget, actions_of_group, build_instances, enumerate_actions
 
 from oracles import (
     oracle_action_axiom_error,
+    oracle_action_groupoid,
     oracle_closure,
     oracle_generating_sequence,
     oracle_groupoid_isomorphic,
@@ -63,6 +67,7 @@ from oracles import (
     oracle_stabilizer,
     oracle_tuple_compose,
 )
+from test_suite_tables import _wrap_everywhere
 
 
 class TestGroupCatalog:
@@ -149,6 +154,22 @@ class TestGroupoidValidation:
         with pytest.raises(DanglingIdError):
             validate_groupoid(g)
 
+    @pytest.mark.parametrize(
+        "out, rows, message",
+        [
+            ({"x": ["u", "f"]}, {"u": ["u", "f"], "f": ["f", "ghost"]}, "('f', 'f') -> 'ghost'"),
+            ({"x": ["u", "ghost"]}, {"u": ["u", "f"], "f": ["f", "u"]}, "('ghost', 'u') -> 'f'"),
+        ],
+        ids=["composite", "after-arrow"],
+    )
+    def test_an_undeclared_id_in_a_row_table_is_named(self, out, rows, message):
+        # C2 on one object, its table kept as rows that name an undeclared arrow
+        ends = {"u": "x", "f": "x"}
+        g = FiniteGroupoid(("x",), ("u", "f"), ends, ends, RowTable(rows, out, ends, ends), {"x": "u"}, {"u": "u", "f": "f"})
+        with pytest.raises(DanglingIdError) as exc:
+            validate_groupoid(g)
+        assert str(exc.value) == f"compose entry {message} references undeclared arrows"
+
     def test_missing_compose_entry_is_totality_violation(self, terminal):
         g = FiniteGroupoid(("x",), ("u",), {"u": "x"}, {"u": "x"}, {}, {"x": "u"}, {"u": "u"})
         report = validate_groupoid(g)
@@ -217,6 +238,74 @@ class TestActionGroupoid:
                     assert str(err.value) == expected
         assert verdicts[False] > 0 and verdicts[True] > 0
 
+    @staticmethod
+    def _fields(action) -> dict:
+        g = action.induced
+        assert type(g.compose) is RowTable
+        return {
+            "objects": g.objects,
+            "ids": g.arrows,
+            "src": list(g.src.items()),
+            "tgt": list(g.tgt.items()),
+            "unit": list(g.unit.items()),
+            "inv": list(g.inv.items()),
+            "compose": list(g.compose.items()),
+            "out": list(g.compose.out.items()),
+            "_kept_generators": g._kept_generators,
+            "arrow_pairs": list(action.arrow_pairs.items()),
+            "arrow_ids": list(action.arrow_ids.items()),
+        }
+
+    @staticmethod
+    def _mutants(group, carrier, act):
+        """One-entry mutants: a missing entry, an undeclared value, a unit
+        that moves a point and a product the action no longer respects."""
+        keys = list(act)
+        missing = dict(act)
+        del missing[keys[len(keys) // 2]]
+        yield missing
+        yield {**act, keys[-1]: "nowhere"}
+        if len(carrier) > 1:
+            yield {**act, (group.unit, carrier[0]): carrier[1]}
+            g = next((g for g in group.elements if g != group.unit), None)
+            if g is not None:
+                x = carrier[-1]
+                yield {**act, (g, x): next(y for y in carrier if y != act[(g, x)])}
+
+    @staticmethod
+    def _outcome(build, *args):
+        try:
+            return TestActionGroupoid._fields(build(*args))
+        except Exception as exc:
+            return (type(exc), str(exc))
+
+    def test_builds_match_the_per_key_oracle(self, monkeypatch, swap_action, point_action, loop_action, klein_action):
+        built = [(a.group, a.carrier, a.act) for a in (swap_action, point_action, loop_action, klein_action)]
+
+        def recording(fn):
+            def wrapped(*args):
+                built.append(args)
+                return fn(*args)
+
+            return wrapped
+
+        _wrap_everywhere(monkeypatch, core, "action_groupoid", recording)
+        build_instances(InstanceBudget(4, 3, 7, 1))
+        assert len(built) > 100
+        kinds = ("action table is missing", "action value", "unit must act trivially", "action not compatible")
+        refusals = Counter()
+        for group, carrier, act in built:
+            assert self._outcome(action_groupoid, group, carrier, act) == self._fields(
+                oracle_action_groupoid(group, carrier, act)
+            )
+            for table in self._mutants(group, tuple(carrier), act):
+                refused = self._outcome(action_groupoid, group, carrier, table)
+                assert type(refused) is tuple and refused == self._outcome(oracle_action_groupoid, group, carrier, table)
+                if refused[0] is ActionAxiomError:
+                    assert refused[1] == oracle_action_axiom_error(group, carrier, table)
+                refusals[next(kind for kind in kinds if refused[1].startswith(kind))] += 1
+        assert set(refusals) == set(kinds)
+
     def test_orbits_and_stabilizers_match_oracle(self, klein_action):
         for x in klein_action.carrier:
             assert frozenset(orbit_elems(klein_action, x)) == oracle_orbit(klein_action, x)
@@ -227,17 +316,25 @@ class TestActionGroupoid:
 class TestTupleGroupoid:
     @staticmethod
     def _square(g, h, src=None, tgt=None, edit_row=lambda row: row):
-        # the product g × h, keyed by pairs of objects and pairs of arrows; the
-        # arrows out of (x, y) are (q, r) for q out of x, then r out of y
+        # the product g × h from whole tables, keyed by pairs of objects and
+        # pairs of arrows; the arrows out of (x, y) are (q, r) for q out of x,
+        # then r out of y, so (q, r) is at g_at[q] · |out y| + h_at[r] among them
+        g_out, h_out = g.arrows_from(), h.arrows_from()
+        g_at, h_at = ({c: i for out in side.values() for i, c in enumerate(out)} for side in (g_out, h_out))
+
+        def at(q, r):
+            return g_at[q] * len(h_out[h.src[r]]) + h_at[r]
+
         g_rows, h_rows = g.composites(), h.composites()
+        arrows = [(a, b) for a in g.arrows for b in h.arrows]
         return tuple_groupoid(
             {(x, y): f"{x}{y}" for x in g.objects for y in h.objects},
-            [(a, b) for a in g.arrows for b in h.arrows],
-            src=src or (lambda p: (g.src[p[0]], h.src[p[1]])),
-            tgt=tgt or (lambda p: (g.tgt[p[0]], h.tgt[p[1]])),
-            unit=lambda o: (g.unit[o[0]], h.unit[o[1]]),
-            inv=lambda p: (g.inv[p[0]], h.inv[p[1]]),
-            compose=lambda p: edit_row(list(itertools.product(g_rows[p[0]], h_rows[p[1]]))),
+            arrows,
+            src=src or [(g.src[a], h.src[b]) for a, b in arrows],
+            tgt=tgt or [(g.tgt[a], h.tgt[b]) for a, b in arrows],
+            unit=[at(g.unit[x], h.unit[y]) for x in g.objects for y in h.objects],
+            inv=[at(g.inv[a], h.inv[b]) for a, b in arrows],
+            rows=[edit_row([at(q, r) for q, r in itertools.product(g_rows[a], h_rows[b])]) for a, b in arrows],
         )
 
     def test_product_is_a_groupoid_with_rendered_ids(self, swap_action, loop_action):
@@ -247,6 +344,8 @@ class TestTupleGroupoid:
         assert product.objects == ("0p", "1p")
         assert product.arrows == tuple(f"({a},{b})" for a in g.arrows for b in h.arrows)
         assert ids == {(a, b): f"({a},{b})" for a in g.arrows for b in h.arrows}
+        assert product.unit == {f"{x}p": ids[(g.unit[x], h.unit["p"])] for x in g.objects}
+        assert product.inv == {i: ids[(g.inv[a], h.inv[b])] for (a, b), i in ids.items()}
         # first arrow outer, composable after arrows inner, both in declaration order
         firsts = [a1 for (_, a1) in product.compose]
         assert firsts == sorted(firsts, key=product.arrows.index)
@@ -258,27 +357,45 @@ class TestTupleGroupoid:
         )
         assert list(product.compose.items()) == list(per_pair.items())
 
+    def test_lazy_inputs_are_read_after_the_endpoints(self, swap_action):
+        g = swap_action.induced
+        product, _ = self._square(g, g)
+        lazy, _ = self._square(g, g, src=iter([(g.src[a], g.src[b]) for a in g.arrows for b in g.arrows]))
+        assert lazy == product and list(lazy.compose.items()) == list(product.compose.items())
+
+        def missing():
+            raise KeyError(("q", "r"))
+            yield
+
+        # a KeyError met while reading an input names the key with no entry
+        with pytest.raises(PreconditionError) as exc:
+            tuple_groupoid({"x": "x"}, [("u",)], ["x"], ["x"], [0], [0], missing())
+        assert str(exc.value) == (
+            "tuple_groupoid: no entry for ('q', 'r'); endpoints, units, inverses and composites must be declared"
+        )
+
     def test_undeclared_endpoint_is_a_precondition_error(self, swap_action):
         g = swap_action.induced
-        with pytest.raises(PreconditionError, match="no entry"):
-            self._square(g, g, src=lambda p: ("nowhere", g.src[p[1]]))
+        nowhere = [("nowhere", g.src[b]) for a in g.arrows for b in g.arrows]
+        with pytest.raises(PreconditionError, match=re.escape(f"no entry for {nowhere[0]!r}")):
+            self._square(g, g, src=nowhere)
         # no arrow leaves an undeclared target: its entry fails before its short rows do
-        with pytest.raises(PreconditionError, match="no entry"):
-            self._square(g, g, tgt=lambda p: ("nowhere", g.tgt[p[1]]))
+        with pytest.raises(PreconditionError, match=re.escape(f"no entry for {nowhere[0]!r}")):
+            self._square(g, g, tgt=nowhere)
 
     @pytest.mark.parametrize("cut", [lambda row: row[:-1], lambda row: row + row[:1]], ids=["short", "long"])
     def test_a_row_of_the_wrong_length_raises(self, swap_action, cut):
         g = swap_action.induced
-        with pytest.raises(ValueError, match="zip"):
+        first = f"({g.arrows[0]},{g.arrows[0]})"
+        with pytest.raises(ValueError, match=re.escape(f"the row of {first!r} has")) as exc:
             self._square(g, g, edit_row=cut)
+        assert type(exc.value) is ValueError
 
     def test_colliding_ids_are_a_precondition_error(self):
         def build(objects, arrows):
             # each object's only arrow out is its own: a ∘ a = a
-            return tuple_groupoid(
-                objects, arrows, src=lambda a: a[0], tgt=lambda a: a[0],
-                unit=lambda x: (x, "u"), inv=lambda a: a, compose=lambda a: [a],
-            )
+            ends = [a[0] for a in arrows]
+            return tuple_groupoid(objects, arrows, ends, ends, [0] * len(objects), [0] * len(arrows), [[0]] * len(arrows))
 
         build({"p,q": "p,q", "p": "p"}, [("p,q", "u"), ("p", "u")])  # distinct ids build
         with pytest.raises(PreconditionError, match="object keys"):

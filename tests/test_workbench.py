@@ -167,6 +167,25 @@ class TestLawSuite:
         assert pairs
         assert len(set(ids)) == len(ids)
 
+    def test_the_self_pullback_pass_runs_calls_with_only_equivariant_checks(self, monkeypatch):
+        # neither benchmark budget reaches an index past PULLBACK_PLAIN_WES
+        # with equivariant pullbacks still owed; group=8,carrier=1 does
+        weak_equivalences = build_instances(InstanceBudget(8, 1, 6)).weak_equivalences
+        calls = []
+        original = workbench._self_pullback_checks
+
+        def recording(w, rep, equivariant, plain, *checks):
+            calls.append((equivariant, plain))
+            return original(w, rep, equivariant, plain, *checks)
+
+        monkeypatch.setattr(workbench, "_self_pullback_checks", recording)
+        checks = workbench._self_pullback_pass(weak_equivalences)
+        assert len(calls) == 59
+        assert sum(not plain for _, plain in calls) == 19
+        assert sum(equivariant for equivariant, _ in calls) == 24
+        assert [len(kind) for kind in checks] == [200, 61, 144]  # comparison, projection, equivariant
+        assert all(ok for kind in checks for _, ok in kind)
+
     def test_all_laws_pass_at_small_budget(self, small_suite):
         failing = [law for law in small_suite.laws if not law.ok]
         assert not failing, failing
