@@ -18,13 +18,27 @@ least-index member as its representative; :func:`classes` lists them, and
 :func:`fibers` groups items by key in item order.  Values are frozen after
 construction and every operation is a pure function.
 
-A groupoid proven valid keeps a generating set of its arrows in
-``FiniteGroupoid._kept_generators``: the induced groupoid of
-:func:`action_groupoid`, whose action axioms were verified, and a groupoid
-that passed :func:`validate_groupoid`.  :func:`validate_functor` then checks
-composition on generators only, as :func:`validate_groupoid` and
-:func:`validate_group` check associativity; each runs its full scan when a
-fast check fails, so every report is the one the full scan gives.
+A value that depends only on one frozen object is derived once and kept on
+it, in a declared field (``init=False, compare=False, repr=False``, default
+``None``) set with ``object.__setattr__``, so a :func:`dataclasses.replace`
+copy derives its own.  The kept values and their readers:
+
+- ``FiniteGroupoid._kept_generators``: a generating set of the arrows of a
+  groupoid proven valid (the induced groupoid of :func:`action_groupoid`,
+  whose action axioms were verified, and a groupoid that passed
+  :func:`validate_groupoid`).  :func:`validate_functor` then checks
+  composition on generators only, as :func:`validate_groupoid` and
+  :func:`validate_group` check associativity; each runs its full scan when a
+  fast check fails, so every report is the one the full scan gives.
+- ``FiniteGroup._kept_sequence`` and ``FiniteGroup._kept_right``: the
+  generating sequence and the right-multiplication index table, read by
+  :func:`action_groupoid`.
+- ``GroupoidFunctor._kept_report``: the weak-equivalence report, read by
+  :func:`gpdkit.morita.weak_equivalence_report`.
+- ``GroupoidFunctor._kept_self_pullback``: the strict pullback of a left leg
+  with itself, read by the 2-cell operations of :mod:`gpdkit.localization`.
+- ``ActionGroupoid._kept_properties``: the property report, read by
+  :func:`gpdkit.equivariant.property_report`.
 """
 
 from __future__ import annotations
@@ -442,9 +456,10 @@ class GroupoidFunctor:
     cod: FiniteGroupoid
     obj_map: dict[str, str] = field(repr=False)
     arr_map: dict[str, str] = field(repr=False)
-    # kept by morita.weak_equivalence_report, set with object.__setattr__ as
-    # FiniteGroupoid._kept_generators is
+    # kept by morita.weak_equivalence_report
     _kept_report: object = field(default=None, init=False, repr=False, compare=False)
+    # this functor's strict pullback with itself, kept by localization's 2-cell operations
+    _kept_self_pullback: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def check_functor_declarations(f: GroupoidFunctor) -> None:
@@ -619,9 +634,9 @@ class FiniteGroup:
     mul: dict[tuple[str, str], str] = field(repr=False)
     unit: str
     inv: dict[str, str] = field(repr=False)
-    # kept by _generating_sequence, set with object.__setattr__ as
-    # FiniteGroupoid._kept_generators is
+    # kept by _generating_sequence and _right_multiplication
     _kept_sequence: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _kept_right: dict[str, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -810,6 +825,16 @@ def _generating_sequence(g: FiniteGroup) -> tuple[str, ...]:
     return g._kept_sequence
 
 
+def _right_multiplication(g: FiniteGroup) -> dict[str, list[int]]:
+    """``a`` -> the index of ``h·a`` for each ``h`` in declaration order.
+    Computed once per group object and kept on it."""
+    if g._kept_right is None:
+        index = {a: k for k, a in enumerate(g.elements)}
+        right = {a: [index[g.mul[(h, a)]] for h in g.elements] for a in g.elements}
+        object.__setattr__(g, "_kept_right", right)
+    return g._kept_right
+
+
 def group_isomorphism(g: FiniteGroup, h: FiniteGroup) -> dict[str, str] | None:
     """An isomorphism g -> h as an element map, or None when there is none.
 
@@ -872,6 +897,8 @@ class ActionGroupoid:
     induced: FiniteGroupoid = field(repr=False)
     arrow_pairs: dict[str, tuple[str, str]] = field(repr=False)
     arrow_ids: dict[tuple[str, str], str] = field(repr=False, compare=False)
+    # kept by equivariant.property_report
+    _kept_properties: object = field(default=None, init=False, repr=False, compare=False)
 
     def arrow_id(self, g: str, x: str) -> str:
         return self.arrow_ids[(g, x)]
@@ -908,8 +935,7 @@ def action_groupoid(group: FiniteGroup, carrier, act: dict[tuple[str, str], str]
     if values[u:u + n] != list(carrier):
         moved = next(x for x, y in zip(carrier, values[u:]) if x != y)
         raise ActionAxiomError(f"unit must act trivially, moves {moved!r}")
-    # right[g] lists the index of h·g for h in declaration order
-    right = {g: [index[group.mul[(h, g)]] for h in elements] for g in elements}
+    right = _right_multiplication(group)
     column = {x: values[i::n] for i, x in enumerate(carrier)}  # g·x for g in declaration order
     # g2 with g1·(g2·x) = (g1g2)·x for all g1, x are closed under products,
     # so checking a generating sequence decides the law for every g2

@@ -74,12 +74,19 @@ PROPERTY_NAMES = tuple(f.name for f in fields(PropertyReport))
 
 
 def property_report(a: ActionGroupoid) -> PropertyReport:
-    """Decide each action property by direct enumeration.
+    """Decide each action property by direct enumeration, once per action
+    object; the report is kept on it (``ActionGroupoid._kept_properties``).
 
     A finite group is compact, discrete, and acts properly, and every finite
     groupoid is proper etale (hence an orbifold groupoid); those verdicts,
     :data:`TRIVIAL_IN_FINITE_SETTING`, are reported true with a trivial flag.
     """
+    if a._kept_properties is None:
+        object.__setattr__(a, "_kept_properties", _property_report(a))
+    return a._kept_properties
+
+
+def _property_report(a: ActionGroupoid) -> PropertyReport:
     free_witness = fixed_point(a, a.group.elements)
     orbit_list = orbits(a)
     transitive_witness = None if len(orbit_list) <= 1 else (orbit_list[0][0], orbit_list[1][0])
@@ -391,9 +398,7 @@ def decompose(phi: EquivariantFunctor) -> DecompositionResult:
     if sorted(carrier_bijection.values()) != sorted(cod.carrier):
         raise InternalCheckError("decompose: balanced product does not match the codomain carrier")
 
-    rep_dom = property_report(dom)
-    rep_cod = rep_dom if cod is dom else property_report(cod)
-    rep_mid = rep_cod if middle is cod else property_report(middle)
+    rep_dom, rep_cod, rep_mid = property_report(dom), property_report(cod), property_report(middle)
     for name in INVARIANT_PROPERTIES:
         if not (rep_dom.verdict(name).value == rep_mid.verdict(name).value == rep_cod.verdict(name).value):
             raise InternalCheckError(f"decompose: property {name!r} not preserved onto the middle")

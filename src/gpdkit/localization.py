@@ -7,7 +7,10 @@ normalizes to a single natural transformation over the strict pullback of the
 left legs, and two diagrams present the same 2-cell exactly when their normal
 forms agree pointwise.
 
-A normal-form cell checks itself when built and keeps that pullback.  One
+A normal-form cell checks itself when built and keeps that pullback.  When
+both left legs are one functor object, the pullback is that leg's
+self-pullback, built once and kept on the leg
+(``GroupoidFunctor._kept_self_pullback``) for every later operation.  One
 builder makes every cell computed here, from candidates that must agree at
 each pullback object; :func:`identity_filled_diagram` makes every diagram
 whose filling cells are identities.
@@ -118,13 +121,24 @@ class AnaTwoCell:
         if self.top.left_foot != self.bottom.left_foot or self.top.right_foot != self.bottom.right_foot:
             raise MismatchError("2-cell endpoints are not parallel spans")
         if self.pullback is None:
-            object.__setattr__(self, "pullback", strict_pullback(self.top.left, self.bottom.left))
+            object.__setattr__(self, "pullback", _left_legs_pullback(self.top, self.bottom))
         pb = self.pullback
         if self.transformation.source != compose_functors(self.top.right, pb.pr1):
             raise MismatchError("2-cell transformation source is not top.right over the pullback")
         if self.transformation.target != compose_functors(self.bottom.right, pb.pr2):
             raise MismatchError("2-cell transformation target is not bottom.right over the pullback")
         validate_nat_trans(self.transformation).require(PreconditionError, "2-cell transformation is not natural")
+
+
+def _left_legs_pullback(top: GeneralizedMorphism, bottom: GeneralizedMorphism) -> StrictPullback:
+    """The strict pullback of the two left legs; when they are one object, its
+    self-pullback, built on first use and kept on the leg."""
+    leg = top.left
+    if leg is not bottom.left:
+        return strict_pullback(leg, bottom.left)
+    if leg._kept_self_pullback is None:
+        object.__setattr__(leg, "_kept_self_pullback", strict_pullback(leg, leg))
+    return leg._kept_self_pullback
 
 
 def _ana_cell(top: Anafunctor, bottom: Anafunctor, pb: StrictPullback, candidates, where: str) -> AnaTwoCell:
@@ -175,7 +189,7 @@ def identity_two_cell(f: Anafunctor) -> AnaTwoCell:
     inverse = ff_inverse(f.left)
     unit_of = f.left_foot.unit
     return _ana_cell(
-        f, f, strict_pullback(f.left, f.left),
+        f, f, _left_legs_pullback(f, f),
         lambda y1, y2: (f.right.arr_map[inverse[(y1, y2, unit_of[f.left.obj_map[y1]])]],),
         "identity_two_cell",
     )
@@ -249,7 +263,7 @@ def _normalize(d: TwoCellDiagram, pb: StrictPullback | None = None) -> AnaTwoCel
     validate_two_cell(d).require(PreconditionError, "normalize_two_cell: diagram does not validate")
     top, bottom = as_anafunctor(d.top), as_anafunctor(d.bottom)
     if pb is None:
-        pb = strict_pullback(top.left, bottom.left)
+        pb = _left_legs_pullback(top, bottom)
     upper = top.middle
     left_foot, right_foot = top.left_foot, top.right_foot
     # y1 -> every (w, k) with k: α(w) -> y1, mediator objects in order
@@ -310,7 +324,7 @@ def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
     first_id, second_id = c1.pullback.object_ids, c2.pullback.object_ids
     cod = f.right_foot
     return _ana_cell(
-        f, h, strict_pullback(f.left, h.left),
+        f, h, _left_legs_pullback(f, h),
         lambda y, y2: (
             cod.compose[(second[second_id[(mid, y2)]], first[first_id[(y, mid)]])]
             for mid in over.get(f.left.obj_map[y], ())
@@ -324,7 +338,7 @@ def inverse_two_cell(cell: AnaTwoCell) -> AnaTwoCell:
     cod = cell.top.right_foot
     component, ids = cell.transformation.component, cell.pullback.object_ids
     return _ana_cell(
-        cell.bottom, cell.top, strict_pullback(cell.bottom.left, cell.top.left),
+        cell.bottom, cell.top, _left_legs_pullback(cell.bottom, cell.top),
         lambda y2, y1: (cod.inv[component[ids[(y1, y2)]]],),
         "inverse_two_cell",
     )

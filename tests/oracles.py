@@ -136,6 +136,28 @@ def oracle_validate_functor(f) -> list[tuple]:
     return out
 
 
+def oracle_validate_nat_trans(eta) -> list[tuple]:
+    """``validate_nat_trans``'s violations as ``(axiom, witness)`` pairs: each
+    component's endpoints, then the square of each domain arrow, from a plain
+    copy of the codomain's compose table."""
+    source, target, component = eta.source, eta.target, eta.component
+    if source.dom != target.dom or source.cod != target.cod:
+        return [("parallelism", ())]
+    dom, cod = source.dom, source.cod
+    table = dict(cod.compose)
+    out = []
+    for z in dom.objects:
+        c = component[z]
+        if (cod.src[c], cod.tgt[c]) != (source.obj_map[z], target.obj_map[z]):
+            out.append(("endpoints", (z, c)))
+    for a in dom.arrows:
+        down_then_across = (component[dom.tgt[a]], source.arr_map[a])
+        across_then_down = (target.arr_map[a], component[dom.src[a]])
+        if down_then_across not in table or table.get(across_then_down) != table[down_then_across]:
+            out.append(("naturality", (a,)))
+    return out
+
+
 def oracle_validate_group(g) -> list[tuple]:
     """``validate_group``'s violations as ``(axiom, witness)`` pairs: every
     triple in order, then the unit and inverse laws at each element."""

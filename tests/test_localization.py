@@ -196,15 +196,17 @@ class TestNormalFormCell:
             AnaTwoCell(loop_span, loop_span, identity_transformation(loop_span.right))
 
     def test_cell_keeps_its_pullback(self, loop_span, monkeypatch):
-        iota = identity_two_cell(loop_span)
-        flipped = _flip_cell(loop_span, iota)
+        # a fresh leg object, so no pullback is kept on it yet
+        span = Anafunctor(replace(loop_span.left), loop_span.right)
         built = []
         real = localization.strict_pullback
-        monkeypatch.setattr(localization, "strict_pullback", lambda phi, psi: built.append(1) or real(phi, psi))
-        d1, d2 = as_diagram(iota), as_diagram(flipped)
-        assert built == []
+        monkeypatch.setattr(localization, "strict_pullback", lambda phi, psi: built.append((phi, psi)) or real(phi, psi))
+        iota = identity_two_cell(span)
+        d1, d2 = as_diagram(iota), as_diagram(_flip_cell(span, iota))
         assert two_cell_difference(d1, d2) is not None
+        assert two_cell_difference(d2, d1) is not None
         assert len(built) == 1
+        assert built[0][0] is span.left and built[0][1] is span.left
 
 
 class TestValidateTwoCell:
