@@ -86,7 +86,7 @@ def test_a_copied_action_derives_its_own_property_report(klein_action):
 
 def test_a_copied_functor_derives_its_own_report_and_self_pullback(collapse_swap, swap_to_loop):
     leg = dataclasses.replace(collapse_swap)
-    weak_equivalence_report(leg)
+    assert weak_equivalence_report(leg) is leg._kept_report
     pb = identity_two_cell(Anafunctor(leg, swap_to_loop)).pullback
     assert leg._kept_self_pullback is pb
     copy = dataclasses.replace(leg)
