@@ -6,7 +6,6 @@ Run:  python demos/03_spans_and_two_cells.py
 from gpdkit import (
     Anafunctor,
     GroupoidFunctor,
-    NaturalTransformation,
     action_groupoid,
     anafunctorify,
     as_diagram,
@@ -66,17 +65,13 @@ print("composite middles Morita-equal:", morita_oracle(bridge.top.middle, bridge
 # The unit 2-cell of the span is computed from the triple-map inverse; over
 # the crossing pairs of the self-pullback its component is the genuine loop.
 iota = identity_two_cell(span)
-print("\nunit 2-cell components:", iota.transformation.component)
+print("\nunit 2-cell components:", iota.component)
 
 # A second, different 2-cell between the same pair: post-compose by the loop.
+# The cell is given by its spans and one component per pullback object.
 flip = AnaTwoCell(
     span, span,
-    NaturalTransformation(
-        iota.transformation.source,
-        iota.transformation.target,
-        {o: loop.induced.compose[(loop.arrow_id("r1", "p"), c)]
-         for o, c in iota.transformation.component.items()},
-    ),
+    {o: loop.induced.compose[(loop.arrow_id("r1", "p"), c)] for o, c in iota.component.items()},
 )
 print("flip cell natural:", validate_nat_trans(flip.transformation).ok)
 

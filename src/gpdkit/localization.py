@@ -7,13 +7,15 @@ normalizes to a single natural transformation over the strict pullback of the
 left legs, and two diagrams present the same 2-cell exactly when their normal
 forms agree pointwise.
 
-A normal-form cell checks itself when built and keeps that pullback.  When
-both left legs are one functor object, the pullback is that leg's
-self-pullback, built once and kept on the leg
-(``GroupoidFunctor._kept_self_pullback``) for every later operation.  One
-builder makes every cell computed here, from candidates that must agree at
-each pullback object; :func:`identity_filled_diagram` makes every diagram
-whose filling cells are identities.
+A normal-form cell is its two anafunctors and one component per pullback
+object: plain spans are checked and wrapped, and the cell derives its
+pullback and its transformation once and checks naturality.  When both left
+legs are one functor object, the pullback is that leg's self-pullback, built
+once and kept on the leg (``GroupoidFunctor._kept_self_pullback``).  One
+builder makes every cell computed here from two spans and candidates that
+must agree at each pullback object; :func:`normalize_two_cell` is the one
+normalizer, and :func:`identity_filled_diagram` makes every diagram whose
+filling cells are identities.
 """
 
 from __future__ import annotations
@@ -109,25 +111,29 @@ class TwoCellDiagram:
 
 @dataclass(frozen=True)
 class AnaTwoCell:
-    """Normal-form 2-cell: one transformation over ``pullback``, the strict
-    pullback of the left legs (built when not given), checked when built."""
+    """Normal-form 2-cell: two anafunctors and one component per object of
+    ``pullback``, the strict pullback of their left legs (derived when not
+    given).  Plain spans are checked and wrapped as anafunctors; the
+    transformation top.right∘pr1 ⇒ bottom.right∘pr2 is built once, from
+    the components, and checked natural."""
 
     top: Anafunctor
     bottom: Anafunctor
-    transformation: NaturalTransformation  # top.right∘pr1 ⇒ bottom.right∘pr2
+    component: dict[str, str] = field(repr=False)
     pullback: StrictPullback = field(default=None, compare=False, repr=False)
+    transformation: NaturalTransformation = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.top.left_foot != self.bottom.left_foot or self.top.right_foot != self.bottom.right_foot:
+        top, bottom = as_anafunctor(self.top), as_anafunctor(self.bottom)
+        if top.left_foot != bottom.left_foot or top.right_foot != bottom.right_foot:
             raise MismatchError("2-cell endpoints are not parallel spans")
-        if self.pullback is None:
-            object.__setattr__(self, "pullback", _left_legs_pullback(self.top, self.bottom))
-        pb = self.pullback
-        if self.transformation.source != compose_functors(self.top.right, pb.pr1):
-            raise MismatchError("2-cell transformation source is not top.right over the pullback")
-        if self.transformation.target != compose_functors(self.bottom.right, pb.pr2):
-            raise MismatchError("2-cell transformation target is not bottom.right over the pullback")
-        validate_nat_trans(self.transformation).require(PreconditionError, "2-cell transformation is not natural")
+        pb = _left_legs_pullback(top, bottom) if self.pullback is None else self.pullback
+        nu = NaturalTransformation(
+            compose_functors(top.right, pb.pr1), compose_functors(bottom.right, pb.pr2), self.component
+        )
+        validate_nat_trans(nu).require(PreconditionError, "2-cell transformation is not natural")
+        for name, value in (("top", top), ("bottom", bottom), ("pullback", pb), ("transformation", nu)):
+            object.__setattr__(self, name, value)
 
 
 def _left_legs_pullback(top: GeneralizedMorphism, bottom: GeneralizedMorphism) -> StrictPullback:
@@ -141,16 +147,18 @@ def _left_legs_pullback(top: GeneralizedMorphism, bottom: GeneralizedMorphism) -
     return leg._kept_self_pullback
 
 
-def _ana_cell(top: Anafunctor, bottom: Anafunctor, pb: StrictPullback, candidates, where: str) -> AnaTwoCell:
-    """The cell over ``pb`` whose component at each (y1, y2) is the one value of ``candidates(y1, y2)``."""
+def _ana_cell(top: GeneralizedMorphism, bottom: GeneralizedMorphism, candidates, where: str) -> AnaTwoCell:
+    """The cell over the left legs' pullback whose component at each (y1, y2) is the one value of
+    ``candidates(y1, y2)``."""
+    top, bottom = as_anafunctor(top), as_anafunctor(bottom)
+    pb = _left_legs_pullback(top, bottom)
     component = {}
     for (y1, y2), oid in pb.object_ids.items():
         values = set(candidates(y1, y2))
         if len(values) != 1:
             raise InternalCheckError(f"{where}: {len(values)} candidate components at {oid!r}")
         component[oid] = values.pop()
-    nu = NaturalTransformation(compose_functors(top.right, pb.pr1), compose_functors(bottom.right, pb.pr2), component)
-    return AnaTwoCell(top, bottom, nu, pb)
+    return AnaTwoCell(top, bottom, component, pb)
 
 
 def compose_generalized(f: GeneralizedMorphism, g: GeneralizedMorphism) -> GeneralizedMorphism:
@@ -189,7 +197,7 @@ def identity_two_cell(f: Anafunctor) -> AnaTwoCell:
     inverse = ff_inverse(f.left)
     unit_of = f.left_foot.unit
     return _ana_cell(
-        f, f, _left_legs_pullback(f, f),
+        f, f,
         lambda y1, y2: (f.right.arr_map[inverse[(y1, y2, unit_of[f.left.obj_map[y1]])]],),
         "identity_two_cell",
     )
@@ -255,15 +263,8 @@ def normalize_two_cell(d: TwoCellDiagram) -> AnaTwoCell:
     R2(m) ∘ δ_w ∘ R1(k)⁻¹.  Every choice of (w, k) is computed and must give
     the same value.
     """
-    return _normalize(d)
-
-
-def _normalize(d: TwoCellDiagram, pb: StrictPullback | None = None) -> AnaTwoCell:
-    """:func:`normalize_two_cell` over ``pb``, the left legs' strict pullback, built when not given."""
     validate_two_cell(d).require(PreconditionError, "normalize_two_cell: diagram does not validate")
     top, bottom = as_anafunctor(d.top), as_anafunctor(d.bottom)
-    if pb is None:
-        pb = _left_legs_pullback(top, bottom)
     upper = top.middle
     left_foot, right_foot = top.left_foot, top.right_foot
     # y1 -> every (w, k) with k: α(w) -> y1, mediator objects in order
@@ -281,7 +282,7 @@ def _normalize(d: TwoCellDiagram, pb: StrictPullback | None = None) -> AnaTwoCel
             back = right_foot.compose[(d.right_cell.component[w], right_foot.inv[top.right.arr_map[k]])]
             yield right_foot.compose[(bottom.right.arr_map[m], back)]
 
-    return _ana_cell(top, bottom, pb, candidates, "normalize_two_cell")
+    return _ana_cell(top, bottom, candidates, "normalize_two_cell")
 
 
 def two_cell_difference(d1: TwoCellDiagram, d2: TwoCellDiagram) -> tuple[str, str, str] | None:
@@ -289,7 +290,8 @@ def two_cell_difference(d1: TwoCellDiagram, d2: TwoCellDiagram) -> tuple[str, st
 
     Both diagrams must connect the same pair of anafunctors (as tables);
     ``None`` means they present the same 2-cell, which is sound and complete
-    because the normal form is unique.  Both are normalized over one pullback.
+    because the normal form is unique.  Each is normalized over its own
+    pullback, and equal left legs render equal pullback object ids.
     """
     same_pair = (
         as_anafunctor(d1.top) == as_anafunctor(d2.top)
@@ -297,9 +299,7 @@ def two_cell_difference(d1: TwoCellDiagram, d2: TwoCellDiagram) -> tuple[str, st
     )
     if not same_pair:
         raise MismatchError("two_cells_equal: diagrams do not connect the same pair of spans")
-    n1 = _normalize(d1)
-    c1 = n1.transformation.component
-    c2 = _normalize(d2, n1.pullback).transformation.component
+    c1, c2 = normalize_two_cell(d1).component, normalize_two_cell(d2).component
     return next(((o, c1[o], c2[o]) for o in c1 if c1[o] != c2[o]), None)
 
 
@@ -320,11 +320,11 @@ def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
         raise MismatchError("vertical_compose_ana: cells do not share a middle span")
     f, g, h = c1.top, c1.bottom, c2.bottom
     over = fibers(g.middle.objects, g.left.obj_map.__getitem__)
-    first, second = c1.transformation.component, c2.transformation.component
+    first, second = c1.component, c2.component
     first_id, second_id = c1.pullback.object_ids, c2.pullback.object_ids
     cod = f.right_foot
     return _ana_cell(
-        f, h, _left_legs_pullback(f, h),
+        f, h,
         lambda y, y2: (
             cod.compose[(second[second_id[(mid, y2)]], first[first_id[(y, mid)]])]
             for mid in over.get(f.left.obj_map[y], ())
@@ -336,9 +336,9 @@ def vertical_compose_ana(c1: AnaTwoCell, c2: AnaTwoCell) -> AnaTwoCell:
 def inverse_two_cell(cell: AnaTwoCell) -> AnaTwoCell:
     """Pointwise inverse, living over the swapped pullback."""
     cod = cell.top.right_foot
-    component, ids = cell.transformation.component, cell.pullback.object_ids
+    component, ids = cell.component, cell.pullback.object_ids
     return _ana_cell(
-        cell.bottom, cell.top, _left_legs_pullback(cell.bottom, cell.top),
+        cell.bottom, cell.top,
         lambda y2, y1: (cod.inv[component[ids[(y1, y2)]]],),
         "inverse_two_cell",
     )

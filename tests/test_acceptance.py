@@ -104,17 +104,11 @@ def test_criterion_4_two_cell_calculus(suite_report, swap_action, loop_action, c
     span = Anafunctor(collapse_swap, swap_to_loop)
     iota = identity_two_cell(span)
     loop_arrow = loop_action.arrow_id("r1", "p")
-    from gpdkit.core import NaturalTransformation, validate_nat_trans
+    from gpdkit.core import validate_nat_trans
     from gpdkit.localization import AnaTwoCell
 
     flipped = AnaTwoCell(
-        span,
-        span,
-        NaturalTransformation(
-            iota.transformation.source,
-            iota.transformation.target,
-            {o: loop_action.induced.compose[(loop_arrow, c)] for o, c in iota.transformation.component.items()},
-        ),
+        span, span, {o: loop_action.induced.compose[(loop_arrow, c)] for o, c in iota.component.items()}
     )
     assert validate_nat_trans(flipped.transformation).ok
     stacked_l = vertical_compose_ana(vertical_compose_ana(flipped, flipped), flipped)

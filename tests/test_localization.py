@@ -1,8 +1,11 @@
+import re
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from gpdkit.core import (
+    DanglingIdError,
     FiniteGroupoid,
     GroupoidFunctor,
     MismatchError,
@@ -36,7 +39,7 @@ from gpdkit.localization import (
     validate_two_cell,
     vertical_compose_ana,
 )
-from gpdkit.morita import morita_oracle, skeleton_invariant, weak_equivalence_report, weak_pullback
+from gpdkit.morita import morita_oracle, skeleton_invariant, strict_pullback, weak_equivalence_report, weak_pullback
 from gpdkit.workbench import (
     InstanceBudget,
     _perturb_diagram,
@@ -55,6 +58,15 @@ def morita_span(collapse_swap):
 def loop_span(collapse_swap, swap_to_loop):
     """Terminal <- swap groupoid -> one-point Z/2: nontrivial right-foot arrows."""
     return Anafunctor(collapse_swap, swap_to_loop)
+
+
+@pytest.fixture(scope="module")
+def unsurjective_span(swap_action):
+    """Swap groupoid <- one point -> one point: the left leg is a weak
+    equivalence that misses the object "1", so the span is no anafunctor."""
+    one_object = FiniteGroupoid(("x",), ("u",), {"u": "x"}, {"u": "x"}, {("u", "u"): "u"}, {"x": "u"}, {"u": "u"})
+    include = GroupoidFunctor(one_object, swap_action.induced, {"x": "0"}, {"u": swap_action.arrow_id("r0", "0")})
+    return GeneralizedMorphism(include, identity_functor(one_object))
 
 
 class TestSpanTypes:
@@ -140,6 +152,28 @@ class TestComposition:
             compose_anafunctors(morita_span, other)
 
 
+class TestUnmetInterfaces:
+    """Each operation refuses inputs that do not meet where it needs them to."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda fx: GeneralizedMorphism(fx("collapse_swap"), identity_functor(fx("terminal"))),
+         "span legs must share their middle groupoid"),
+        (lambda fx: AnaTwoCell(fx("loop_span"), fx("morita_span"), {}),
+         "2-cell endpoints are not parallel spans"),
+        (lambda fx: compose_generalized(fx("loop_span"), fx("morita_span")),
+         "compose_generalized: spans do not meet over a common groupoid"),
+        (lambda fx: strictify_composition(fx("loop_span"), fx("morita_span")),
+         "strictify_composition: spans do not meet over a common groupoid"),
+        (lambda fx: vertical_compose_ana(identity_two_cell(fx("loop_span")), identity_two_cell(fx("morita_span"))),
+         "vertical_compose_ana: cells do not share a middle span"),
+        (lambda fx: weak_pullback(fx("collapse_swap"), fx("swap_to_loop")),
+         "weak_pullback: functors have different codomains"),
+    ], ids=["span", "cell", "compose_generalized", "strictify_composition", "vertical_compose_ana", "weak_pullback"])
+    def test_refused_with_its_message(self, request, build, message):
+        with pytest.raises(MismatchError, match=f"^{re.escape(message)}$"):
+            build(request.getfixturevalue)
+
+
 class TestIdentityTwoCell:
     def test_identity_left_leg_gives_units(self, swap_action):
         f = identity_anafunctor(swap_action.induced)
@@ -171,12 +205,26 @@ def _flip_cell(span, iota):
     """A second, distinct 2-cell from the span to itself: post-compose by the loop."""
     loop_gpd = span.right_foot
     loop = next(a for a in loop_gpd.arrows if a not in set(loop_gpd.unit.values()))
-    component = {o: loop_gpd.compose[(loop, c)] for o, c in iota.transformation.component.items()}
-    nu = NaturalTransformation(iota.transformation.source, iota.transformation.target, component)
-    assert validate_nat_trans(nu).ok
-    from gpdkit.localization import AnaTwoCell
+    return AnaTwoCell(span, span, {o: loop_gpd.compose[(loop, c)] for o, c in iota.component.items()})
 
-    return AnaTwoCell(span, span, nu)
+
+def _unchecked_identity_cell(span):
+    """The unit cell over ``span``, set field by field so that the constructor's
+    checks never run; only the operation it is passed to can refuse it."""
+    pb = strict_pullback(span.left, span.left)
+    component = {oid: span.right_foot.unit[span.right.obj_map[y1]] for (y1, _), oid in pb.object_ids.items()}
+    cell = object.__new__(AnaTwoCell)
+    for name, value in (
+        ("top", span), ("bottom", span), ("component", component), ("pullback", pb),
+        ("transformation", NaturalTransformation(
+            compose_functors(span.right, pb.pr1), compose_functors(span.right, pb.pr2), component,
+        )),
+    ):
+        object.__setattr__(cell, name, value)
+    return cell
+
+
+_NOT_AN_ANAFUNCTOR = re.escape("left leg of an anafunctor is not a surjective weak equivalence")
 
 
 class TestNormalFormCell:
@@ -184,16 +232,38 @@ class TestNormalFormCell:
         iota = identity_two_cell(loop_span)
         loop_gpd = loop_span.right_foot
         loop = next(a for a in loop_gpd.arrows if a not in set(loop_gpd.unit.values()))
-        component = dict(iota.transformation.component)
+        component = dict(iota.component)
         first = next(iter(component))
         component[first] = loop_gpd.compose[(loop, component[first])]
-        nu = NaturalTransformation(iota.transformation.source, iota.transformation.target, component)
         with pytest.raises(PreconditionError, match="not natural"):
-            AnaTwoCell(loop_span, loop_span, nu)
+            AnaTwoCell(loop_span, loop_span, component)
 
     def test_cell_off_the_pullback_refused(self, loop_span):
-        with pytest.raises(MismatchError, match="over the pullback"):
-            AnaTwoCell(loop_span, loop_span, identity_transformation(loop_span.right))
+        # components keyed by the middle's objects, not the pullback's
+        with pytest.raises(DanglingIdError, match="component keys do not match domain objects"):
+            AnaTwoCell(loop_span, loop_span, identity_transformation(loop_span.right).component)
+
+    def test_cell_wraps_its_spans_as_anafunctors(self, swap_action):
+        # a span held as a plain span and as an anafunctor is one middle span
+        i = identity_functor(swap_action.induced)
+        span = GeneralizedMorphism(i, i)
+        iota = identity_two_cell(span)
+        stacked = vertical_compose_ana(iota, normalize_two_cell(as_diagram(iota)))
+        assert stacked.component == iota.component
+        assert type(iota.top) is Anafunctor and iota.top == Anafunctor(i, i)
+
+    @pytest.mark.parametrize("operation", ["identity_two_cell", "vertical_compose_ana", "inverse_two_cell", "by hand"])
+    def test_cell_over_a_span_that_is_no_anafunctor_refused(self, unsurjective_span, operation):
+        assert not weak_equivalence_report(unsurjective_span.left).object_map_surjective
+        cell = _unchecked_identity_cell(unsurjective_span)
+        build = {
+            "identity_two_cell": lambda: identity_two_cell(unsurjective_span),
+            "vertical_compose_ana": lambda: vertical_compose_ana(cell, cell),
+            "inverse_two_cell": lambda: inverse_two_cell(cell),
+            "by hand": lambda: AnaTwoCell(unsurjective_span, unsurjective_span, cell.component),
+        }[operation]
+        with pytest.raises(PreconditionError, match=_NOT_AN_ANAFUNCTOR):
+            build()
 
     def test_cell_keeps_its_pullback(self, loop_span, monkeypatch):
         # a fresh leg object, so no pullback is kept on it yet
@@ -207,6 +277,29 @@ class TestNormalFormCell:
         assert two_cell_difference(d2, d1) is not None
         assert len(built) == 1
         assert built[0][0] is span.left and built[0][1] is span.left
+
+    def test_equal_legs_compare_by_object_id(self, loop_span, monkeypatch):
+        # each normal form lives over its own left leg's self-pullback; legs
+        # with equal tables render the same pullback object ids
+        iota = identity_two_cell(loop_span)
+        shared = [as_diagram(iota), as_diagram(_flip_cell(loop_span, iota))]
+        expected = {(i, j): two_cell_difference(shared[i], shared[j]) for i, j in product(range(2), repeat=2)}
+        assert expected[0, 0] is None and expected[0, 1] is not None
+        # fresh leg objects, so no pullback is kept on them yet
+        a, b = (Anafunctor(replace(loop_span.left), loop_span.right) for _ in range(2))
+        built = []
+        real = localization.strict_pullback
+        monkeypatch.setattr(localization, "strict_pullback", lambda phi, psi: built.append((phi, psi)) or real(phi, psi))
+        over = []
+        for span in (a, b):
+            cell = identity_two_cell(span)
+            over.append([as_diagram(cell), as_diagram(_flip_cell(span, cell))])
+        over_a, over_b = over
+        for i, j in product(range(2), repeat=2):
+            assert two_cell_difference(over_a[i], over_b[j]) == expected[i, j]
+            assert two_cell_difference(over_b[i], over_a[j]) == expected[i, j]
+        assert len(built) == 2 and all(phi is psi for phi, psi in built)
+        assert built[0][0] is a.left and built[1][0] is b.left
 
 
 class TestValidateTwoCell:
