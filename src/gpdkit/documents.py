@@ -151,8 +151,7 @@ def _write_compose(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
         return
     start, last = len(parts), {a: c + inner + "]" for a, c in code.items()}
     try:
-        rows = g.composites()
-        at = {a: i for out in g.arrows_from().values() for i, a in enumerate(out)}
+        rows, at = g.composites(), g.positions()
         for a2 in g.arrows:
             head, i = f",{inner}[{inner}  {code[a2]},{inner}  ", at[a2]
             parts += [f"{head}{c1}{last[rows[a1][i]]}" for a1, c1 in into.get(g.src[a2], ())]

@@ -25,6 +25,7 @@ from .core import (
     group_isomorphism,
     identity_functor,
     isotropy_group,
+    out_positions,
     render_id,
     tuple_groupoid,
     validate_nat_trans,
@@ -144,12 +145,6 @@ class StrictPullback:
     arrow_ids: dict[tuple[str, str], str] = field(repr=False)
 
 
-def _out_positions(out: dict[str, list[str]]) -> dict[str, int]:
-    """Each arrow's position among the arrows out of its source, from
-    :meth:`~gpdkit.core.FiniteGroupoid.arrows_from`."""
-    return {c: i for leaving in out.values() for i, c in enumerate(leaving)}
-
-
 def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullback:
     """Objectwise and arrowwise fibered product of two functors into one groupoid.
 
@@ -164,14 +159,14 @@ def strict_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> StrictPullbac
     g, h = phi.dom, psi.dom
     objects = {(x, y): render_id((x, y)) for x in g.objects for y in h.objects if phi.obj_map[x] == psi.obj_map[y]}
     arrows = [(a, b) for a in g.arrows for b in h.arrows if phi.arr_map[a] == psi.arr_map[b]]
-    g_at, h_at = _out_positions(g.arrows_from()), _out_positions(h.arrows_from())
+    g_at, h_at = g.positions(), h.positions()
     leaving = fibers(arrows, lambda p: (g.src[p[0]], h.src[p[1]]))
     # object key -> the positions of the legs of each arrow key out of it, and those keys
     legs = {
         key: ([g_at[q] for q, _ in pairs], [h_at[r] for _, r in pairs], pairs)
         for key, pairs in leaving.items()
     }
-    at = {p: i for pairs in leaving.values() for i, p in enumerate(pairs)}
+    at = out_positions(leaving)
     g_rows, h_rows = g.composites(), h.composites()
 
     def row(p):
@@ -242,19 +237,21 @@ def weak_pullback(phi: GroupoidFunctor, psi: GroupoidFunctor) -> WeakPullback:
         for y in h.objects
         for c in hom.get((phi.obj_map[x], psi.obj_map[y]), ())
     }
-    # transported anchor of (a, c, b): psi(b) ∘ c ∘ phi(a)^(-1)
+    # transported anchor of (a, c, b): psi(b) ∘ m, read off the row of
+    # m = c ∘ phi(a)^(-1), which is read off the row of phi(a)^(-1)
+    k_rows, k_at = k.composites(), k.positions()
+    back = {a: _factor_row(k, k_rows, k.inv[phi.arr_map[a]]) for a in g.arrows}
     moved = {
-        (a, c, b): k.compose[(psi.arr_map[b], k.compose[(c, k.inv[phi.arr_map[a]])])]
+        (a, c, b): k_rows[back[a][k_at[c]]][k_at[psi.arr_map[b]]]
         for a in g.arrows
         for b in h.arrows
         for c in hom.get((phi.obj_map[g.src[a]], psi.obj_map[h.src[b]]), ())
     }
+    if None in moved.values():
+        a, c, b = next(t for t, m in moved.items() if m is None)
+        raise KeyError((psi.arr_map[b], back[a][k_at[c]]))
     g_rows, h_rows = g.composites(), h.composites()
-    h_out = h.arrows_from()
-    g_at, h_at = _out_positions(g.arrows_from()), _out_positions(h_out)
-    # moved lists a, then b, then c, so the arrows out of (x, c, y) are
-    # (u, c, v) for u out of x, then v out of y, in declaration order
-    at = {t: g_at[t[0]] * len(h_out[h.src[t[2]]]) + h_at[t[2]] for t in moved}
+    at = out_positions(fibers(moved, lambda t: (g.src[t[0]], t[1], h.src[t[2]])))
     # read lazily, as in strict_pullback
     apex, ids = tuple_groupoid(
         objects,

@@ -115,6 +115,50 @@ def oracle_weak_pullback_compose(phi, psi, pullback) -> dict:
     )
 
 
+def oracle_validate_groupoid(g) -> list[tuple]:
+    """``validate_groupoid``'s violations as ``(axiom, witness)`` pairs, by a
+    scan of every object, every pair and every triple of declared arrows
+    against a plain copy of the compose table: unit endpoints, then entries
+    at pairs that do not compose, composable pairs with no entry, entries
+    with the wrong endpoints, triples whose bracketings differ or are
+    undefined, and the unit and inverse laws at each arrow."""
+    table = dict(g.compose)
+    arrows, src, tgt, unit, inv = g.arrows, g.src, g.tgt, g.unit, g.inv
+    out = [("unit-endpoints", (x, unit[x])) for x in g.objects if (src[unit[x]], tgt[unit[x]]) != (x, x)]
+    out += [("composability", (a2, a1)) for a2, a1 in table if src[a2] != tgt[a1]]
+    out += [
+        ("totality", (a2, a1))
+        for a1 in arrows
+        for a2 in arrows
+        if src[a2] == tgt[a1] and (a2, a1) not in table
+    ]
+    out += [
+        ("composite-endpoints", (a2, a1, a3))
+        for (a2, a1), a3 in table.items()
+        if src[a3] != src[a1] or tgt[a3] != tgt[a2]
+    ]
+    for a1 in arrows:
+        for a2 in arrows:
+            if src[a2] != tgt[a1] or (a2, a1) not in table:
+                continue
+            for a3 in arrows:
+                if src[a3] == tgt[a2]:
+                    left = table.get((a3, table[(a2, a1)]))
+                    right = table.get((table.get((a3, a2)), a1))
+                    if left is None or left != right:
+                        out.append(("associativity", (a3, a2, a1)))
+    for a in arrows:
+        if table.get((a, unit[src[a]])) != a:
+            out.append(("right-unit", (a,)))
+        if table.get((unit[tgt[a]], a)) != a:
+            out.append(("left-unit", (a,)))
+        if table.get((inv[a], a)) != unit[src[a]]:
+            out.append(("left-inverse", (a,)))
+        if table.get((a, inv[a])) != unit[tgt[a]]:
+            out.append(("right-inverse", (a,)))
+    return out
+
+
 def oracle_validate_functor(f) -> list[tuple]:
     """``validate_functor``'s violations as ``(axiom, witness)`` pairs, by a scan
     of every arrow, every object and every entry of the domain's table."""

@@ -160,7 +160,7 @@ def _composites_of(g: FiniteGroupoid, gens: list[str]) -> set[str]:
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_generators_compose_to_every_arrow(name):
     g = SHAPES[name]
-    assert _composites_of(g, _generators(g)) == set(g.arrows)
+    assert _composites_of(g, _generators(g, g.composites(), g.positions())) == set(g.arrows)
 
 
 class CountingDict(dict):
@@ -194,7 +194,7 @@ def test_validating_a_large_weak_pullback_apex_does_not_check_every_triple():
     by_src = apex.arrows_from()
     out = {a: len(by_src[apex.tgt[a]]) for a in apex.arrows}
     every_triple = sum(out[a2] for a1 in apex.arrows for a2 in by_src[apex.tgt[a1]])
-    gens = _generators(apex)
+    gens = _generators(apex, apex.composites(), apex.positions())
     checked = sum(out[a2] for a1 in gens for a2 in by_src[apex.tgt[a1]])
     assert every_triple == 4096 * 64 * 64
     assert checked * 20 < every_triple

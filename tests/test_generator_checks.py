@@ -227,7 +227,7 @@ def test_a_groupoid_keeps_the_generators_of_its_light_test_once_it_validates():
     assert not validate_groupoid(broken).ok
     assert broken._kept_generators is None
     assert validate_groupoid(apex).ok
-    assert apex._kept_generators == tuple(_generators(apex))
+    assert apex._kept_generators == tuple(_generators(apex, apex.composites(), apex.positions()))
 
 
 def test_pullback_apexes_shrunk_and_parsed_groupoids_keep_nothing():
@@ -249,7 +249,7 @@ def test_pullback_apexes_shrunk_and_parsed_groupoids_keep_nothing():
     assert plain._kept_generators is None
     assert bundle.groupoid("action")._kept_generators is not None  # verified when read
     bundle.require_groupoids(plain)
-    assert plain._kept_generators == tuple(_generators(plain))
+    assert plain._kept_generators == tuple(_generators(plain, plain.composites(), plain.positions()))
 
 
 def test_strict_pullback_rows_equal_the_per_pair_oracle_on_generated_tables():
@@ -260,3 +260,16 @@ def test_strict_pullback_rows_equal_the_per_pair_oracle_on_generated_tables():
     for phi, psi in pairs:
         pb = strict_pullback(phi, psi)
         assert list(pb.apex.compose.items()) == list(oracle_strict_pullback_compose(phi, psi, pb).items())
+
+
+def test_a_domain_entry_at_a_pair_that_does_not_compose_is_scanned():
+    """The rows hold only composable pairs, so an extra entry of a plain
+    domain table is missed by them; the full scan still reads it, and the
+    report is the oracle's."""
+    g = _actions()[0].induced
+    a2, a1 = next((a2, a1) for a1 in g.arrows for a2 in g.arrows if g.src[a2] != g.tgt[a1])
+    extra = replace(g, compose={**dict(g.compose), (a2, a1): a1})
+    f = GroupoidFunctor(extra, g, {x: x for x in g.objects}, {a: a for a in g.arrows})
+    assert extra._kept_generators is None and g._kept_generators is not None
+    assert _assert_functor_agrees(f) == {"composition preservation"}
+    assert validate_functor(f).violations[0].witness == (a2, a1)

@@ -7,9 +7,11 @@ mutant of each of their component tables: one object's component moved to
 each other codomain arrow.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from gpdkit.core import NaturalTransformation, identity_functor, validate_nat_trans
+from gpdkit.core import GroupoidFunctor, NaturalTransformation, identity_functor, validate_nat_trans
 from gpdkit.morita import weak_pullback
 from gpdkit.workbench import InstanceBudget, build_instances
 
@@ -70,3 +72,21 @@ def test_non_parallel_functors_are_one_violation(collapse_swap, swap_to_loop):
     eta = NaturalTransformation(collapse_swap, swap_to_loop, {})
     assert oracle_validate_nat_trans(eta) == [("parallelism", ())]
     assert _assert_agrees(eta) == {"parallelism"}
+
+
+def test_a_codomain_entry_at_a_pair_that_does_not_compose_is_read_by_the_scan(swap_action):
+    """A component with the wrong endpoints makes the square at a unit read a
+    pair that does not compose.  A plain codomain table holds an entry there
+    that closes the square, so the scan, and the oracle, find that square
+    natural; the rows cannot see the entry."""
+    g = swap_action.induced
+    z = g.objects[0]
+    unit = g.unit[z]
+    c = next(a for a in g.arrows if g.src[a] != z and g.tgt[a] == z)
+    cod = replace(g, compose={**dict(g.compose), (c, unit): c})
+    ident = GroupoidFunctor(g, cod, {x: x for x in g.objects}, {a: a for a in g.arrows})
+    eta = NaturalTransformation(ident, ident, {**{x: g.unit[x] for x in g.objects}, z: c})
+    report = validate_nat_trans(eta)
+    assert _assert_agrees(eta) == {"endpoints", "naturality"}
+    assert ("endpoints", (z, c)) in [(v.axiom, v.witness) for v in report.violations]
+    assert ("naturality", (unit,)) not in [(v.axiom, v.witness) for v in report.violations]

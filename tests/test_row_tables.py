@@ -7,7 +7,9 @@ filled one pair at a time; each lookup with the same lookup on a plain dict;
 equality in every order between plain dicts and row tables; plain copies
 with the table; and building both pullbacks, reading their rows, writing them
 as a document, walking them and comparing them leave each a row table, not a
-dict, that refuses writes.
+dict, that refuses writes.  A row of the wrong length is refused when the
+table is built, and the validators and the weak pullback decide valid inputs
+without looking up a single pair.
 """
 
 import pytest
@@ -131,3 +133,69 @@ def test_building_reading_rows_and_writing_fill_nothing(klein_action, klein_half
         with pytest.raises(TypeError):
             table[key] = value
         assert table[key] == value
+
+
+def _one_object_c2(rows: dict) -> RowTable:
+    """C2 on one object ``x``, arrows ``u`` and ``f`` out of it, with ``rows``."""
+    ends = {"u": "x", "f": "x"}
+    return RowTable(rows, {"x": ["u", "f"]}, ends, ends)
+
+
+def test_a_row_table_takes_rows_of_the_right_length():
+    table = _one_object_c2({"u": ["u", "f"], "f": ["f", "u"]})
+    assert dict(table) == {("u", "u"): "u", ("f", "u"): "f", ("u", "f"): "f", ("f", "f"): "u"}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [(["f"], "the row of 'f' has 1 composites, not 2"), (["f", "u", "u"], "the row of 'f' has 3 composites, not 2")],
+    ids=["short", "long"],
+)
+def test_a_row_of_the_wrong_length_is_refused_when_the_table_is_built(row, message):
+    """A short row would make a read past its end raise ``IndexError``, and a
+    long one would count pairs that iteration never yields."""
+    with pytest.raises(ValueError, match=message):
+        _one_object_c2({"u": ["u", "f"], "f": row})
+
+
+def test_valid_suite_shaped_inputs_are_decided_without_a_pair_lookup(monkeypatch):
+    """Every validator and the weak pullback read whole rows: on an action
+    groupoid, both self-pullbacks of a generated weak equivalence and the weak
+    pullback's comparison, no pair is looked up through the table."""
+    from gpdkit.core import (
+        identity_functor,
+        identity_transformation,
+        isotropy_group,
+        validate_functor,
+        validate_groupoid,
+        validate_nat_trans,
+    )
+
+    w = next(w for w in generate_weak_equivalences(InstanceBudget(4, 3)) if w.kind == "projection")
+    f, action = w.functor.functor, w.functor.dom_action.induced
+    lookups = []
+
+    def counted(name):
+        real = getattr(RowTable, name)
+
+        def lookup(self, *args):
+            lookups.append(name)
+            return real(self, *args)
+
+        return lookup
+
+    for name in ("get", "__getitem__"):
+        monkeypatch.setattr(RowTable, name, counted(name))
+    strict, weak = strict_pullback(f, f), weak_pullback(f, f)
+    projections = (strict.pr1, strict.pr2, weak.pr1, weak.pr3)
+    # out of apexes that keep no generators: every pair is decided on rows
+    reports = [validate_functor(p) for p in projections]
+    reports += [validate_functor(identity_functor(apex)) for apex in (strict.apex, weak.apex)]
+    reports += [validate_groupoid(g) for g in (action, strict.apex, weak.apex)]
+    # now each apex keeps generators, so composition is decided on them
+    reports += [validate_functor(p) for p in (f, *projections)]
+    reports += [validate_nat_trans(weak.comparison), validate_nat_trans(identity_transformation(f))]
+    groups = [isotropy_group(g, g.objects[0]) for g in (action, strict.apex, weak.apex)]
+    assert all(r.ok for r in reports) and all(gr.order > 0 for gr in groups)
+    assert strict.apex._kept_generators is not None
+    assert lookups == []
