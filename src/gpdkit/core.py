@@ -11,7 +11,13 @@ naming an arrow by its position among the arrows out of its source.  The
 compose table is kept as those rows in a :class:`RowTable`, a read-only
 mapping that answers every read from the rows, never stores a pair, and
 refuses a row whose length is not the number of arrows out of its first
-arrow's target.
+arrow's target.  :func:`action_groupoid` hands over whole columns of its
+action table, so no Python function runs per arrow or per pair.  Class
+tables (orbits, components, cosets and the classes of the equivariant
+constructions) are all made by :func:`class_reps`, which picks each class's
+least-index member as its representative; :func:`classes` lists them, and
+:func:`fibers` groups items by key in item order.  Values are frozen after
+construction and every operation is a pure function.
 
 Rows decide, per-pair scans list.  Every validator reads a composite
 ``after ∘ first`` as ``rows[first][pos[after]]``, from
@@ -21,13 +27,6 @@ plain dict's rows are read from it pair by pair.  A check's per-pair scan of
 the table runs only when the decision on rows fails, to list the violations,
 so every report is the one the scan gives: rows never see a dict entry at a
 pair that does not compose, and such a table fails the decision.
-:func:`action_groupoid` hands over whole columns of
-its action table, so no Python function runs per arrow or per pair.  Class
-tables (orbits, components, cosets and the classes of the equivariant
-constructions) are all made by :func:`class_reps`, which picks each class's
-least-index member as its representative; :func:`classes` lists them, and
-:func:`fibers` groups items by key in item order.  Values are frozen after
-construction and every operation is a pure function.
 
 A value that depends only on one frozen object is derived once and kept on
 it, in a declared field (``init=False, compare=False, repr=False``, default
