@@ -4,8 +4,9 @@
 ``s`` a generating arrow kept on a domain proven valid, and ``validate_group``
 checks associativity only against a generating sequence; each scans every
 entry when a fast check fails.  Here both reports are compared with
-``oracle_validate_functor`` and ``oracle_validate_group`` on every table shape
-and on one-entry mutants of ``arr_map`` and ``mul``; which values keep
+``oracle_validate_functor`` and ``oracle_validate_group`` on every table shape,
+on one-entry mutants of ``arr_map`` and ``mul``, and on a plain domain table
+with an entry at a pair that does not compose; which values keep
 generating arrows is pinned; and the strict pullback's table, read off its
 factor rows, is compared with the one filled a pair at a time on the
 workbench's generated functors.

@@ -4,7 +4,8 @@ Reports are compared violation by violation, in order, on the comparisons of
 the weak self-pullbacks of the sampled build's weak equivalences, on every
 transformation from a conftest functor to itself, and on every one-entry
 mutant of each of their component tables: one object's component moved to
-each other codomain arrow.
+each other codomain arrow; and on a plain codomain table whose entry at a pair
+that does not compose closes a square the rows cannot read.
 """
 
 from dataclasses import replace
