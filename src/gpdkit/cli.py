@@ -259,6 +259,12 @@ def _cmd_skeleton(args) -> tuple[dict, int]:
     )
 
 
+# The largest carrier a suite budget may name: the suite tries n! relabelings
+# of each table over n points, so each carrier step past this multiplies the
+# run time by about the carrier size.
+MAX_SUITE_CARRIER = 8
+
+
 def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
     fields = {}
     mapping = {"group": "max_group_order", "carrier": "max_carrier_size", "objects": "max_objects"}
@@ -280,6 +286,9 @@ def _parse_budget(spec: str | None, seed: int | None) -> InstanceBudget:
     for key in mapping:
         if fields.get(mapping[key], 1) < 1:
             raise docs.SchemaError(f"budget: {key!r} must be at least 1, got {fields[mapping[key]]}")
+    carrier = fields.get("max_carrier_size", 1)
+    if carrier > MAX_SUITE_CARRIER:
+        raise docs.SchemaError(f"budget: 'carrier' must be at most {MAX_SUITE_CARRIER}, got {carrier}")
     return InstanceBudget(**fields)
 
 

@@ -19,14 +19,17 @@ least-index member as its representative; :func:`classes` lists them, and
 :func:`fibers` groups items by key in item order.  Values are frozen after
 construction and every operation is a pure function.
 
-Rows decide, per-pair scans list.  Every validator reads a composite
-``after ∘ first`` as ``rows[first][pos[after]]``, from
+One decision on rows, one scan when it fails.  Every validator reads a
+composite ``after ∘ first`` as ``rows[first][pos[after]]``, from
 :meth:`FiniteGroupoid.composites` and :meth:`FiniteGroupoid.positions`
 (:func:`out_positions`, the one positions table), for either table kind; a
-plain dict's rows are read from it pair by pair.  A check's per-pair scan of
-the table runs only when the decision on rows fails, to list the violations,
-so every report is the one the scan gives: rows never see a dict entry at a
-pair that does not compose, and such a table fails the decision.
+plain dict's rows are read from it pair by pair.  A validator decides on
+the rows whether its table passes, and scans the table pair by pair only
+when that decision fails, to list the violations, so every report is the
+one the scan gives: rows never see a dict entry at a pair that does not
+compose, and such a table fails the decision.  :func:`validate_groupoid`
+makes one decision for all its checks and, when it fails, one scan that
+lists every violation.
 
 A value that depends only on one frozen object is derived once and kept on
 it, in a declared field (``init=False, compare=False, repr=False``, default
@@ -130,10 +133,11 @@ class RowTable(Mapping):
     order, and ``pos[after]`` is the place of ``after`` in its list
     (:func:`out_positions`).  A row of any other length raises
     :class:`ValueError`, so every row read is in range.  Every read (``[]``,
-    ``get``, ``in``, ``len``, iteration, ``==``) is answered from the rows;
-    the pairs come first arrow by first arrow, then after-arrow.  A key that
-    is not a composable pair of the table misses as it would in a plain
-    dict.  ``dict(t)`` gives a plain copy.
+    ``len``, iteration, ``==``) is answered from the rows, and
+    :class:`~collections.abc.Mapping` answers ``get`` and ``in`` through
+    ``[]``; the pairs come first arrow by first arrow, then after-arrow.  A
+    key that is not a composable pair of the table misses as it would in a
+    plain dict.  ``dict(t)`` gives a plain copy.
     """
 
     __slots__ = ("rows", "out", "pos", "src", "tgt")
@@ -155,19 +159,6 @@ class RowTable(Mapping):
             except (ValueError, KeyError, TypeError):
                 pass
         return {}[key]  # raises as a plain dict would
-
-    def get(self, key, default=None):
-        if type(key) is tuple:
-            try:
-                after, first = key
-                if self.src[after] == self.tgt[first]:
-                    return self.rows[first][self.pos[after]]
-            except (ValueError, KeyError, TypeError):
-                pass
-        return {}.get(key, default)
-
-    def __contains__(self, key):
-        return self.get(key) is not None
 
     def __len__(self):
         return sum(map(len, self.rows.values()))
@@ -334,88 +325,74 @@ def _rows_cover(g: FiniteGroupoid, composites: dict[str, list[str | None]]) -> b
     return len(g.compose) == sum(len(row) - row.count(None) for row in composites.values())
 
 
-def _units_and_inverses(g: FiniteGroupoid, composites, pos, by_src) -> bool:
-    """Both unit laws and both inverse laws at every arrow, read off the rows
-    of a table that is total with every unit at its object."""
-    src, tgt, unit, inv = g.src, g.tgt, g.unit, g.inv
-    return all(composites[unit[x]] == by_src[x] for x in g.objects) and all(
-        src[inv[a]] == tgt[a]
-        and tgt[inv[a]] == src[a]
-        and row[pos[unit[tgt[a]]]] == a
-        and row[pos[inv[a]]] == unit[src[a]]
-        and composites[inv[a]][pos[a]] == unit[tgt[a]]
-        for a, row in composites.items()
-    )
-
-
 def validate_groupoid(candidate: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom, naming each failure with a witness tuple.
 
-    Each check is decided on the rows (:meth:`FiniteGroupoid.composites`):
-    associativity by :func:`_associative` on a generating set, the others
-    arrow by arrow.  Its per-pair scan runs only when that decision fails,
-    or an earlier check has, to list the violations, so the report is the
-    one the full scan gives.  A groupoid that passes keeps that generating
-    set (``_kept_generators``).  Raises :class:`DanglingIdError` for
-    malformed tables (undeclared ids, duplicate declarations); axiom failures
-    are reported, not raised.
+    One decision on the rows (:meth:`FiniteGroupoid.composites`): the rows
+    cover the table and are total, every composite ends at the right
+    objects, both unit laws and both inverse laws hold arrow by arrow, and
+    :func:`_associative` holds on :func:`_generators`.  A groupoid that
+    passes keeps that generating set (``_kept_generators``).  One that fails
+    gets one scan of the table listing every violation, in the order of the
+    checks: unit endpoints, composability, totality, composite endpoints,
+    associativity, then the unit and inverse laws at each arrow.  Raises
+    :class:`DanglingIdError` for malformed tables (undeclared ids, duplicate
+    declarations); axiom failures are reported, not raised.
     """
     check_groupoid_declarations(candidate)
     g = candidate
-    src, tgt = g.src, g.tgt
-    violations = []
-    for x in g.objects:
-        u = g.unit[x]
-        if src[u] != x or tgt[u] != x:
-            violations.append(Violation("unit-endpoints", (x, u)))
+    src, tgt, unit, inv, compose = g.src, g.tgt, g.unit, g.inv, g.compose
     by_src = g.arrows_from()
     composites, pos = g.composites(), g.positions()
-    covered = _rows_cover(g, composites)
-    if not covered:
-        for (a2, a1) in g.compose:
-            if src[a2] != tgt[a1]:
-                violations.append(Violation("composability", (a2, a1)))
-    for a1 in g.arrows:
-        if None in composites[a1]:
-            for a2, c in zip(by_src[tgt[a1]], composites[a1]):
-                if c is None:
-                    violations.append(Violation("totality", (a2, a1)))
     # the targets of the arrows out of each object: a row's composites end there
     ends = {x: list(map(tgt.__getitem__, out)) for x, out in by_src.items()}
-    if not covered or not all(
-        list(map(src.get, row)).count(src[a1]) == len(row) and list(map(tgt.get, row)) == ends[tgt[a1]]
-        for a1, row in composites.items()
+    if (
+        _rows_cover(g, composites)
+        and all(
+            list(map(src.get, row)).count(src[a1]) == len(row) and list(map(tgt.get, row)) == ends[tgt[a1]]
+            for a1, row in composites.items()
+        )
+        and all(src[u] == x == tgt[u] and composites[u] == by_src[x] for x, u in unit.items())
+        and all(
+            src[inv[a]] == tgt[a]
+            and tgt[inv[a]] == src[a]
+            and row[pos[unit[tgt[a]]]] == a
+            and row[pos[inv[a]]] == unit[src[a]]
+            and composites[inv[a]][pos[a]] == unit[tgt[a]]
+            for a, row in composites.items()
+        )
+        and _associative(g, gens := _generators(g, composites, pos), by_src, composites)
     ):
-        for (a2, a1), a3 in g.compose.items():
-            if src[a3] != src[a1] or tgt[a3] != tgt[a2]:
-                violations.append(Violation("composite-endpoints", (a2, a1, a3)))
-    gens = None if violations else _generators(g, composites, pos)
-    if gens is None or not _associative(g, gens, by_src, composites):
-        for a1 in g.arrows:
-            for a2 in by_src.get(tgt[a1], ()):
-                b = g.compose.get((a2, a1))
-                if b is None:
-                    continue
-                for a3 in by_src.get(tgt[a2], ()):
-                    left = g.compose.get((a3, b))
-                    c = g.compose.get((a3, a2))
-                    right = g.compose.get((c, a1)) if c is not None else None
-                    if left != right or left is None:
-                        violations.append(Violation("associativity", (a3, a2, a1)))
-    if gens is None or not _units_and_inverses(g, composites, pos, by_src):
-        for a in g.arrows:
-            if g.compose.get((a, g.unit[src[a]])) != a:
-                violations.append(Violation("right-unit", (a,)))
-            if g.compose.get((g.unit[tgt[a]], a)) != a:
-                violations.append(Violation("left-unit", (a,)))
-            if g.compose.get((g.inv[a], a)) != g.unit[src[a]]:
-                violations.append(Violation("left-inverse", (a,)))
-            if g.compose.get((a, g.inv[a])) != g.unit[tgt[a]]:
-                violations.append(Violation("right-inverse", (a,)))
-    report = ValidationReport.collect(violations)
-    if report.ok:
         object.__setattr__(g, "_kept_generators", tuple(gens))
-    return report
+        return ValidationReport(True, ())
+    violations = [Violation("unit-endpoints", (x, unit[x])) for x in g.objects if not src[unit[x]] == x == tgt[unit[x]]]
+    violations += [Violation("composability", (a2, a1)) for a2, a1 in compose if src[a2] != tgt[a1]]
+    for a1 in g.arrows:
+        violations += [Violation("totality", (a2, a1)) for a2, c in zip(by_src[tgt[a1]], composites[a1]) if c is None]
+    for (a2, a1), a3 in compose.items():
+        if src[a3] != src[a1] or tgt[a3] != tgt[a2]:
+            violations.append(Violation("composite-endpoints", (a2, a1, a3)))
+    for a1 in g.arrows:
+        for a2 in by_src[tgt[a1]]:
+            b = compose.get((a2, a1))
+            if b is None:
+                continue
+            for a3 in by_src[tgt[a2]]:
+                left = compose.get((a3, b))
+                c = compose.get((a3, a2))
+                right = compose.get((c, a1)) if c is not None else None
+                if left != right or left is None:
+                    violations.append(Violation("associativity", (a3, a2, a1)))
+    for a in g.arrows:
+        if compose.get((a, unit[src[a]])) != a:
+            violations.append(Violation("right-unit", (a,)))
+        if compose.get((unit[tgt[a]], a)) != a:
+            violations.append(Violation("left-unit", (a,)))
+        if compose.get((inv[a], a)) != unit[src[a]]:
+            violations.append(Violation("left-inverse", (a,)))
+        if compose.get((a, inv[a])) != unit[tgt[a]]:
+            violations.append(Violation("right-inverse", (a,)))
+    return ValidationReport.collect(violations)
 
 
 def empty_groupoid() -> FiniteGroupoid:

@@ -316,6 +316,7 @@ class TestCli:
             ("size=3", "unknown key 'size'"),
             ("group=x", "'group' needs an integer"),
             ("seed=1", "unknown key 'seed'"),  # the sample seed is set by --seed alone
+            ("carrier=9", "'carrier' must be at most 8, got 9"),  # n! relabelings per table
         ],
     )
     def test_malformed_suite_budget_is_an_input_error(self, capsys, spec, message):

@@ -1,19 +1,23 @@
 """``validate_groupoid`` agrees with ``oracle_validate_groupoid``.
 
-``validate_groupoid`` decides every check on the rows of the compose table
-and scans pairs only to list violations.  Here its whole report, axiom,
-witness and order, is compared with a plain per-pair scan on every table
-shape ``tuple_groupoid`` builds, on one-entry mutants of each, built as row
-tables and as plain dicts (a changed entry, a dropped one, and an extra
-entry at a pair that does not compose), on mutants that break one inverse
-law at one arrow, on one-entry mutants of the inverse and unit tables, and on the sampled build's action groupoids.
+``validate_groupoid`` makes one decision on the rows of the compose table
+and, when it fails, lists every violation in one scan of the pairs.  Here
+its whole report, axiom, witness and order, is compared with a plain
+per-pair scan on every table shape ``tuple_groupoid`` builds, on one-entry
+mutants of each, built as row tables and as plain dicts (a changed entry, a
+dropped one, and an extra entry at a pair that does not compose), on
+mutants that break one inverse law at one arrow, on one-entry mutants of
+the inverse and unit tables, on two-fault mutants (a plain dict with an
+extra entry and a dropped one, and a row table with entries changed in two
+rows), and on the sampled build's action groupoids.  A table keeps its
+generating set exactly when its report is ok.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from gpdkit.core import FiniteGroupoid, RowTable, validate_groupoid
+from gpdkit.core import FiniteGroupoid, RowTable, _generators, validate_groupoid
 from gpdkit.workbench import InstanceBudget, build_instances
 
 from oracles import oracle_validate_groupoid
@@ -92,6 +96,26 @@ def _inverse_and_unit_mutants(g: FiniteGroupoid):
             yield replace(g, unit={**g.unit, x: other})
 
 
+def _two_fault_mutants(g: FiniteGroupoid, limit: int = 8):
+    """``g`` with two faults at once, for at most ``limit`` choices of each: as
+    a plain dict with one extra entry at a pair that does not compose and one
+    entry dropped, and as a row table with the last entry of each of two
+    different rows pointed at the first other arrow."""
+    plain = dict(g.compose)
+    apart = [(a2, a1) for a1 in g.arrows for a2 in g.arrows if g.src[a2] != g.tgt[a1]]
+    for (a2, a1), key in zip(_spread(apart, limit), _spread(list(plain)[::-1], limit)):
+        compose = {**plain, (a2, a1): a1}
+        del compose[key]
+        yield replace(g, compose=compose)
+    table = g.compose
+    firsts = _spread(list(table.rows), limit)
+    for first, second in zip(firsts, firsts[1:]):
+        rows = dict(table.rows)
+        for a in (first, second):
+            rows[a] = rows[a][:-1] + [next(b for b in g.arrows if b != rows[a][-1])]
+        yield replace(g, compose=RowTable(rows, table.out, g.src, g.tgt))
+
+
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_every_shape_gets_the_oracle_report(name):
     g = SHAPES[name]
@@ -130,6 +154,34 @@ def test_inverse_and_unit_mutants_get_the_oracle_report(name):
     for mutant in _inverse_and_unit_mutants(SHAPES[name]):
         axioms |= _assert_agrees(mutant)
     assert {"left-inverse", "right-inverse", "right-unit", "left-unit"} <= axioms
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_two_fault_mutants_get_the_oracle_report(name):
+    """Every listing runs together in the one scan of a failing table."""
+    mutants = list(_two_fault_mutants(SHAPES[name]))
+    assert mutants
+    for mutant in mutants:
+        axioms = _assert_agrees(mutant)
+        if isinstance(mutant.compose, RowTable):
+            assert axioms
+        else:
+            assert {"composability", "totality", "associativity"} <= axioms
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_generators_are_kept_exactly_when_the_report_is_ok(name):
+    g = SHAPES[name]
+    tables = [replace(g), replace(g, compose=dict(g.compose)), *_two_fault_mutants(g)]
+    for mutants in (_row_mutants, _inverse_entry_mutants, _dict_mutants, _inverse_and_unit_mutants):
+        tables += mutants(g)
+    oks = []
+    for t in tables:
+        assert t._kept_generators is None
+        oks.append(validate_groupoid(t).ok)
+        kept = tuple(_generators(t, t.composites(), t.positions())) if oks[-1] else None
+        assert t._kept_generators == kept
+    assert oks[:2] == [True, True] and not all(oks)
 
 
 def test_an_entry_at_a_pair_that_does_not_compose_is_listed_from_the_table():

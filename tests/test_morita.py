@@ -1,7 +1,11 @@
+import json
+
 import pytest
 
+from gpdkit import documents as docs
 from gpdkit import morita
 from gpdkit.catalog import cyclic_group, klein_four_group
+from gpdkit.cli import main
 from gpdkit.core import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -36,6 +40,8 @@ from gpdkit.morita import (
 from oracles import (
     oracle_all_transformations,
     oracle_components,
+    oracle_essentially_surjective,
+    oracle_fully_faithful,
     oracle_natural,
     oracle_surjective_weak_equivalence,
     oracle_weak_equivalence,
@@ -109,6 +115,42 @@ class TestWeakEquivalenceReport:
         assert not rep.is_weak_equivalence  # codomain is nonempty
         self_map = GroupoidFunctor(empty, empty, {}, {})
         assert weak_equivalence_report(self_map).is_ssw
+
+    def test_a_missed_component_is_the_es_witness(self, terminal, tmp_path):
+        # the point onto p, in a codomain whose component {p, r} is hit and
+        # whose component {q} is not: fully faithful, not essentially surjective
+        arrows = ("1p", "f", "g", "1r", "1q")
+        ends = {"1p": ("p", "p"), "f": ("p", "r"), "g": ("r", "p"), "1r": ("r", "r"), "1q": ("q", "q")}
+        compose = {
+            ("1p", "1p"): "1p", ("f", "1p"): "f", ("1p", "g"): "g", ("f", "g"): "1r",
+            ("1r", "1r"): "1r", ("g", "1r"): "g", ("1r", "f"): "f", ("g", "f"): "1p",
+            ("1q", "1q"): "1q",
+        }
+        cod = FiniteGroupoid(
+            ("p", "r", "q"), arrows,
+            {a: ends[a][0] for a in arrows}, {a: ends[a][1] for a in arrows}, compose,
+            {"p": "1p", "r": "1r", "q": "1q"}, {"1p": "1p", "f": "g", "g": "f", "1r": "1r", "1q": "1q"},
+        )
+        assert validate_groupoid(cod).ok
+        phi = GroupoidFunctor(terminal, cod, {"*": "p"}, {"u": "1p"})
+        rep = weak_equivalence_report(phi)
+        assert rep.ff_map_bijective and oracle_fully_faithful(phi)
+        assert not rep.es_map_surjective and not oracle_essentially_surjective(phi)
+        assert (rep.es_witness, rep.obj_witness) == ("q", "r")
+        bundle = {
+            "kind": "bundle",
+            "documents": {
+                "point": docs.groupoid_doc(terminal),
+                "cod": docs.groupoid_doc(cod),
+                "phi": docs.functor_doc(phi, "point", "cod"),
+            },
+        }
+        path, out = tmp_path / "bundle.json", tmp_path / "we.json"
+        path.write_bytes(docs.dumps(bundle))
+        assert main(["check-we", str(path), "phi", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert (report["es_map_surjective"], report["ff_map_bijective"]) == (False, True)
+        assert report["witnesses"]["es"] == "q"
 
     def test_a_report_is_computed_once_per_functor_object(self, monkeypatch, swap_action, loop_action):
         computed = []
