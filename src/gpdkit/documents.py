@@ -13,19 +13,22 @@ two-space indentation, UTF-8, newline-terminated, so parse followed by
 serialize is the identity on canonical inputs.  :func:`dumps` writes the
 bytes the standard library's encoder gives with ``sort_keys=True``,
 ``indent=2`` and ``ensure_ascii=False``, plus a newline, in time linear in
-the output; a row of strings inside a list and a dict of string values are
-each written in one join.  A groupoid's ``arrows`` and ``compose`` rows are
-written straight from its tables, one string a row: the arrows in declaration
-order, each id encoded once, and the composites ordered by the position of the
-after-arrow, then of the first arrow.  A table whose entries are not exactly
-its composable pairs of distinct ids, each with a declared composite, is
-refused with :class:`PreconditionError` before any byte is returned.
+the output; a row of strings inside a list is written in one join, and a
+dict of string values as one segment, its encoded keys and values interleaved
+with the separators.  A groupoid's ``arrows`` and ``compose`` rows are written
+straight from its tables as runs of pieces, with no string built per entry:
+the arrows in declaration order, and the composites ordered by the position
+of the after-arrow, then of the first arrow, one run an after-arrow, each id
+encoded once.  A table whose entries are not exactly its composable pairs of
+distinct ids, each with a declared composite, is refused with
+:class:`PreconditionError` before any byte is returned.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .core import (
@@ -76,17 +79,20 @@ def _write(value, newline: str, parts: list[str]) -> None:
             parts.append("{}")
             return
         inner = newline + "  "
-        items = sorted(value.items())
-        try:  # string values only, in one join; the encoder refuses anything else
-            body = ("," + inner).join([_encode_str(k) + ": " + _encode_str(v) for k, v in items])
-            parts.append("{" + inner + body + newline + "}")
+        keys = sorted(value)
+        try:  # string keys and values only, in one segment; the encoder refuses anything else
+            run = ["," + inner, "", ": ", ""] * len(keys) + [newline + "}"]
+            run[0] = "{" + inner
+            run[1::4] = map(_encode_str, keys)
+            run[3::4] = map(_encode_str, map(value.__getitem__, keys))
+            parts.append("".join(run))
             return
         except TypeError:
             pass
         sep = "{" + inner
-        for key, item in items:
+        for key in keys:
             parts.append(sep + _encode_str(key) + ": ")
-            _write(item, inner, parts)
+            _write(value[key], inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -115,35 +121,41 @@ def _write(value, newline: str, parts: list[str]) -> None:
 
 
 def _write_arrows(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
-    """Append the ``arrows`` rows of ``g`` to ``parts``: one join an arrow, each id encoded once."""
+    """Append the ``arrows`` rows of ``g`` to ``parts`` as one run of pieces, each id encoded once."""
     if not g.arrows:
         parts.append("[]")
         return
     inner = newline + "  "
     field = inner + "  "
-    code = {x: _encode_str(x) for x in {*g.arrows, *g.src.values(), *g.tgt.values()}}
-    src, tgt = f',{field}"src": ', f',{field}"tgt": '
-    rows = [f'{{{field}"id": {code[a]}{src}{code[g.src[a]]}{tgt}{code[g.tgt[a]]}{inner}}}' for a in g.arrows]
-    parts.append("[" + inner + ("," + inner).join(rows) + newline + "]")
+    code = {x: _encode_str(x) for x in {*g.src.values(), *g.tgt.values()}}
+    run = [f'{inner}}},{inner}{{{field}"id": ', "", f',{field}"src": ', "", f',{field}"tgt": ', ""] * len(g.arrows)
+    run[0] = f'[{inner}{{{field}"id": '
+    run[1::6] = map(_encode_str, g.arrows)
+    run[3::6] = map(code.__getitem__, map(g.src.__getitem__, g.arrows))
+    run[5::6] = map(code.__getitem__, map(g.tgt.__getitem__, g.arrows))
+    run.append(inner + "}" + newline + "]")
+    parts += run
 
 
 _MALFORMED_COMPOSE = "compose entries are not exactly the composable pairs of distinct arrows with declared composites"
 
 
 def _write_compose(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
-    """Append the ``compose`` rows of ``g`` to ``parts``, one string a row.
+    """Append the ``compose`` rows of ``g`` to ``parts``, one run of pieces an after-arrow.
 
     The rows of each after-arrow ``a2`` are read off the arrows ``a1`` into
-    its source, in declaration order, each id encoded once; ``a2 ∘ a1`` is
-    the entry of ``a1``'s row (:meth:`~gpdkit.core.FiniteGroupoid.composites`)
-    at the place of ``a2`` among the arrows out of its source.  A table whose
-    entries are not exactly its composable pairs of distinct ids, each with a
+    its source, in declaration order; ``a2 ∘ a1`` is the entry of ``a1``'s
+    row (:meth:`~gpdkit.core.FiniteGroupoid.composites`) at the place of
+    ``a2`` among the arrows out of its source.  Each id is encoded once, and
+    the run of ``a2`` interleaves its head with the encoded ``a1`` and
+    composite pieces, so no string is built per entry.  A table whose entries
+    are not exactly its composable pairs of distinct ids, each with a
     declared composite, raises :class:`PreconditionError`."""
     inner, compose = newline + "  ", g.compose
     code = {a: _encode_str(a) for a in g.arrows}
-    into: dict[str, list[tuple[str, str]]] = {}
+    into: dict[str, list[str]] = {}
     for a in g.arrows:
-        into.setdefault(g.tgt[a], []).append((a, f"{code[a]},{inner}  "))
+        into.setdefault(g.tgt[a], []).append(a)
     if len(code) != len(g.arrows) or len(compose) != sum(len(into.get(g.src[a], ())) for a in g.arrows):
         raise PreconditionError(_MALFORMED_COMPOSE)
     if not compose:
@@ -152,9 +164,14 @@ def _write_compose(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
     start, last = len(parts), {a: c + inner + "]" for a, c in code.items()}
     try:
         rows, at = g.composites(), g.positions()
+        # for each object, the encoded arrows into it and their rows, shared by every after-arrow out of it
+        firsts = {x: ([f"{code[a1]},{inner}  " for a1 in a1s], [rows[a1] for a1 in a1s]) for x, a1s in into.items()}
         for a2 in g.arrows:
-            head, i = f",{inner}[{inner}  {code[a2]},{inner}  ", at[a2]
-            parts += [f"{head}{c1}{last[rows[a1][i]]}" for a1, c1 in into.get(g.src[a2], ())]
+            heads, first_rows = firsts.get(g.src[a2], ((), ()))
+            run = [f",{inner}[{inner}  {code[a2]},{inner}  "] * (3 * len(heads))
+            run[1::3] = heads
+            run[2::3] = map(last.__getitem__, map(itemgetter(at[a2]), first_rows))
+            parts += run
     except KeyError:  # a composable pair with no entry, or an undeclared composite
         raise PreconditionError(_MALFORMED_COMPOSE) from None
     parts[start] = "[" + parts[start][1:]

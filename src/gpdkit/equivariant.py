@@ -548,6 +548,8 @@ def equivariant_anafunctorify(
         raise MismatchError("equivariant_anafunctorify: span feet are not the stated action groupoids")
     gi, hi, k = left.induced, right.induced, f.middle
     phi, psi = f.left, f.right
+    # both feet are action groupoids, whose tables are total: c ∘ a is rows[a][at[c]]
+    (gi_rows, gi_at), (hi_rows, hi_at) = (gi.composites(), gi.positions()), (hi.composites(), hi.positions())
 
     # every object is the target of its unit arrow, so every key is present
     gi_into = fibers(gi.arrows, gi.tgt.__getitem__)
@@ -568,7 +570,7 @@ def equivariant_anafunctorify(
         the composite arrow.
         """
         a, z, b = t
-        return [(gi.compose[(phi.arr_map[m], a)], k.tgt[m], hi.compose[(psi.arr_map[m], b)]) for m in arrows_out[z]]
+        return [(gi_rows[a][gi_at[phi.arr_map[m]]], k.tgt[m], hi_rows[b][hi_at[psi.arr_map[m]]]) for m in arrows_out[z]]
 
     triple_rep = class_reps(triples, transports)
     ids = {rep: render_id(rep) for rep in dict.fromkeys(triple_rep.values())}
@@ -577,8 +579,8 @@ def equivariant_anafunctorify(
     act = {}
     for (g, h), p in pair_ids.items():
         for (a, z, b), rid in ids.items():
-            a2 = gi.compose[(a, gi.inv[left.arrow_id(g, gi.src[a])])]
-            b2 = hi.compose[(b, hi.inv[right.arrow_id(h, hi.src[b])])]
+            a2 = gi_rows[gi.inv[left.arrow_id(g, gi.src[a])]][gi_at[a]]
+            b2 = hi_rows[hi.inv[right.arrow_id(h, hi.src[b])]][hi_at[b]]
             act[(p, rid)] = ids[triple_rep[(a2, z, b2)]]
     middle_action = action_groupoid(product, tuple(ids.values()), act)
 

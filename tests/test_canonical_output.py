@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdkit import documents as docs
+from gpdkit.catalog import cyclic_group
 from gpdkit.cli import build_klein_example
 from gpdkit.core import (
     FiniteGroupoid,
@@ -52,7 +53,7 @@ def test_dumps_equals_the_indented_json_reference(doc):
 
 
 def test_dumps_on_empty_and_string_only_containers():
-    """Rows of strings and string-valued dicts are written in one join each;
+    """Rows of strings are written in one join each and string-valued dicts in one segment;
     whatever is not such a row or dict must still be written as the encoder would."""
     cases = (
         {},
@@ -76,11 +77,21 @@ def test_dumps_on_empty_and_string_only_containers():
         assert docs.dumps(doc) == reference_dumps(doc), doc
 
 
+# ids from characters the encoder escapes (quote, backslash, a control
+# character), non-ASCII and astral ones, and the writer's own separators
+_id_text = st.text('a"\\\x07é😀,()', min_size=1, max_size=2)
+
+
+def _ids(draw, size: int):
+    """A pool of ``size`` distinct ids to draw from, so that drawn pairs meet drawn arrows."""
+    return st.sampled_from(draw(st.lists(_id_text, min_size=size, max_size=size, unique=True)))
+
+
 @st.composite
 def _groupoids(draw):
     """Arbitrary tables: duplicate arrow ids, stray and non-composable compose entries."""
-    ids = st.sampled_from(["a", "b", "c", "d", "e"])
-    objects = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True))
+    ids = _ids(draw, 5)
+    objects = draw(st.lists(_ids(draw, 3), min_size=1, max_size=3, unique=True))
     arrows = draw(st.lists(ids, max_size=6))
     ends = st.sampled_from(objects)
     src = {a: draw(ends) for a in arrows}
@@ -95,8 +106,8 @@ def _groupoids(draw):
 def _well_formed_tables(draw):
     """Tables of distinct ids whose entries are exactly the composable pairs, each
     with a declared composite, inserted in a drawn order; not necessarily associative."""
-    ids = st.sampled_from(["a", "b", "c", "d", "e"])
-    objects = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True))
+    ids = _ids(draw, 5)
+    objects = draw(st.lists(_ids(draw, 3), min_size=1, max_size=3, unique=True))
     arrows = draw(st.lists(ids, max_size=5, unique=True))
     ends = st.sampled_from(objects)
     src = {a: draw(ends) for a in arrows}
@@ -180,6 +191,35 @@ def test_compose_rows_of_fixed_tables_equal_the_oracle(
     assert_compose_rows_match_the_oracle(empty_groupoid())
     t = terminal_groupoid()
     assert_refused(FiniteGroupoid(t.objects, t.arrows, t.src, t.tgt, {}, t.unit, t.inv))
+
+
+def _rotations(order: int, points: int):
+    """The cyclic group of ``order`` rotating ``points`` points, which ``order`` is a multiple of."""
+    carrier = tuple(f"p{j}" for j in range(points))
+    act = {(f"r{i}", f"p{j}"): f"p{(i + j) % points}" for i in range(order) for j in range(points)}
+    return action_groupoid(cyclic_group(order), carrier, act)
+
+
+def test_a_large_product_table_equals_the_oracle():
+    """Many first arrows into each of many source objects, each after-arrow's run read off them all."""
+    g = _rotations(40, 8).induced
+    assert len(g.compose) >= 10_000 and len({g.src[a] for a in g.arrows}) >= 8
+    assert_compose_rows_match_the_oracle(g)
+
+
+def test_compose_rows_encode_each_arrow_id_once(monkeypatch):
+    """However many entries a product table has, its compose section encodes each arrow id once."""
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return json.encoder.encode_basestring(s)
+
+    monkeypatch.setattr(docs, "_encode_str", counted)
+    for g in (_rotations(4, 2).induced, _rotations(12, 4).induced):
+        calls.clear()
+        docs._write_compose(g, "\n", [])
+        assert len(g.compose) > len(g.arrows) and sorted(calls) == sorted(g.arrows)
 
 
 def test_compose_rows_of_tables_with_as_many_entries_as_composable_pairs():

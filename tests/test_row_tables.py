@@ -9,7 +9,7 @@ with the table; and building both pullbacks, reading their rows, writing them
 as a document, walking them and comparing them leave each a row table, not a
 dict, that refuses writes.  A row of the wrong length is refused when the
 table is built, and the validators and the weak pullback decide valid inputs
-without looking up a single pair.
+without looking up a single pair, as does the equivariant replacement of a span.
 """
 
 import pytest
@@ -159,9 +159,10 @@ def test_a_row_of_the_wrong_length_is_refused_when_the_table_is_built(row, messa
 
 
 def test_valid_suite_shaped_inputs_are_decided_without_a_pair_lookup(monkeypatch):
-    """Every validator and the weak pullback read whole rows: on an action
-    groupoid, both self-pullbacks of a generated weak equivalence and the weak
-    pullback's comparison, no pair is looked up through the table."""
+    """Every validator, the weak pullback and the equivariant replacement of a
+    span read whole rows: on an action groupoid, both self-pullbacks of a
+    generated weak equivalence, the weak pullback's comparison and that
+    equivalence's span, no pair is looked up through the table."""
     from gpdkit.core import (
         identity_functor,
         identity_transformation,
@@ -170,6 +171,8 @@ def test_valid_suite_shaped_inputs_are_decided_without_a_pair_lookup(monkeypatch
         validate_groupoid,
         validate_nat_trans,
     )
+    from gpdkit.equivariant import equivariant_anafunctorify
+    from gpdkit.localization import GeneralizedMorphism
 
     w = next(w for w in generate_weak_equivalences(InstanceBudget(4, 3)) if w.kind == "projection")
     f, action = w.functor.functor, w.functor.dom_action.induced
@@ -196,6 +199,10 @@ def test_valid_suite_shaped_inputs_are_decided_without_a_pair_lookup(monkeypatch
     reports += [validate_functor(p) for p in (f, *projections)]
     reports += [validate_nat_trans(weak.comparison), validate_nat_trans(identity_transformation(f))]
     groups = [isotropy_group(g, g.objects[0]) for g in (action, strict.apex, weak.apex)]
+    # the replacement's transports and middle action read the feet's rows
+    span = GeneralizedMorphism(f, identity_functor(action))
+    replaced = equivariant_anafunctorify(span, w.functor.cod_action, w.functor.dom_action)
     assert all(r.ok for r in reports) and all(gr.order > 0 for gr in groups)
+    assert replaced.middle_action.carrier
     assert strict.apex._kept_generators is not None
     assert lookups == []
