@@ -46,6 +46,7 @@ from .core import (
     check_group_declarations,
     check_groupoid_declarations,
     compose_functors,
+    fibers,
     validate_functor,
     validate_group,
     validate_groupoid,
@@ -153,9 +154,7 @@ def _write_compose(g: FiniteGroupoid, newline: str, parts: list[str]) -> None:
     declared composite, raises :class:`PreconditionError`."""
     inner, compose = newline + "  ", g.compose
     code = {a: _encode_str(a) for a in g.arrows}
-    into: dict[str, list[str]] = {}
-    for a in g.arrows:
-        into.setdefault(g.tgt[a], []).append(a)
+    into = fibers(g.arrows, g.tgt.__getitem__)
     if len(code) != len(g.arrows) or len(compose) != sum(len(into.get(g.src[a], ())) for a in g.arrows):
         raise PreconditionError(_MALFORMED_COMPOSE)
     if not compose:

@@ -2,10 +2,9 @@
 
 Every group-by in the library that keeps item order goes through
 :func:`gpdkit.core.fibers`, so the order that decides constructed ids,
-compose-row order and population order has one place to change.  Three
-hand-written group-bys stay: ``hom_index`` (hot, and owns its index),
-``tuple_groupoid``'s arrow ids by source, and ``_write_compose``'s
-pre-encoded row prefixes.
+compose-row order and population order has one place to change.  Two
+hand-written group-bys stay: ``hom_index`` (hot, and owns its index) and
+``tuple_groupoid``'s arrow ids by source.
 """
 
 import ast
@@ -18,7 +17,6 @@ GROUP_BY_OWNERS = {
     "core.fibers": 1,
     "core.FiniteGroupoid.hom_index": 1,
     "core.tuple_groupoid": 1,
-    "documents._write_compose": 1,
 }
 
 
